@@ -64,18 +64,12 @@ class SegmentResult:
     llc_misses: float = 0.0
     elapsed_ns: float = 0.0
 
-    def merge(self, other: "SegmentResult") -> None:
-        self.instructions += other.instructions
-        self.llc_refs += other.llc_refs
-        self.llc_misses += other.llc_misses
-        self.elapsed_ns += other.elapsed_ns
-
 
 class SharedCache:
     """A socket-wide LLC with per-actor occupancy accounting.
 
-    Actors are arbitrary hashable handles (the simulator uses guest
-    thread objects).  Occupancies are floats in bytes; the invariant
+    Actors are hashable handles told apart by identity (the simulator
+    uses guest thread objects).  Occupancies are floats in bytes; the invariant
     ``sum(occupancy) <= capacity`` always holds.
     """
 
@@ -160,30 +154,30 @@ class SharedCache:
             others = self._total - self._occupancy.get(actor, 0.0)
             if others > 0:
                 pressure = min(others, churn * (others / self.capacity_bytes))
-                evicted = self._evict_from_others(actor, pressure)
-                # The displaced space is immediately re-used by the
-                # churning actor only up to its target; otherwise it
-                # stays free until someone misses.
-                del evicted
+                # The displaced space stays free until someone misses.
+                self._evict_from_others(actor, pressure)
 
-    def _evict_from_others(self, actor: Hashable, amount: float) -> float:
+    def _evict_from_others(self, actor: Hashable, amount: float) -> None:
         """Evict up to ``amount`` bytes from everyone but ``actor``."""
-        victims = [(a, occ) for a, occ in self._occupancy.items() if a is not actor]
-        others_total = sum(occ for _, occ in victims)
-        if others_total <= 0:
-            return 0.0
-        amount = min(amount, others_total)
-        for victim, occ in victims:
-            share = occ / others_total
-            taken = amount * share
-            remaining = occ - taken
-            if remaining < _EPSILON_BYTES:
-                self._total -= occ
-                del self._occupancy[victim]
-            else:
-                self._total -= taken
-                self._occupancy[victim] = remaining
-        return amount
+        keys, values = self._victims(actor)
+        dead: list[Hashable] = []
+        self._total = _evict(keys, values, dead, amount, self._total)
+        self._write_back(keys, values, dead)
+
+    def _victims(self, actor: Hashable) -> tuple[list[Hashable], list[float]]:
+        """Everyone but ``actor`` as parallel key/value lists, in dict order."""
+        occupancy = self._occupancy
+        keys = [a for a in occupancy if a is not actor]
+        return keys, list(map(occupancy.__getitem__, keys))
+
+    def _write_back(
+        self, keys: list[Hashable], values: list[float], dead: list[Hashable]
+    ) -> None:
+        """Store a victim snapshot back, keeping the dict's key order."""
+        occupancy = self._occupancy
+        for key in dead:
+            del occupancy[key]
+        occupancy.update(zip(keys, values))
 
     def evict_actor(self, actor: Hashable) -> float:
         """Remove all of ``actor``'s lines (e.g. after socket migration)."""
@@ -204,13 +198,54 @@ class SharedCache:
 
 
 # ----------------------------------------------------------------------
-# segment integration
+# eviction and segment integration
 # ----------------------------------------------------------------------
-def _per_instruction_ns(
-    profile: MemoryProfile, p_hit: float, hit_ns: float, miss_ns: float
+def _evict(
+    keys: list[Hashable],
+    values: list[float],
+    dead: list[Hashable],
+    amount: float,
+    total: float,
 ) -> float:
-    stall = profile.llc_ref_rate * (p_hit * hit_ns + (1.0 - p_hit) * miss_ns)
-    return profile.base_cpi_ns + stall
+    """Evict up to ``amount`` bytes from the victims, proportionally.
+
+    ``keys``/``values`` are parallel lists of the victims and their
+    occupancies in the occupancy dict's order; they are updated in
+    place, and a victim left with less than ``_EPSILON_BYTES`` moves to
+    ``dead``.  Returns the cache total after the eviction.
+    """
+    others_total = sum(values)
+    if others_total <= 0:
+        return total
+    if others_total < amount:
+        amount = others_total
+    i = 0
+    for occ in values:
+        taken = amount * (occ / others_total)
+        remaining = occ - taken
+        if remaining < _EPSILON_BYTES:
+            break
+        total -= taken
+        values[i] = remaining
+        i += 1
+    else:
+        return total
+    # victim i drops to dust: finish the pass dropping dead victims
+    kept = i
+    for key, occ in zip(keys[i:], values[i:]):
+        taken = amount * (occ / others_total)
+        remaining = occ - taken
+        if remaining < _EPSILON_BYTES:
+            total -= occ
+            dead.append(key)
+        else:
+            total -= taken
+            keys[kept] = key
+            values[kept] = remaining
+            kept += 1
+    del keys[kept:]
+    del values[kept:]
+    return total
 
 
 def integrate_duration(
@@ -230,11 +265,16 @@ def integrate_duration(
     at the warmed speed.
 
     This is the hottest arithmetic in the whole simulator (it runs at
-    every segment boundary), so the bodies of :meth:`SharedCache.
-    hit_probability` and :func:`_per_instruction_ns` are inlined below.
-    The float operations and their order are kept exactly identical to
-    those helpers — the golden-shape tests require bit-for-bit equal
-    results.
+    every segment boundary), so it is one fused kernel: the hit
+    probability, the instruction cost and :meth:`SharedCache.insert` are
+    inlined, the actor's occupancy and the cache total live in locals,
+    and the other actors are snapshotted into victim lists on the first
+    eviction and written back once at the end.  The results are
+    bit-for-bit those of calling ``insert`` every sub-step: the float
+    operations and their order are unchanged, ``min``/``max`` become
+    conditionals that keep their first-winner semantics, the victims'
+    total is still ``sum()`` in dict order, and the write-back keeps
+    the dict's key order.
     """
     result = SegmentResult()
     if duration_ns <= 0:
@@ -245,8 +285,16 @@ def integrate_duration(
     base_cpi = profile.base_cpi_ns
     exponent = cache.reuse_exponent
     line_bytes = cache.line_bytes
+    capacity = cache.capacity_bytes
     occupancy = cache._occupancy
-    insert = cache.insert
+    fwss = float(wss)
+    target = capacity if capacity < fwss else fwss
+    own = occupancy.get(actor, 0.0)
+    total = cache._total
+    grown = False
+    keys: list[Hashable] | None = None
+    values: list[float] = []
+    dead: list[Hashable] = []
     instructions_total = 0.0
     refs_total = 0.0
     misses_total = 0.0
@@ -255,7 +303,9 @@ def integrate_duration(
         if wss <= 0:
             p_hit = 1.0
         else:
-            fraction = min(1.0, occupancy.get(actor, 0.0) / float(wss))
+            fraction = own / fwss
+            if not fraction < 1.0:
+                fraction = 1.0
             p_hit = fraction ** exponent
         per_instr = base_cpi + ref_rate * (
             p_hit * hit_ns + (1.0 - p_hit) * miss_ns
@@ -264,62 +314,48 @@ def integrate_duration(
         refs = instructions * ref_rate
         misses = refs * (1.0 - p_hit)
         if misses > 0.0:
-            insert(actor, misses * line_bytes, wss)
+            # SharedCache.insert(actor, misses * line_bytes, wss)
+            nbytes = misses * line_bytes
+            grow = target - own
+            if not grow > 0.0:
+                grow = 0.0
+            if not grow < nbytes:
+                grow = nbytes
+            churn = nbytes - grow
+            if grow > 0:
+                free = capacity - total
+                if not free > 0.0:
+                    free = 0.0
+                need = grow - (free if free < grow else grow)
+                if need > 0:
+                    if keys is None:
+                        keys, values = cache._victims(actor)
+                    total = _evict(keys, values, dead, need, total)
+                own = own + grow
+                total += grow
+                grown = True
+            if churn > 0.0:
+                others = total - own
+                if others > 0:
+                    pressure = churn * (others / capacity)
+                    if not pressure < others:
+                        pressure = others
+                    if keys is None:
+                        keys, values = cache._victims(actor)
+                    total = _evict(keys, values, dead, pressure, total)
         instructions_total += instructions
         refs_total += refs
         misses_total += misses
         elapsed_total += dt
+    if keys is not None:
+        cache._write_back(keys, values, dead)
+    if grown:
+        occupancy[actor] = own
+    cache._total = total
     result.instructions = instructions_total
     result.llc_refs = refs_total
     result.llc_misses = misses_total
     result.elapsed_ns = elapsed_total
-    return result
-
-
-def integrate_instructions(
-    cache: SharedCache,
-    actor: Hashable,
-    profile: MemoryProfile,
-    instructions: float,
-    hit_ns: float,
-    miss_ns: float,
-    substeps: int = 8,
-) -> SegmentResult:
-    """Advance ``actor`` by an instruction budget, returning time spent.
-
-    Used to *estimate* when a compute burst will finish so a completion
-    event can be scheduled; the authoritative accounting still happens
-    via :func:`integrate_duration` at segment boundaries.
-    """
-    result = SegmentResult()
-    if instructions <= 0:
-        return result
-    chunk = instructions / substeps
-    wss = profile.wss_bytes
-    ref_rate = profile.llc_ref_rate
-    base_cpi = profile.base_cpi_ns
-    exponent = cache.reuse_exponent
-    line_bytes = cache.line_bytes
-    occupancy = cache._occupancy
-    insert = cache.insert
-    for _ in range(substeps):
-        # same inlined hit/cost math as integrate_duration (see there)
-        if wss <= 0:
-            p_hit = 1.0
-        else:
-            fraction = min(1.0, occupancy.get(actor, 0.0) / float(wss))
-            p_hit = fraction ** exponent
-        per_instr = base_cpi + ref_rate * (
-            p_hit * hit_ns + (1.0 - p_hit) * miss_ns
-        )
-        refs = chunk * ref_rate
-        misses = refs * (1.0 - p_hit)
-        if misses > 0.0:
-            insert(actor, misses * line_bytes, wss)
-        result.instructions += chunk
-        result.llc_refs += refs
-        result.llc_misses += misses
-        result.elapsed_ns += chunk * per_instr
     return result
 
 
@@ -334,8 +370,8 @@ def estimate_duration_ns(
     """Cheap non-mutating estimate of the time ``instructions`` will take.
 
     Assumes the current hit probability holds for the whole burst, which
-    under-estimates cold-cache bursts slightly; callers re-evaluate at
-    every segment boundary so the error never accumulates.
+    over-estimates cold-cache bursts (they warm up as they run); callers
+    re-evaluate at every segment boundary so the error never accumulates.
     """
     wss = profile.wss_bytes
     if wss <= 0:
@@ -354,6 +390,5 @@ __all__ = [
     "SegmentResult",
     "SharedCache",
     "integrate_duration",
-    "integrate_instructions",
     "estimate_duration_ns",
 ]

@@ -1,0 +1,382 @@
+"""Differential equivalence: the fused LLC kernel vs the sub-step loop.
+
+:func:`repro.hardware.cache.integrate_duration` is one fused kernel: the
+other actors are snapshotted into victim lists on the first eviction,
+the actor's occupancy and the cache total live in locals, and the
+occupancy dict is written back once at the end.  It must be
+*bit-identical* to the straightforward model it replaced, kept below
+as the reference: a loop that calls ``insert`` every sub-step, where
+every eviction rebuilds its victims from the dict.
+
+Hypothesis drives both through the same call sequences (integrations
+with every memory-profile corner, raw inserts, ``evict_actor``) on
+caches shared by several actors, and every ``SegmentResult`` field,
+the occupancy dict's items *in order* and the running total must
+compare ``==`` after every call.  Directed cases pin that the epsilon
+deletion, full-cache and churn paths are really exercised, and a drift
+check holds the running total to the sum of the occupancies.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Hashable
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hardware import cache as cache_module
+from repro.hardware.cache import (
+    MemoryProfile,
+    SegmentResult,
+    SharedCache,
+    integrate_duration,
+)
+
+KB = 1024
+MB = 1024 * KB
+HIT_NS = 12.0
+MISS_NS = 80.0
+ACTORS = ("a", "b", "c", "d", "e")
+
+
+# ----------------------------------------------------------------------
+# the reference model (the per-sub-step implementation, kept verbatim)
+# ----------------------------------------------------------------------
+_EPSILON_BYTES = 1.0
+
+
+class ReferenceCache:
+    """The occupancy model with a dict walk per eviction."""
+
+    def __init__(self, capacity_bytes, line_bytes=64, reuse_exponent=0.5):
+        self.capacity_bytes = float(capacity_bytes)
+        self.line_bytes = float(line_bytes)
+        self.reuse_exponent = reuse_exponent
+        self._occupancy: dict[Hashable, float] = {}
+        self._total = 0.0
+
+    @property
+    def free_bytes(self) -> float:
+        return max(0.0, self.capacity_bytes - self._total)
+
+    def insert(self, actor: Hashable, nbytes: float, wss_bytes: int) -> None:
+        if nbytes <= 0:
+            return
+        target = min(float(wss_bytes), self.capacity_bytes)
+        occupancy = self._occupancy.get(actor, 0.0)
+        grow = min(nbytes, max(0.0, target - occupancy))
+        churn = max(0.0, nbytes - grow)
+        if grow > 0:
+            from_free = min(grow, self.free_bytes)
+            need = grow - from_free
+            if need > 0:
+                self._evict_from_others(actor, need)
+            self._occupancy[actor] = occupancy + grow
+            self._total += grow
+        if churn > 0:
+            # A working set larger than the cache re-fetches its own
+            # lines; a fraction of those fills still displace other
+            # actors' lines (set-conflict pressure).
+            others = self._total - self._occupancy.get(actor, 0.0)
+            if others > 0:
+                pressure = min(others, churn * (others / self.capacity_bytes))
+                evicted = self._evict_from_others(actor, pressure)
+                # The displaced space is immediately re-used by the
+                # churning actor only up to its target; otherwise it
+                # stays free until someone misses.
+                del evicted
+
+    def _evict_from_others(self, actor: Hashable, amount: float) -> float:
+        """Evict up to ``amount`` bytes from everyone but ``actor``."""
+        victims = [(a, occ) for a, occ in self._occupancy.items() if a is not actor]
+        others_total = sum(occ for _, occ in victims)
+        if others_total <= 0:
+            return 0.0
+        amount = min(amount, others_total)
+        for victim, occ in victims:
+            share = occ / others_total
+            taken = amount * share
+            remaining = occ - taken
+            if remaining < _EPSILON_BYTES:
+                self._total -= occ
+                del self._occupancy[victim]
+            else:
+                self._total -= taken
+                self._occupancy[victim] = remaining
+        return amount
+
+    def evict_actor(self, actor: Hashable) -> float:
+        """Remove all of ``actor``'s lines (e.g. after socket migration)."""
+        occupancy = self._occupancy.pop(actor, 0.0)
+        self._total -= occupancy
+        if self._total < 0:
+            self._total = 0.0
+        return occupancy
+
+
+def reference_integrate_duration(
+    cache, actor, profile, duration_ns, hit_ns, miss_ns, substeps=8
+):
+    result = SegmentResult()
+    if duration_ns <= 0:
+        return result
+    dt = duration_ns / substeps
+    wss = profile.wss_bytes
+    ref_rate = profile.llc_ref_rate
+    base_cpi = profile.base_cpi_ns
+    exponent = cache.reuse_exponent
+    line_bytes = cache.line_bytes
+    occupancy = cache._occupancy
+    insert = cache.insert
+    instructions_total = 0.0
+    refs_total = 0.0
+    misses_total = 0.0
+    elapsed_total = 0.0
+    for _ in range(substeps):
+        if wss <= 0:
+            p_hit = 1.0
+        else:
+            fraction = min(1.0, occupancy.get(actor, 0.0) / float(wss))
+            p_hit = fraction ** exponent
+        per_instr = base_cpi + ref_rate * (
+            p_hit * hit_ns + (1.0 - p_hit) * miss_ns
+        )
+        instructions = dt / per_instr
+        refs = instructions * ref_rate
+        misses = refs * (1.0 - p_hit)
+        if misses > 0.0:
+            insert(actor, misses * line_bytes, wss)
+        instructions_total += instructions
+        refs_total += refs
+        misses_total += misses
+        elapsed_total += dt
+    result.instructions = instructions_total
+    result.llc_refs = refs_total
+    result.llc_misses = misses_total
+    result.elapsed_ns = elapsed_total
+    return result
+
+
+# ----------------------------------------------------------------------
+# the differential harness
+# ----------------------------------------------------------------------
+def make_pair(capacity, exponent):
+    return (
+        SharedCache(capacity, reuse_exponent=exponent),
+        ReferenceCache(capacity, reuse_exponent=exponent),
+    )
+
+
+def assert_same_state(fast: SharedCache, ref: ReferenceCache) -> None:
+    assert list(fast._occupancy.items()) == list(ref._occupancy.items())
+    assert fast._total == ref._total
+
+
+def assert_same_segment(got: SegmentResult, want: SegmentResult) -> None:
+    assert got.instructions == want.instructions
+    assert got.llc_refs == want.llc_refs
+    assert got.llc_misses == want.llc_misses
+    assert got.elapsed_ns == want.elapsed_ns
+
+
+def apply(fast: SharedCache, ref: ReferenceCache, op: tuple) -> None:
+    kind, actor = op[0], op[1]
+    if kind == "integrate":
+        profile, duration, substeps = op[2:]
+        got = integrate_duration(
+            fast, actor, profile, duration, HIT_NS, MISS_NS, substeps=substeps
+        )
+        want = reference_integrate_duration(
+            ref, actor, profile, duration, HIT_NS, MISS_NS, substeps=substeps
+        )
+        assert_same_segment(got, want)
+    elif kind == "insert":
+        nbytes, wss = op[2:]
+        fast.insert(actor, nbytes, wss)
+        ref.insert(actor, nbytes, wss)
+    else:
+        assert fast.evict_actor(actor) == ref.evict_actor(actor)
+    assert_same_state(fast, ref)
+
+
+def scaled(low: int, high: int, scale: float):
+    """Floats drawn as ``n / scale``: integers shrink far faster than
+    raw floats when Hypothesis minimises a failing call sequence."""
+    return st.integers(min_value=low, max_value=high).map(lambda n: n / scale)
+
+
+profiles = st.builds(
+    MemoryProfile,
+    wss_bytes=st.one_of(
+        st.just(0),
+        st.integers(min_value=1, max_value=64 * KB),
+        st.integers(min_value=64 * KB, max_value=32 * MB),
+    ),
+    llc_ref_rate=st.one_of(
+        st.just(0.0),
+        scaled(1, 200_000, 1e6),
+        scaled(10_000, 200_000, 1e6),
+    ),
+    base_cpi_ns=scaled(50, 2_000, 1e3),
+)
+
+# the machine integrates whole nanoseconds (``float(elapsed)``)
+integrate_ops = st.tuples(
+    st.just("integrate"),
+    st.sampled_from(ACTORS),
+    profiles,
+    st.one_of(
+        scaled(-10, 1_000, 1.0),
+        scaled(1_000, 50_000_000, 1.0),
+    ),
+    st.sampled_from((1, 8)),
+)
+insert_ops = st.tuples(
+    st.just("insert"),
+    st.sampled_from(ACTORS),
+    st.one_of(
+        scaled(0, 4_000, 1e3),
+        scaled(0, 64 * KB * 1_000, 1e3),
+        scaled(0, 16 * MB, 1.0),
+    ),
+    st.integers(min_value=0, max_value=32 * MB),
+)
+evict_ops = st.tuples(st.just("evict"), st.sampled_from(ACTORS))
+OP_KINDS = {"integrate": integrate_ops, "insert": insert_ops, "evict": evict_ops}
+
+
+@st.composite
+def calls(draw):
+    """One call, weighted 5:2:1 towards integrations."""
+    kind = draw(st.sampled_from(("integrate",) * 5 + ("insert",) * 2 + ("evict",)))
+    return draw(OP_KINDS[kind])
+
+
+ops = st.lists(calls(), min_size=10, max_size=60)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    capacity=st.sampled_from((16 * KB, 256 * KB, 8 * MB)),
+    exponent=st.sampled_from((0.5, 0.3, 1.0)),
+    sequence=ops,
+)
+def test_fused_kernel_matches_reference(capacity, exponent, sequence):
+    fast, ref = make_pair(capacity, exponent)
+    for op in sequence:
+        apply(fast, ref, op)
+
+
+# ----------------------------------------------------------------------
+# directed paths: each must be exercised, not just tolerated
+# ----------------------------------------------------------------------
+@pytest.fixture
+def evictions(monkeypatch):
+    """Record every eviction pass as (victims before, victims dropped)."""
+    passes: list[tuple[list, list]] = []
+    real = cache_module._evict
+
+    def spy(keys, values, dead, amount, total):
+        before, ndead = list(keys), len(dead)
+        total = real(keys, values, dead, amount, total)
+        passes.append((before, dead[ndead:]))
+        return total
+
+    monkeypatch.setattr(cache_module, "_evict", spy)
+    return passes
+
+
+def test_epsilon_deletion_mid_pass(evictions):
+    """A victim evicted below one byte leaves the dict while a later
+    victim in the same pass survives; the survivors keep their order."""
+    fast, ref = make_pair(64 * KB, 0.5)
+    for actor, nbytes in (("a", 40 * KB), ("b", 1.5), ("c", 20 * KB)):
+        apply(fast, ref, ("insert", actor, nbytes, 64 * KB))
+    profile = MemoryProfile(wss_bytes=32 * KB, llc_ref_rate=0.01)
+    apply(fast, ref, ("integrate", "e", profile, 1e6, 8))
+    assert (["a", "b", "c"], ["b"]) in evictions
+    assert list(fast._occupancy) == ["a", "c", "e"]
+
+
+def test_insert_epsilon_deletion_mid_pass(evictions):
+    fast, ref = make_pair(4096, 0.5)
+    for actor, nbytes in (("a", 2500.0), ("b", 1.5), ("c", 1000.0)):
+        apply(fast, ref, ("insert", actor, nbytes, 4096))
+    apply(fast, ref, ("insert", "e", 594.5 + 1400.0, 4096))
+    assert evictions == [(["a", "b", "c"], ["b"])]
+    assert list(fast._occupancy) == ["a", "c", "e"]
+
+
+def test_growth_into_a_full_cache(evictions):
+    """A new actor's growth must evict once the cache has no free space."""
+    fast, ref = make_pair(8 * MB, 0.5)
+    apply(fast, ref, ("insert", "x", 5 * MB, 8 * MB))
+    apply(fast, ref, ("insert", "y", 3 * MB, 8 * MB))
+    assert fast.free_bytes == 0.0
+    profile = MemoryProfile(wss_bytes=512 * KB, llc_ref_rate=0.01)
+    apply(fast, ref, ("integrate", "z", profile, 2e5, 8))
+    assert len(evictions) == 8
+    assert list(fast._occupancy) == ["x", "y", "z"]
+
+
+def test_churn_past_the_target_evicts_neighbours(evictions):
+    """Fills beyond the actor's working set displace others even with
+    free space left (set-conflict pressure)."""
+    fast, ref = make_pair(8 * MB, 0.5)
+    apply(fast, ref, ("insert", "x", 2 * MB, 8 * MB))
+    profile = MemoryProfile(wss_bytes=64 * KB, llc_ref_rate=0.05)
+    apply(fast, ref, ("integrate", "a", profile, 1e6, 1))
+    assert fast.free_bytes > 0
+    assert evictions and fast.occupancy_of("x") < 2 * MB
+
+
+@pytest.mark.parametrize("substeps", [1, 8])
+@pytest.mark.parametrize(
+    "profile",
+    [
+        MemoryProfile(wss_bytes=0, llc_ref_rate=0.05),
+        MemoryProfile(wss_bytes=4 * MB, llc_ref_rate=0.0),
+        MemoryProfile(wss_bytes=4 * MB, llc_ref_rate=0.05),
+        MemoryProfile(wss_bytes=64 * MB, llc_ref_rate=0.05),
+    ],
+    ids=["wss0", "rate0", "fits", "churns"],
+)
+@pytest.mark.parametrize("exponent", [0.5, 1.0])
+def test_profile_corners_match(substeps, profile, exponent):
+    fast, ref = make_pair(8 * MB, exponent)
+    apply(fast, ref, ("insert", "x", 5 * MB, 8 * MB))
+    apply(fast, ref, ("insert", "y", 3 * MB, 8 * MB))
+    for _ in range(3):
+        apply(fast, ref, ("integrate", "a", profile, 4e6, substeps))
+    apply(fast, ref, ("evict", "a"))
+    apply(fast, ref, ("integrate", "a", profile, 4e6, substeps))
+
+
+# ----------------------------------------------------------------------
+# drift: the running total agrees with the written-back occupancies
+# ----------------------------------------------------------------------
+@settings(max_examples=25, deadline=None)
+@given(
+    capacity=st.sampled_from((512 * KB, 8 * MB)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_running_total_does_not_drift(capacity, seed):
+    """300 random integrations: the running total stays the sum of the
+    occupancies and within the capacity, up to float rounding (the
+    model fills to the brim, where the sum can land a few ulps over)."""
+    rng = random.Random(seed)
+    cache = SharedCache(capacity)
+    for _ in range(300):
+        wss = rng.choice((0, rng.randint(1, 64 * KB), rng.randint(64 * KB, 32 * MB)))
+        rate = rng.choice((0.0, rng.uniform(1e-6, 0.2)))
+        profile = MemoryProfile(
+            wss_bytes=wss, llc_ref_rate=rate, base_cpi_ns=rng.uniform(0.05, 2.0)
+        )
+        integrate_duration(
+            cache, rng.choice(ACTORS), profile, rng.uniform(1e3, 5e7),
+            HIT_NS, MISS_NS, substeps=rng.choice((1, 8)),
+        )
+        assert abs(cache._total - sum(cache._occupancy.values())) <= 1e-6 * capacity
+        assert cache._total <= cache.capacity_bytes * (1 + 1e-12)
