@@ -2,16 +2,15 @@
 """Run the simulator benchmark suite and record ``BENCH_sim.json``.
 
 This is the perf-trajectory driver: it runs the pytest-benchmark
-scenarios in ``benchmarks/test_simulator_performance.py`` under one
-simulator kernel, derives the two throughput figures the project tracks
-— **events/sec** and **virtual-seconds-per-wall-second** — per scenario,
-and writes them to ``BENCH_sim.json`` (schema below).  CI runs it with
+scenarios in ``benchmarks/test_simulator_performance.py``, derives the
+two throughput figures the project tracks — **events/sec** and
+**virtual-seconds-per-wall-second** — per scenario, and writes them to
+``BENCH_sim.json`` (schema below).  CI runs it with
 ``--quick --compare BENCH_sim.json`` to fail any change that slows the
 small-quantum regime by more than 25%.
 
     python benchmarks/run_bench.py                    # full, writes BENCH_sim.json
     python benchmarks/run_bench.py --quick            # CI smoke (1 round, short runs)
-    python benchmarks/run_bench.py --kernel heap      # measure the heap-only kernel
     python benchmarks/run_bench.py --quick \
         --compare BENCH_sim.json --max-regression 0.25
 
@@ -29,7 +28,6 @@ Output schema (``schema: 1``)::
 
     {
       "schema": 1,
-      "kernel": "wheel",
       "quick": false,
       "scenarios": {
         "test_small_quantum_simulation_speed": {
@@ -61,7 +59,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The scenario the CI regression gate watches (the paper's expensive
-#: 1 ms-quantum regime — the reason the fast-path kernel exists).
+#: 1 ms-quantum regime, which fires the most events per virtual second).
 GATED_SCENARIO = "test_small_quantum_simulation_speed"
 
 #: Benchmark suites the driver knows how to run and gate.  ``sim`` is
@@ -85,13 +83,12 @@ SUITES = {
 }
 
 
-def run_suite(quick: bool, kernel: str, bench_file: str) -> dict:
+def run_suite(quick: bool, bench_file: str) -> dict:
     """Run pytest-benchmark and return its parsed ``--benchmark-json``."""
     with tempfile.TemporaryDirectory() as tmp:
         json_path = Path(tmp) / "bench.json"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        env["REPRO_SIM_KERNEL"] = kernel
         env["REPRO_BENCH_QUICK"] = "1" if quick else "0"
         command = [
             sys.executable,
@@ -109,7 +106,7 @@ def run_suite(quick: bool, kernel: str, bench_file: str) -> dict:
             return json.load(handle)
 
 
-def summarize(raw: dict, quick: bool, kernel: str) -> dict:
+def summarize(raw: dict, quick: bool) -> dict:
     """Reduce pytest-benchmark output to the BENCH_*.json schema."""
     scenarios: dict[str, dict] = {}
     for bench in raw.get("benchmarks", []):
@@ -136,7 +133,6 @@ def summarize(raw: dict, quick: bool, kernel: str) -> dict:
         scenarios[name] = entry
     return {
         "schema": 1,
-        "kernel": kernel,
         "quick": quick,
         "scenarios": scenarios,
     }
@@ -181,10 +177,6 @@ def main(argv: list[str] | None = None) -> int:
              "or 'fleet' (multi-host epoch loop, BENCH_fleet.json)",
     )
     parser.add_argument(
-        "--kernel", choices=("heap", "wheel"), default="wheel",
-        help="simulator kernel to measure (default: wheel)",
-    )
-    parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="where to write the summary (default: the suite's baseline "
              "file at repo root)",
@@ -214,10 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(baseline_path, encoding="utf-8") as handle:
             baseline = json.load(handle)
 
-    raw = run_suite(
-        quick=args.quick, kernel=args.kernel, bench_file=suite["file"]
-    )
-    summary = summarize(raw, quick=args.quick, kernel=args.kernel)
+    raw = run_suite(quick=args.quick, bench_file=suite["file"])
+    summary = summarize(raw, quick=args.quick)
     out_path = Path(args.out)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)

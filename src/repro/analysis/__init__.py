@@ -2,8 +2,9 @@
 
 Static analysis tailored to this reproduction's invariants: every
 result rests on runs being pure functions of their seed (so the
-serial≡parallel≡cache-replay and heap≡wheel equivalences hold) and on
-the simulation hot path staying allocation-lean.  The rule battery
+serial≡parallel≡cache-replay and queue≡sorted-list-reference
+equivalences hold) and on the simulation hot path staying
+allocation-lean.  The rule battery
 (``repro.analysis.rules``) encodes those invariants; the engine
 (``repro.analysis.core``) runs them in one AST walk per file; the
 whole-program layer (``repro.analysis.interproc``) lifts the audit

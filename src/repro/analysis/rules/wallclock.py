@@ -3,8 +3,9 @@
 A single ``time.time()`` (or friend) on a decision path makes a run a
 function of the host machine's load instead of the seed: serial and
 parallel sweeps diverge, cache replay stops being byte-identical, and
-the heap≡wheel differential suite loses its meaning.  Simulation code
-must read the virtual clock (``Simulator.now``) exclusively.
+the queue≡sorted-list-reference differential suite loses its
+meaning.  Simulation code must read the virtual clock
+(``Simulator.now``) exclusively.
 
 Allowlist — every entry measures *real* wall time on purpose and is
 therefore outside the deterministic core:

@@ -49,7 +49,6 @@ from repro.exec.events import (
     Interrupted,
     JsonlSink,
     PhaseStarted,
-    TelemetrySink,
     TTYSink,
     read_event_log,
     validate_events,
@@ -60,7 +59,6 @@ from repro.exec.progress import (
     EtaTracker,
     ProgressHook,
     ProgressPrinter,
-    StagedProgress,
 )
 from repro.exec.queue import (
     WorkerCrash,
@@ -101,10 +99,8 @@ __all__ = [
     "RunDir",
     "RunDirError",
     "RunManifest",
-    "StagedProgress",
     "SweepRunner",
     "TTYSink",
-    "TelemetrySink",
     "WorkStealingPool",
     "WorkerCrash",
     "WorkerHealth",

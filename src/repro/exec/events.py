@@ -8,15 +8,16 @@ serialises to one JSON object with a **stable field order** (``kind``
 first, then ``seq``, then declared fields), so an event log is both
 grep-able and byte-stable for golden snapshots.
 
-Consumers are *sinks*: any callable taking one event.  The built-in
-sinks cover the three consumption paths:
+Consumers are *sinks*: any callable taking one event.  Two sinks live
+here:
 
 * :class:`TTYSink` — adapts ``CellFinished`` events onto the existing
   :class:`~repro.exec.progress.ProgressHook` per-cell lines;
 * :class:`JsonlSink` — appends one JSON line per event (the run
-  directory's ``events.jsonl``, or ``--events-out``);
-* :class:`TelemetrySink` — folds event counts into a
-  :class:`repro.telemetry.Telemetry` registry for exposition.
+  directory's ``events.jsonl``, or ``--events-out``).
+
+Engine metrics for exposition are folded from the same stream by
+:class:`repro.ops.metrics.EngineMetricsSink`.
 
 :func:`validate_events` is the executable contract: tests and the CI
 ``engine-smoke`` job both call it to assert a log is a well-formed,
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     IO,
-    TYPE_CHECKING,
     Any,
     Callable,
     Iterator,
@@ -43,9 +43,6 @@ from typing import (
 )
 
 from repro.exec.progress import CellReport, ProgressHook
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.telemetry import Telemetry
 
 #: phases one engine sweep always runs, in order (DESIGN.md §14)
 PHASE_ORDER = ("plan", "probe", "execute", "fold")
@@ -252,23 +249,6 @@ class TTYSink:
             key=event.key,
             stage=event.stage,
         ))
-
-
-class TelemetrySink:
-    """Fold the stream into engine_* counters for exposition."""
-
-    def __init__(self, telemetry: "Telemetry") -> None:
-        self.telemetry = telemetry
-
-    def __call__(self, event: Event) -> None:
-        if not self.telemetry.enabled:
-            return
-        registry = self.telemetry.registry
-        registry.counter("engine_events", kind=event.kind).inc()
-        if isinstance(event, CellFinished):
-            registry.counter("engine_cells", outcome=event.outcome).inc()
-        elif isinstance(event, CheckpointWritten):
-            registry.gauge("engine_checkpointed").set(float(event.completed))
 
 
 # ----------------------------------------------------------------------
@@ -546,7 +526,6 @@ __all__ = [
     "PHASE_ORDER",
     "PhaseStarted",
     "TTYSink",
-    "TelemetrySink",
     "event_from_json",
     "main",
     "normalize_events",

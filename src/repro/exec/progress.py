@@ -2,8 +2,9 @@
 
 Flat sweeps (one list of cells) report ``[i/total]`` lines.  Nested
 sweeps — the fleet simulator runs *epochs*, each of which shards a
-fleet of hosts over the pool — wrap their hook in
-:class:`StagedProgress` so every line carries the enclosing stage
+fleet of hosts over the pool — pass ``stage=`` to
+:meth:`~repro.exec.runner.SweepRunner.run`; the engine stamps it on
+every ``CellFinished`` event, so each line carries the enclosing stage
 (``[weekday:aql_aware epoch 2/3] [12/64] ran host07``) instead of a
 meaningless flat cell count that resets every epoch.
 """
@@ -11,7 +12,7 @@ meaningless flat cell count that resets every epoch.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
 
@@ -105,42 +106,9 @@ class ProgressPrinter:
         )
 
 
-class StagedProgress:
-    """Label nested sweeps: one base hook, many per-stage sub-hooks.
-
-    A driver that runs several inner sweeps (the fleet's epoch loop)
-    creates one ``StagedProgress`` over the caller's hook and asks for
-    a per-stage hook before each inner sweep; every report the inner
-    sweep emits is re-emitted with :attr:`CellReport.stage` set.  The
-    aggregate cell count across stages is tracked in
-    :attr:`cells_reported` so drivers can summarise total work done.
-    """
-
-    def __init__(self, base: Optional[ProgressHook]) -> None:
-        self.base = base
-        self.cells_reported = 0
-
-    def stage(self, label: str) -> Optional[ProgressHook]:
-        """A hook that tags every report with ``label``.
-
-        Returns None when the base hook is None (quiet mode), so
-        callers can hand the result straight to a SweepRunner.
-        """
-        if self.base is None:
-            return None
-
-        def hook(report: CellReport) -> None:
-            self.cells_reported += 1
-            assert self.base is not None
-            self.base(replace(report, stage=label))
-
-        return hook
-
-
 __all__ = [
     "CellReport",
     "EtaTracker",
     "ProgressHook",
     "ProgressPrinter",
-    "StagedProgress",
 ]

@@ -87,8 +87,8 @@ class SweepRunner:
             run_id=run_id,
             sinks=sinks,
         )
-        #: per-cell progress hook; mutable (the fleet swaps staged
-        #: hooks in and out around its epoch sweeps)
+        #: per-cell progress hook; nested sweeps label their lines by
+        #: passing ``stage=`` to :meth:`run`, not by wrapping the hook
         self.progress = progress
 
     # -- the facade surface the experiment families program against ----

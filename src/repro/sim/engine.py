@@ -11,51 +11,20 @@ Events are cancellable: cancelling marks the event dead and the loop
 skips it (lazy deletion, the standard heapq idiom), which is how the
 scheduler retracts a pending quantum-expiry when a vCPU blocks early.
 
-Two interchangeable kernels implement the queue (select with the
-``kernel=`` constructor argument or the ``REPRO_SIM_KERNEL`` environment
-variable; see DESIGN.md §9):
-
-``"heap"``
-    A single binary heap of ``(time, seq, event)`` tuples.  Tuple
-    entries keep every comparison at C level — the previous kernel
-    heapified :class:`Event` objects and paid a Python ``__lt__`` call
-    per comparison.
-
-``"wheel"`` (the default)
-    The same tuple heap plus a timer-wheel fast lane for the near
-    future.  The dominant event classes — periodic scheduler ticks,
-    quantum expiries, and 30 ms monitoring samples — land on a small
-    set of fixed cadences well inside the wheel horizon, so they are
-    appended to a calendar slot in O(1) and only migrate to the heap
-    when the clock reaches their slot; events cancelled before their
-    slot is flushed never touch the heap at all.  Aperiodic or
-    far-future events fall back to the heap.  Ordering is unchanged:
-    a slot is flushed into the heap *before* the loop pops any event
-    at or beyond the slot's lower edge, so the heap remains the single
-    totally-ordered pop source and the ``(time, seq)`` fire order is
-    bit-for-bit identical to the heap kernel (the differential suite
-    in ``tests/test_engine_equivalence.py`` locks this down).
+The queue is a binary heap of ``(time, seq, event)`` tuples.  Tuple
+entries keep every comparison at C level; heapifying :class:`Event`
+objects would pay a Python ``__lt__`` call per comparison.  The
+differential suite in ``tests/test_engine_equivalence.py`` pins the
+fire order against a sorted-list reference (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.telemetry import Telemetry
-
-#: Width of one timer-wheel slot.  1 ms divides every periodic cadence
-#: the hypervisor uses (1–30 ms quanta, 10 ms ticks, 30 ms accounting
-#: and vTRS sampling) and keeps sub-ms completion events one slot away.
-_WHEEL_SLOT_NS = 1_000_000
-
-#: Number of wheel slots; horizon = slots * slot width = 64 ms, which
-#: covers every periodic cadence from `now`.
-_WHEEL_SLOTS = 64
-
-_KERNELS = ("heap", "wheel")
 
 
 class SimulationError(RuntimeError):
@@ -101,33 +70,9 @@ class Event:
 class Simulator:
     """Deterministic event loop over an integer-nanosecond virtual clock."""
 
-    __slots__ = (
-        "kernel",
-        "now",
-        "telemetry",
-        "_heap",
-        "_seq",
-        "_events_fired",
-        "_running",
-        "_use_wheel",
-        "_slot_ns",
-        "_wheel",
-        "_horizon_ns",
-        "_wheel_count",
-        "_flushed_until",
-    )
+    __slots__ = ("now", "telemetry", "_heap", "_seq", "_events_fired", "_running")
 
-    def __init__(self, kernel: Optional[str] = None) -> None:
-        if kernel is None:
-            # Kernel selection flips between two result-equivalent event
-            # queues (pinned by tests/test_engine_equivalence.py); the
-            # env knob changes performance, never simulated behaviour.
-            kernel = os.environ.get("REPRO_SIM_KERNEL", "wheel")  # simlint: disable=SIM008
-        if kernel not in _KERNELS:
-            raise ValueError(
-                f"unknown simulator kernel {kernel!r} (expected one of {_KERNELS})"
-            )
-        self.kernel = kernel
+    def __init__(self) -> None:
         self.now: int = 0
         #: optional observability sink; spans are emitted only around
         #: whole run_until calls (never inside the pop loop), so a
@@ -138,20 +83,6 @@ class Simulator:
         self._seq: int = 0
         self._events_fired: int = 0
         self._running: bool = False
-        # -- timer wheel (unused but allocated under kernel="heap") ----
-        self._use_wheel = kernel == "wheel"
-        self._slot_ns = _WHEEL_SLOT_NS
-        self._wheel: list[list[tuple[int, int, Event]]] = [
-            [] for _ in range(_WHEEL_SLOTS)
-        ]
-        self._horizon_ns = _WHEEL_SLOTS * _WHEEL_SLOT_NS
-        #: entries currently parked in wheel slots (cancelled included)
-        self._wheel_count = 0
-        #: lower edge of the first unflushed slot; every pending event
-        #: with ``time < _flushed_until`` is guaranteed heap-resident,
-        #: and the wheel only holds times in
-        #: [_flushed_until, _flushed_until + _horizon_ns)
-        self._flushed_until = 0
 
     # ------------------------------------------------------------------
     # scheduling
@@ -176,13 +107,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(itime, seq, fn, label)
-        if self._use_wheel and 0 <= itime - self._flushed_until < self._horizon_ns:
-            self._wheel[(itime // self._slot_ns) % _WHEEL_SLOTS].append(
-                (itime, seq, event)
-            )
-            self._wheel_count += 1
-        else:
-            heappush(self._heap, (itime, seq, event))
+        heappush(self._heap, (itime, seq, event))
         return event
 
     def after(self, delay: int, fn: Callable[[], None], label: str = "") -> Event:
@@ -200,40 +125,6 @@ class Simulator:
                 "(the clock is integer nanoseconds)"
             )
         return self.at(self.now + idelay, fn, label)
-
-    # ------------------------------------------------------------------
-    # the timer wheel
-    # ------------------------------------------------------------------
-    def _flush_to(self, limit: int) -> None:
-        """Make every wheel event with ``time <= limit`` heap-resident.
-
-        Advances ``_flushed_until`` one slot at a time; entries whose
-        event was cancelled while parked are dropped without ever
-        touching the heap.
-        """
-        slot_ns = self._slot_ns
-        fu = self._flushed_until
-        count = self._wheel_count
-        if count:
-            heap = self._heap
-            wheel = self._wheel
-            while fu <= limit:
-                slot = wheel[(fu // slot_ns) % _WHEEL_SLOTS]
-                if slot:
-                    count -= len(slot)
-                    for entry in slot:
-                        if not entry[2].cancelled:
-                            heappush(heap, entry)
-                    slot.clear()
-                    if not count:
-                        fu += slot_ns
-                        break
-                fu += slot_ns
-            self._wheel_count = count
-        if not count and fu <= limit:
-            # nothing left to move: jump the frontier past `limit`
-            fu = (limit // slot_ns + 1) * slot_ns
-        self._flushed_until = fu
 
     # ------------------------------------------------------------------
     # running
@@ -267,40 +158,13 @@ class Simulator:
         heap = self._heap
         pop = heappop
         try:
-            if not self._use_wheel:
-                while heap and heap[0][0] <= end_time:
-                    time, _, event = pop(heap)
-                    if event.cancelled:
-                        continue
-                    self.now = time
-                    fired += 1
-                    event.fn()
-            else:
-                while True:
-                    # fire heap events below both the horizon already
-                    # flushed out of the wheel and the end time
-                    flushed_until = self._flushed_until
-                    while heap:
-                        time = heap[0][0]
-                        if time > end_time or time >= flushed_until:
-                            break
-                        _, _, event = pop(heap)
-                        if event.cancelled:
-                            continue
-                        self.now = time
-                        fired += 1
-                        event.fn()
-                        flushed_until = self._flushed_until
-                    # advance the wheel frontier to the next needed time
-                    if flushed_until > end_time:
-                        break
-                    head = heap[0][0] if heap else None
-                    if self._wheel_count == 0 and (
-                        head is None or head > end_time
-                    ):
-                        break
-                    limit = end_time if head is None else min(end_time, head)
-                    self._flush_to(limit)
+            while heap and heap[0][0] <= end_time:
+                time, _, event = pop(heap)
+                if event.cancelled:
+                    continue
+                self.now = time
+                fired += 1
+                event.fn()
             self.now = end_time
         finally:
             self._events_fired = fired
@@ -324,21 +188,16 @@ class Simulator:
             raise SimulationError("re-entrant step")
         self._running = True
         try:
-            while True:
-                nxt = self.peek_time()
-                if nxt is None:
-                    return None
-                if self._use_wheel and self._flushed_until <= nxt:
-                    self._flush_to(nxt)
-                while self._heap:
-                    time, _, event = heappop(self._heap)
-                    if event.cancelled:
-                        continue
-                    self.now = time
-                    self._events_fired += 1
-                    event.fn()
-                    return event
-                # every heap entry was cancelled: re-examine the wheel
+            heap = self._heap
+            while heap:
+                time, _, event = heappop(heap)
+                if event.cancelled:
+                    continue
+                self.now = time
+                self._events_fired += 1
+                event.fn()
+                return event
+            return None
         finally:
             self._running = False
 
@@ -348,12 +207,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        live = sum(1 for _, _, e in self._heap if not e.cancelled)
-        if self._wheel_count:
-            live += sum(
-                1 for slot in self._wheel for _, _, e in slot if not e.cancelled
-            )
-        return live
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
     @property
     def events_fired(self) -> int:
@@ -365,32 +219,10 @@ class Simulator:
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heappop(heap)
-        best: Optional[int] = heap[0][0] if heap else None
-        if self._wheel_count:
-            # slots are examined in time order, so the first slot with a
-            # live entry holds the wheel's minimum
-            slot_ns = self._slot_ns
-            base = self._flushed_until
-            wheel = self._wheel
-            for _ in range(_WHEEL_SLOTS):
-                if best is not None and base > best:
-                    break
-                slot = wheel[(base // slot_ns) % _WHEEL_SLOTS]
-                slot_best: Optional[int] = None
-                for time, _, event in slot:
-                    if not event.cancelled and (
-                        slot_best is None or time < slot_best
-                    ):
-                        slot_best = time
-                if slot_best is not None:
-                    if best is None or slot_best < best:
-                        best = slot_best
-                    break
-                base += slot_ns
-        return best
+        return heap[0][0] if heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator now={self.now} pending={self.pending} kernel={self.kernel}>"
+        return f"<Simulator now={self.now} pending={self.pending}>"
 
 
 def noop() -> None:

@@ -1,28 +1,21 @@
-"""Differential equivalence: optimized kernels vs a naive reference.
+"""Differential equivalence: the event queue vs a naive reference.
 
-The fast-path kernels in :mod:`repro.sim.engine` (tuple heap, timer
-wheel) must be *observationally identical* to the obviously-correct
-scheduler: a sorted list popped from the front.  Hypothesis generates
-schedules of ``at``/``after``/``cancel``/``run_until``/``step``
-operations (including callbacks that schedule follow-up events
-mid-run), and every kernel must produce the same fire order, fire
-times, clock positions, ``peek_time`` answers and ``events_fired``
-counts as the reference.
+The tuple-heap queue in :mod:`repro.sim.engine` must be
+*observationally identical* to the obviously-correct scheduler: a
+sorted list popped from the front.  Hypothesis generates schedules of
+``at``/``after``/``cancel``/``run_until``/``step`` operations
+(including callbacks that schedule follow-up events mid-run), and the
+simulator must produce the same fire order, fire times, clock
+positions, ``peek_time`` answers and ``events_fired`` counts as the
+reference.
 
-Two golden end-to-end checks extend the guarantee to the full system:
-a fig6 scenario cell and a churn story must export byte-identical
-metrics whether the machine runs on the heap-only or the timer-wheel
-kernel.
-
-The file also carries the regression tests for the kernel rework's
-bug-fix satellites: ``step()`` re-entrancy, float truncation in
-``at``/``after``, and the wheel's cancellation edge cases.
+The file also carries the regression tests for the engine's guards and
+edge cases: ``run_until``/``step()`` re-entrancy, float truncation in
+``at``/``after``, and lazy cancellation.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from bisect import insort
 
 import pytest
@@ -31,8 +24,6 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.units import MS, US
-
-KERNELS = ("heap", "wheel")
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +146,8 @@ def _apply_schedule(sim, ops) -> list:
     return trace
 
 
-#: deltas mix sub-slot, multi-slot, and beyond-the-64ms-horizon times so
-#: schedules cross every wheel routing branch
+#: deltas mix sub-microsecond, millisecond and 150 ms scales so that
+#: schedules interleave near and far events
 _DELTA = st.one_of(
     st.integers(min_value=0, max_value=3 * US),
     st.integers(min_value=0, max_value=5 * MS),
@@ -176,10 +167,9 @@ _OP = st.one_of(
 @settings(max_examples=200)
 @given(ops=st.lists(_OP, max_size=40))
 def test_kernels_match_reference(ops):
-    """Both kernels trace identically to the sorted-list reference."""
+    """The simulator traces identically to the sorted-list reference."""
     reference = _apply_schedule(ReferenceSimulator(), ops)
-    for kernel in KERNELS:
-        assert _apply_schedule(Simulator(kernel=kernel), ops) == reference, kernel
+    assert _apply_schedule(Simulator(), ops) == reference
 
 
 @settings(max_examples=50)
@@ -188,22 +178,20 @@ def test_kernels_match_reference(ops):
     checkpoints=st.lists(st.integers(min_value=0, max_value=40 * MS), max_size=4),
 )
 def test_kernels_match_reference_with_chopped_runs(ops, checkpoints):
-    """Equivalence holds when runs stop at arbitrary mid-wheel times."""
+    """Equivalence holds when runs stop at arbitrary times."""
     ops = list(ops)
     for point in checkpoints:
         ops.append(("run", point))
     reference = _apply_schedule(ReferenceSimulator(), ops)
-    for kernel in KERNELS:
-        assert _apply_schedule(Simulator(kernel=kernel), ops) == reference, kernel
+    assert _apply_schedule(Simulator(), ops) == reference
 
 
 # ----------------------------------------------------------------------
 # bug-fix satellites: step() re-entrancy, float truncation
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_step_rejects_reentrancy(kernel):
+def test_step_rejects_reentrancy():
     """A callback stepping the engine must fail loudly, not corrupt time."""
-    sim = Simulator(kernel=kernel)
+    sim = Simulator()
     failures: list[SimulationError] = []
 
     def reenter():
@@ -222,9 +210,8 @@ def test_step_rejects_reentrancy(kernel):
     assert event is not None and sim.now == 10
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_run_until_rejects_reentrancy(kernel):
-    sim = Simulator(kernel=kernel)
+def test_run_until_rejects_reentrancy():
+    sim = Simulator()
     failures: list[SimulationError] = []
 
     def reenter():
@@ -238,9 +225,8 @@ def test_run_until_rejects_reentrancy(kernel):
     assert len(failures) == 1
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_at_and_after_reject_non_integral_times(kernel):
-    sim = Simulator(kernel=kernel)
+def test_at_and_after_reject_non_integral_times():
+    sim = Simulator()
     with pytest.raises(SimulationError, match="non-integral"):
         sim.at(1.5, lambda: None)
     with pytest.raises(SimulationError, match="non-integral"):
@@ -254,10 +240,10 @@ def test_at_and_after_reject_non_integral_times(kernel):
 
 
 # ----------------------------------------------------------------------
-# wheel cancellation edge cases
+# cancellation edge cases
 # ----------------------------------------------------------------------
-def test_wheel_cancel_then_reschedule_same_cadence():
-    sim = Simulator(kernel="wheel")
+def test_cancel_then_reschedule_same_cadence():
+    sim = Simulator()
     fired = []
     first = sim.after(10 * MS, lambda: fired.append("old"), "old")
     first.cancel()
@@ -267,8 +253,8 @@ def test_wheel_cancel_then_reschedule_same_cadence():
     assert sim.events_fired == 1
 
 
-def test_wheel_cancelled_slot_head_is_skipped():
-    sim = Simulator(kernel="wheel")
+def test_cancelled_head_is_skipped():
+    sim = Simulator()
     fired = []
     head = sim.at(int(2.1 * MS), lambda: fired.append("head"), "head")
     sim.at(int(2.7 * MS), lambda: fired.append("tail"), "tail")
@@ -278,27 +264,17 @@ def test_wheel_cancelled_slot_head_is_skipped():
     assert fired == ["tail"]
 
 
-def test_wheel_cancelled_entries_never_reach_the_heap():
-    sim = Simulator(kernel="wheel")
-    event = sim.after(5 * MS, lambda: None, "doomed")
-    event.cancel()
-    sim.run_until(10 * MS)
-    # dropped at slot flush, not lazily popped from the heap
-    assert sim._heap == []
-    assert sim.events_fired == 0
-
-
-def test_peek_time_sees_the_wheel_not_just_the_heap():
-    sim = Simulator(kernel="wheel")
-    sim.at(200 * MS, lambda: None, "far")  # beyond horizon -> heap
-    sim.at(3 * MS, lambda: None, "near")  # wheel slot
+def test_peek_time_tracks_the_earliest_live_event():
+    sim = Simulator()
+    sim.at(200 * MS, lambda: None, "far")
+    sim.at(3 * MS, lambda: None, "near")
     assert sim.peek_time() == 3 * MS
     sim.run_until(5 * MS)
     assert sim.peek_time() == 200 * MS
 
 
-def test_peek_time_skips_cancelled_wheel_entries():
-    sim = Simulator(kernel="wheel")
+def test_peek_time_skips_cancelled_entries():
+    sim = Simulator()
     near = sim.at(3 * MS, lambda: None, "near")
     sim.at(40 * MS, lambda: None, "later")
     near.cancel()
@@ -306,70 +282,12 @@ def test_peek_time_skips_cancelled_wheel_entries():
     assert sim.pending == 1
 
 
-def test_wheel_cancel_during_run_between_slots():
-    """An event cancelled by an earlier event in a prior slot never fires."""
-    sim = Simulator(kernel="wheel")
+def test_cancel_during_run():
+    """An event cancelled by an earlier-firing event never fires."""
+    sim = Simulator()
     fired = []
     victim = sim.at(7 * MS, lambda: fired.append("victim"), "victim")
     sim.at(2 * MS, lambda: victim.cancel(), "killer")
     sim.run_until(20 * MS)
     assert fired == []
     assert sim.events_fired == 1
-
-
-# ----------------------------------------------------------------------
-# golden end-to-end byte-identity across kernels
-# ----------------------------------------------------------------------
-def _fig6_cell_bytes(tmp_path, monkeypatch, kernel: str) -> bytes:
-    from repro.baselines import XenCredit
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.scenarios import SCENARIOS
-    from repro.metrics.export import scenario_rows, write_csv
-
-    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
-    run = run_scenario(
-        SCENARIOS["S1"],
-        XenCredit(),
-        warmup_ns=200 * MS,
-        measure_ns=400 * MS,
-        seed=0,
-    )
-    path = tmp_path / f"fig6_{kernel}.csv"
-    write_csv(path, scenario_rows(run))
-    return path.read_bytes()
-
-
-@pytest.mark.slow
-def test_golden_fig6_cell_identical_across_kernels(tmp_path, monkeypatch):
-    heap = _fig6_cell_bytes(tmp_path, monkeypatch, "heap")
-    wheel = _fig6_cell_bytes(tmp_path, monkeypatch, "wheel")
-    assert heap == wheel
-
-
-def _churn_story_bytes(monkeypatch, kernel: str) -> bytes:
-    from repro.dynamics import ChurnTimeline, VmBoot, VmShutdown
-    from repro.experiments.churn import BASE, ChurnStory, run_churn_cell
-
-    monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
-    story = ChurnStory(
-        "tiny",
-        BASE,
-        ChurnTimeline(
-            (
-                VmBoot(100 * MS, name="dyn0", mode="io"),
-                VmShutdown(200 * MS, name="mem0"),
-            )
-        ),
-    )
-    run = run_churn_cell(
-        story, "aql", warmup_ns=150 * MS, measure_ns=300 * MS, seed=0
-    )
-    payload = dataclasses.asdict(run)
-    return json.dumps(payload, sort_keys=True, default=repr).encode()
-
-
-@pytest.mark.slow
-def test_golden_churn_story_identical_across_kernels(monkeypatch):
-    heap = _churn_story_bytes(monkeypatch, "heap")
-    wheel = _churn_story_bytes(monkeypatch, "wheel")
-    assert heap == wheel

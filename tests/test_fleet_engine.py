@@ -131,7 +131,7 @@ class TestRunShape:
         }
 
 
-class TestStagedProgress:
+class TestEpochStageLabels:
     def test_cells_report_with_epoch_stage(self):
         reports: list[CellReport] = []
         runner = SweepRunner(jobs=1, progress=reports.append)
