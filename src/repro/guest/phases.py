@@ -16,6 +16,7 @@ phase can span many scheduling segments.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.hardware.cache import MemoryProfile
@@ -37,6 +38,10 @@ class Compute(Phase):
     __slots__ = ("instructions", "remaining", "profile")
 
     def __init__(self, instructions: float, profile: Optional[MemoryProfile] = None):
+        if not math.isfinite(instructions):
+            raise ValueError(
+                f"Compute: instruction count must be finite, got {instructions!r}"
+            )
         if instructions < 0:
             raise ValueError("instruction count cannot be negative")
         self.instructions = float(instructions)
@@ -142,6 +147,10 @@ class Sleep(Phase):
     __slots__ = ("duration_ns", "started", "expired")
 
     def __init__(self, duration_ns: int):
+        if not math.isfinite(duration_ns):
+            raise ValueError(
+                f"Sleep: duration must be finite, got {duration_ns!r}"
+            )
         if duration_ns < 0:
             raise ValueError("sleep duration cannot be negative")
         self.duration_ns = int(duration_ns)

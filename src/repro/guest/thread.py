@@ -26,6 +26,10 @@ class ThreadState(enum.Enum):
     DONE = "done"
 
 
+#: built once: reading Enum members off their class is slow on CPython
+#: 3.11, and the machine asks ``runnable`` at every segment boundary
+_RUNNABLE_STATES = (ThreadState.READY, ThreadState.RUNNING, ThreadState.SPINNING)
+
 ThreadBody = Callable[["GuestThread"], Iterator[Phase]]
 
 
@@ -102,11 +106,7 @@ class GuestThread:
 
     @property
     def runnable(self) -> bool:
-        return self.state in (
-            ThreadState.READY,
-            ThreadState.RUNNING,
-            ThreadState.SPINNING,
-        )
+        return self.state in _RUNNABLE_STATES
 
     def effective_profile(self) -> MemoryProfile:
         """Memory profile of the current compute phase (or the default)."""

@@ -274,11 +274,14 @@ def integrate_duration(
     operations and their order are unchanged, ``min``/``max`` become
     conditionals that keep their first-winner semantics, the victims'
     total is still ``sum()`` in dict order, and the write-back keeps
-    the dict's key order.
+    the dict's key order.  The hit probability, instruction cost and
+    the sub-step's instructions/refs/misses depend only on the actor's
+    occupancy, so they are recomputed only when a sub-step grew it:
+    a segment without LLC traffic, or one already at its target, does
+    that arithmetic once instead of ``substeps`` times.
     """
-    result = SegmentResult()
     if duration_ns <= 0:
-        return result
+        return SegmentResult()
     dt = duration_ns / substeps
     wss = profile.wss_bytes
     ref_rate = profile.llc_ref_rate
@@ -299,20 +302,26 @@ def integrate_duration(
     refs_total = 0.0
     misses_total = 0.0
     elapsed_total = 0.0
+    stale = True
     for _ in range(substeps):
-        if wss <= 0:
-            p_hit = 1.0
-        else:
-            fraction = own / fwss
-            if not fraction < 1.0:
-                fraction = 1.0
-            p_hit = fraction ** exponent
-        per_instr = base_cpi + ref_rate * (
-            p_hit * hit_ns + (1.0 - p_hit) * miss_ns
-        )
-        instructions = dt / per_instr
-        refs = instructions * ref_rate
-        misses = refs * (1.0 - p_hit)
+        if stale:
+            # only ``own`` feeds these, so they are recomputed on the
+            # first sub-step and after one that grew the actor; the
+            # others reuse the same floats
+            if wss <= 0:
+                p_hit = 1.0
+            else:
+                fraction = own / fwss
+                if not fraction < 1.0:
+                    fraction = 1.0
+                p_hit = fraction ** exponent
+            per_instr = base_cpi + ref_rate * (
+                p_hit * hit_ns + (1.0 - p_hit) * miss_ns
+            )
+            instructions = dt / per_instr
+            refs = instructions * ref_rate
+            misses = refs * (1.0 - p_hit)
+            stale = False
         if misses > 0.0:
             # SharedCache.insert(actor, misses * line_bytes, wss)
             nbytes = misses * line_bytes
@@ -333,7 +342,7 @@ def integrate_duration(
                     total = _evict(keys, values, dead, need, total)
                 own = own + grow
                 total += grow
-                grown = True
+                grown = stale = True
             if churn > 0.0:
                 others = total - own
                 if others > 0:
@@ -352,11 +361,7 @@ def integrate_duration(
     if grown:
         occupancy[actor] = own
     cache._total = total
-    result.instructions = instructions_total
-    result.llc_refs = refs_total
-    result.llc_misses = misses_total
-    result.elapsed_ns = elapsed_total
-    return result
+    return SegmentResult(instructions_total, refs_total, misses_total, elapsed_total)
 
 
 def estimate_duration_ns(

@@ -52,6 +52,14 @@ _PHASE_DONE_TOLERANCE = 0.5
 #: Never schedule a completion event closer than this (avoids event storms
 #: when an estimate rounds to ~zero).
 _MIN_COMPLETION_DELAY_NS = 200
+#: Enum members as module constants: reading one off its class goes
+#: through the Enum metaclass (~0.1 us on CPython 3.11), and the segment
+#: path tests several states per quantum.
+_VCPU_RUNNING = VCpuState.RUNNING
+_VCPU_RUNNABLE = VCpuState.RUNNABLE
+_VCPU_BLOCKED = VCpuState.BLOCKED
+_THREAD_RUNNING = ThreadState.RUNNING
+_THREAD_SPINNING = ThreadState.SPINNING
 
 
 class PCpuContext:
@@ -275,13 +283,13 @@ class Machine:
     # ==================================================================
     def wake_vcpu(self, vcpu: VCpu) -> None:
         """An event made ``vcpu`` runnable (IO arrival, sleep expiry)."""
-        if vcpu.state != VCpuState.BLOCKED:
+        if vcpu.state != _VCPU_BLOCKED:
             return
         guest = vcpu.vm.guest
         if guest is None or not guest.has_runnable(vcpu):
             return
         if vcpu.throttled:
-            vcpu.state = VCpuState.RUNNABLE
+            vcpu.state = _VCPU_RUNNABLE
             self._parked.append(vcpu)
             return
         if self.scheduler.boost_eligible(vcpu):
@@ -325,7 +333,7 @@ class Machine:
         if current is not None:
             self._integrate(current)
             self._cancel_events(current)
-            current.state = VCpuState.RUNNABLE
+            current.state = _VCPU_RUNNABLE
             current.pcpu = None
             current.segment_kind = None
             ctx.current = None
@@ -346,7 +354,7 @@ class Machine:
             self._dispatch(ctx, nxt)
 
     def _dispatch(self, ctx: PCpuContext, vcpu: VCpu) -> None:
-        vcpu.state = VCpuState.RUNNING
+        vcpu.state = _VCPU_RUNNING
         vcpu.pcpu = ctx.pcpu
         vcpu.last_pcpu = ctx.pcpu
         vcpu.dispatch_count += 1
@@ -395,7 +403,7 @@ class Machine:
             return None
         self._integrate(current)
         self._cancel_events(current)
-        current.state = VCpuState.RUNNABLE
+        current.state = _VCPU_RUNNABLE
         current.priority = self.scheduler.priority_for(current)
         current.pcpu = None
         current.segment_kind = None
@@ -412,7 +420,7 @@ class Machine:
         ctx = self.contexts[vcpu.pcpu]
         self._integrate(vcpu)
         self._cancel_events(vcpu)
-        vcpu.state = VCpuState.BLOCKED
+        vcpu.state = _VCPU_BLOCKED
         vcpu.exhausted_last_quantum = False  # voluntary yield: BOOST-eligible
         vcpu.pcpu = None
         vcpu.segment_kind = None
@@ -450,7 +458,7 @@ class Machine:
         vcpu.segment_start = now
         vcpu.segment_kind = None
         while True:
-            if vcpu.state != VCpuState.RUNNING or vcpu.pcpu is None:
+            if vcpu.state != _VCPU_RUNNING or vcpu.pcpu is None:
                 return  # a phase handler's side effect descheduled us
             thread = guest.maybe_rotate(vcpu)
             if thread is None:
@@ -575,43 +583,67 @@ class Machine:
     def _enter_compute(self, vcpu: VCpu, thread: GuestThread, phase: Compute) -> None:
         if thread.started_at is None:
             thread.started_at = self.sim.now
-        thread.state = ThreadState.RUNNING
+        thread.state = _THREAD_RUNNING
         vcpu.segment_kind = "compute"
         vcpu.segment_start = self.sim.now
-        self._handle_thread_migration(thread, vcpu)
+        # a thread that changed socket leaves a stale LLC footprint behind
+        assert vcpu.pcpu is not None
+        socket = vcpu.pcpu.socket
+        if thread.last_socket is not None and thread.last_socket is not socket:
+            thread.last_socket.llc.evict_actor(thread)
+        thread.last_socket = socket
         self._arm_completion(vcpu, thread, phase)
 
     def _enter_spin(self, vcpu: VCpu, thread: GuestThread) -> None:
         if thread.started_at is None:
             thread.started_at = self.sim.now
-        thread.state = ThreadState.SPINNING
+        thread.state = _THREAD_SPINNING
         vcpu.segment_kind = "spin"
         vcpu.segment_start = self.sim.now
         # No completion event: the spin ends when the holder releases
         # (poke) or when this vCPU is preempted.
 
     def _arm_completion(self, vcpu: VCpu, thread: GuestThread, phase: Compute) -> None:
+        """(Re-)arm the event that ends ``phase`` at its estimated finish.
+
+        No event is queued when the finish falls at or after the live
+        quantum expiry: the expiry was queued first (lower seq), so it
+        fires first and its reschedule would cancel the completion.  An
+        event cancelled before it fires is unobservable, and a skipped
+        push shifts every later seq by the same amount, so the
+        ``(time, seq)`` order of live events is unchanged (DESIGN §9).
+        """
         assert vcpu.pcpu is not None
-        cache = vcpu.pcpu.socket.llc
+        if vcpu.completion_event is not None:
+            vcpu.completion_event.cancel()
+            vcpu.completion_event = None
         estimate = estimate_duration_ns(
-            cache,
+            vcpu.pcpu.socket.llc,
             thread,
             thread.effective_profile(),
             phase.remaining,
             self._llc_hit_ns,
             self._llc_miss_ns,
         )
-        delay = max(int(estimate), _MIN_COMPLETION_DELAY_NS)
-        if vcpu.completion_event is not None:
-            vcpu.completion_event.cancel()
-        vcpu.completion_event = self.sim.after(
+        delay = int(estimate)
+        if delay < _MIN_COMPLETION_DELAY_NS:
+            delay = _MIN_COMPLETION_DELAY_NS
+        sim = self.sim
+        expiry = vcpu.quantum_event
+        if (
+            expiry is not None
+            and not expiry.cancelled
+            and sim.now + delay >= expiry.time
+        ):
+            return
+        vcpu.completion_event = sim.after(
             delay, lambda: self._on_phase_complete(vcpu, thread, phase), "compute-done"
         )
 
     def _on_phase_complete(self, vcpu: VCpu, thread: GuestThread, phase: Compute) -> None:
         if vcpu.current_thread is not thread or thread.phase is not phase:
             return  # stale event
-        if vcpu.state != VCpuState.RUNNING:
+        if vcpu.state != _VCPU_RUNNING:
             return
         self._integrate(vcpu)
         vcpu.completion_event = None
@@ -622,14 +654,6 @@ class Machine:
         else:
             # the cache was colder than estimated: keep going
             self._arm_completion(vcpu, thread, phase)
-
-    def _handle_thread_migration(self, thread: GuestThread, vcpu: VCpu) -> None:
-        """Evict the stale LLC footprint when a thread changes socket."""
-        assert vcpu.pcpu is not None
-        socket = vcpu.pcpu.socket
-        if thread.last_socket is not None and thread.last_socket is not socket:
-            thread.last_socket.llc.evict_actor(thread)
-        thread.last_socket = socket
 
     # ==================================================================
     # spin-lock wiring
@@ -644,8 +668,8 @@ class Machine:
         if vcpu is None:
             return
         if (
-            thread.state == ThreadState.SPINNING
-            and vcpu.state == VCpuState.RUNNING
+            thread.state == _THREAD_SPINNING
+            and vcpu.state == _VCPU_RUNNING
             and vcpu.current_thread is thread
         ):
             self._integrate(vcpu)
@@ -661,7 +685,7 @@ class Machine:
         """
         guest = vcpu.vm.guest
         assert guest is not None
-        if vcpu.state == VCpuState.RUNNING:
+        if vcpu.state == _VCPU_RUNNING:
             if vcpu.current_thread is thread:
                 return
             self._integrate(vcpu)
@@ -684,7 +708,7 @@ class Machine:
         guest = vcpu.vm.guest
         assert guest is not None
         if guest.thread_ready(thread):
-            if vcpu.state == VCpuState.BLOCKED:
+            if vcpu.state == _VCPU_BLOCKED:
                 self.wake_vcpu(vcpu)
 
     # ==================================================================
@@ -694,44 +718,48 @@ class Machine:
         """Account the elapsed run segment of a RUNNING vCPU."""
         now = self.sim.now
         elapsed = now - vcpu.segment_start
-        if elapsed <= 0 or vcpu.segment_kind is None:
+        kind = vcpu.segment_kind
+        if elapsed <= 0 or kind is None:
             vcpu.segment_start = now
             return
         thread = vcpu.current_thread
         assert thread is not None and vcpu.pcpu is not None
         guest = vcpu.vm.guest
         assert guest is not None
+        run_ns = float(elapsed)
 
-        if vcpu.segment_kind == "compute":
-            cache = vcpu.pcpu.socket.llc
-            profile = thread.effective_profile()
+        if kind == "compute":
             segment = integrate_duration(
-                cache,
+                vcpu.pcpu.socket.llc,
                 thread,
-                profile,
-                float(elapsed),
+                thread.effective_profile(),
+                run_ns,
                 self._llc_hit_ns,
                 self._llc_miss_ns,
-                substeps=self.cache_substeps,
+                self.cache_substeps,
             )
             vcpu.pmu.add_segment(segment)
             thread.instructions_retired += segment.instructions
             phase = thread.phase
             if isinstance(phase, Compute):
-                phase.remaining = max(0.0, phase.remaining - segment.instructions)
-        elif vcpu.segment_kind == "spin":
+                # max(0.0, ...) with the same first-winner result
+                remaining = phase.remaining - segment.instructions
+                phase.remaining = remaining if remaining > 0.0 else 0.0
+        elif kind == "spin":
             # spin time is evidence for the PLE detector, not the PMU: a
             # PAUSE loop retires (essentially) no workload instructions
             # and produces no LLC traffic
-            vcpu.ple.note_spin(float(elapsed))
+            vcpu.ple.note_spin(run_ns)
             thread.spin_ns += elapsed
         else:  # pragma: no cover - defensive
-            raise RuntimeError(f"bad segment kind {vcpu.segment_kind!r}")
+            raise RuntimeError(f"bad segment kind {kind!r}")
 
         thread.run_ns += elapsed
         guest.note_run(vcpu, elapsed)
-        vcpu.charge_run(elapsed)
-        self.scheduler.burn(vcpu, float(elapsed))
+        vcpu.run_ns_total += elapsed
+        vcpu.run_since_tick += elapsed
+        vcpu.run_since_acct += elapsed
+        self.scheduler.burn(vcpu, run_ns)
         vcpu.segment_start = now
 
     # ==================================================================
@@ -763,7 +791,7 @@ class Machine:
         guest = vcpu.vm.guest
         assert guest is not None
         thread = vcpu.current_thread
-        if thread is not None and thread.state == ThreadState.SPINNING:
+        if thread is not None and thread.state == _THREAD_SPINNING:
             return  # do not disturb a spinner
         rotated = guest.maybe_rotate(vcpu)
         if rotated is not thread:
@@ -790,7 +818,7 @@ class Machine:
         for vcpu in self.all_vcpus:
             if (
                 vcpu.throttled
-                and vcpu.state == VCpuState.RUNNABLE
+                and vcpu.state == _VCPU_RUNNABLE
                 and vcpu not in self._parked
             ):
                 for ctx in self.contexts.values():
@@ -852,12 +880,12 @@ class Machine:
         for port in vm.ports:
             port.close()
         for vcpu in vm.vcpus:
-            if vcpu.state == VCpuState.RUNNING:
+            if vcpu.state == _VCPU_RUNNING:
                 assert vcpu.pcpu is not None
                 ctx = self.contexts[vcpu.pcpu]
                 self._deschedule_current(ctx)
                 self._reschedule(ctx)  # backfill the freed pCPU
-            if vcpu.state == VCpuState.RUNNABLE:
+            if vcpu.state == _VCPU_RUNNABLE:
                 if vcpu in self._parked:
                     self._parked.remove(vcpu)
                 else:
@@ -865,7 +893,7 @@ class Machine:
                         if ctx.runq.remove(vcpu):
                             break
             self._cancel_events(vcpu)
-            vcpu.state = VCpuState.BLOCKED
+            vcpu.state = _VCPU_BLOCKED
             vcpu.current_thread = None
             vcpu.segment_kind = None
             pool = vcpu.pool

@@ -92,11 +92,6 @@ class VCpu:
     def name(self) -> str:
         return f"{self.vm.name}/v{self.index}"
 
-    def charge_run(self, elapsed_ns: float) -> None:
-        self.run_ns_total += elapsed_ns
-        self.run_since_tick += elapsed_ns
-        self.run_since_acct += elapsed_ns
-
     def __repr__(self) -> str:
         return f"<vCPU {self.name} {self.state.value} {self.priority.name}>"
 

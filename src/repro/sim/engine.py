@@ -92,14 +92,15 @@ class Simulator:
 
         ``time`` must be integral: the clock is integer nanoseconds, and
         silently truncating a float would let two components desync on
-        sub-nanosecond drift.  Integral floats (``5.0``) are accepted.
+        sub-nanosecond drift.  Integral floats (``5.0``) are accepted;
+        NaN and infinities are rejected like any other non-integral time.
         """
-        itime = int(time)
+        try:
+            itime = int(time)
+        except (ValueError, OverflowError):  # NaN, +-inf
+            raise _non_integral("time", time, label) from None
         if itime != time:
-            raise SimulationError(
-                f"non-integral time {time!r} for {label!r} "
-                "(the clock is integer nanoseconds)"
-            )
+            raise _non_integral("time", time, label)
         if itime < self.now:
             raise SimulationError(
                 f"cannot schedule {label!r} at {itime} < now {self.now}"
@@ -113,18 +114,25 @@ class Simulator:
     def after(self, delay: int, fn: Callable[[], None], label: str = "") -> Event:
         """Schedule ``fn`` to run ``delay`` nanoseconds from now.
 
-        Like :meth:`at`, rejects non-integral delays instead of
-        truncating them.
+        Like :meth:`at`, rejects negative, non-integral and non-finite
+        delays instead of truncating them.  This is the hot scheduling
+        call (every quantum, tick and completion), so it pushes directly
+        rather than re-entering :meth:`at`.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for {label!r}")
-        idelay = int(delay)
+        try:
+            idelay = int(delay)
+        except (ValueError, OverflowError):  # NaN, +inf
+            raise _non_integral("delay", delay, label) from None
         if idelay != delay:
-            raise SimulationError(
-                f"non-integral delay {delay!r} for {label!r} "
-                "(the clock is integer nanoseconds)"
-            )
-        return self.at(self.now + idelay, fn, label)
+            raise _non_integral("delay", delay, label)
+        time = self.now + idelay
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, fn, label)
+        heappush(self._heap, (time, seq, event))
+        return event
 
     # ------------------------------------------------------------------
     # running
@@ -223,6 +231,13 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now} pending={self.pending}>"
+
+
+def _non_integral(what: str, value: object, label: str) -> SimulationError:
+    return SimulationError(
+        f"non-integral {what} {value!r} for {label!r} "
+        "(the clock is integer nanoseconds)"
+    )
 
 
 def noop() -> None:

@@ -14,7 +14,10 @@ caches shared by several actors, and every ``SegmentResult`` field,
 the occupancy dict's items *in order* and the running total must
 compare ``==`` after every call.  Directed cases pin that the epsilon
 deletion, full-cache and churn paths are really exercised, and a drift
-check holds the running total to the sum of the occupancies.
+check holds the running total to the sum of the occupancies.  The
+kernel recomputes its per-sub-step arithmetic only after a sub-step
+grew the actor; directed cases pin both ways a sub-step reuses it (no
+LLC traffic, an actor at its target) against the same reference.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 from typing import Hashable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import cache as cache_module
@@ -196,6 +199,13 @@ def apply(fast: SharedCache, ref: ReferenceCache, op: tuple) -> None:
         nbytes, wss = op[2:]
         fast.insert(actor, nbytes, wss)
         ref.insert(actor, nbytes, wss)
+    elif kind == "warm":
+        # fill the actor to ``gap`` bytes short of its working set, then
+        # integrate: it starts at (gap 0) or next to its target
+        profile, gap, duration, substeps = op[2:]
+        wss = profile.wss_bytes
+        apply(fast, ref, ("insert", actor, float(max(0, wss - gap)), wss))
+        apply(fast, ref, ("integrate", actor, profile, duration, substeps))
     else:
         assert fast.evict_actor(actor) == ref.evict_actor(actor)
     assert_same_state(fast, ref)
@@ -244,13 +254,30 @@ insert_ops = st.tuples(
     st.integers(min_value=0, max_value=32 * MB),
 )
 evict_ops = st.tuples(st.just("evict"), st.sampled_from(ACTORS))
-OP_KINDS = {"integrate": integrate_ops, "insert": insert_ops, "evict": evict_ops}
+# actors at or next to their target, where a sub-step either misses
+# nothing or reaches the target and churns its neighbours
+warm_ops = st.tuples(
+    st.just("warm"),
+    st.sampled_from(ACTORS),
+    profiles,
+    st.one_of(st.just(0), st.integers(min_value=1, max_value=2 * KB)),
+    scaled(1_000, 50_000_000, 1.0),
+    st.sampled_from((1, 8)),
+)
+OP_KINDS = {
+    "integrate": integrate_ops,
+    "insert": insert_ops,
+    "evict": evict_ops,
+    "warm": warm_ops,
+}
 
 
 @st.composite
 def calls(draw):
-    """One call, weighted 5:2:1 towards integrations."""
-    kind = draw(st.sampled_from(("integrate",) * 5 + ("insert",) * 2 + ("evict",)))
+    """One call, weighted 5:2:1:1 towards integrations."""
+    kind = draw(
+        st.sampled_from(("integrate",) * 5 + ("insert",) * 2 + ("evict", "warm"))
+    )
     return draw(OP_KINDS[kind])
 
 
@@ -352,6 +379,80 @@ def test_profile_corners_match(substeps, profile, exponent):
         apply(fast, ref, ("integrate", "a", profile, 4e6, substeps))
     apply(fast, ref, ("evict", "a"))
     apply(fast, ref, ("integrate", "a", profile, 4e6, substeps))
+
+
+# ----------------------------------------------------------------------
+# the hoisted sub-step arithmetic: recomputed only after a sub-step
+# grew the actor, so both "reuse" situations are pinned directly
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("substeps", [1, 8])
+def test_no_traffic_profile_matches_reference(evictions, substeps):
+    """wss 0 and no LLC references: one computation serves every sub-step."""
+    fast, ref = make_pair(8 * MB, 0.5)
+    apply(fast, ref, ("insert", "x", 5 * MB, 8 * MB))
+    profile = MemoryProfile(wss_bytes=0, llc_ref_rate=0.0, base_cpi_ns=0.37)
+    for duration in (1e6, 3_333_333.0, 7.0):
+        apply(fast, ref, ("integrate", "a", profile, duration, substeps))
+    assert not evictions
+    assert list(fast._occupancy) == ["x"]
+
+
+def test_actor_at_target_leaves_neighbours_alone(evictions):
+    """Fully resident working set: p_hit is 1, nothing misses."""
+    fast, ref = make_pair(8 * MB, 0.5)
+    for actor, nbytes in (("x", 3 * MB), ("y", 3 * MB), ("a", 64 * KB)):
+        apply(fast, ref, ("insert", actor, nbytes, nbytes))
+    profile = MemoryProfile(wss_bytes=64 * KB, llc_ref_rate=0.05)
+    apply(fast, ref, ("integrate", "a", profile, 4e6, 8))
+    assert not evictions
+    assert fast.occupancy_of("a") == 64 * KB
+
+
+def test_actor_reaching_target_churns_neighbours(evictions):
+    """The first sub-step fills the last KB and churns the neighbours;
+    the seven after it reuse the at-target values."""
+    fast, ref = make_pair(8 * MB, 0.5)
+    for actor, nbytes in (("x", 3 * MB), ("y", 3 * MB)):
+        apply(fast, ref, ("insert", actor, nbytes, 8 * MB))
+    apply(fast, ref, ("insert", "a", 63 * KB, 64 * KB))
+    profile = MemoryProfile(wss_bytes=64 * KB, llc_ref_rate=0.05)
+    apply(fast, ref, ("integrate", "a", profile, 4e6, 8))
+    assert fast.occupancy_of("a") == 64 * KB
+    assert evictions and fast.occupancy_of("x") < 3 * MB
+    assert fast.free_bytes > 0  # churn pressure, not a full cache
+    # a second segment at the target misses nothing
+    before = len(evictions)
+    apply(fast, ref, ("integrate", "a", profile, 4e6, 8))
+    assert len(evictions) == before
+
+
+def test_trashing_actor_holding_the_cache_matches_reference():
+    """wss above capacity, whole cache resident: every sub-step misses
+    and churns without growing the actor."""
+    fast, ref = make_pair(256 * KB, 0.5)
+    apply(fast, ref, ("insert", "a", 256 * KB, 4 * MB))
+    profile = MemoryProfile(wss_bytes=4 * MB, llc_ref_rate=0.05)
+    for _ in range(3):
+        apply(fast, ref, ("integrate", "a", profile, 2e6, 8))
+    assert fast.occupancy_of("a") == 256 * KB
+
+
+def test_strategy_reaches_the_hoisted_branches():
+    """The property test draws both reuse situations, not just by luck."""
+    find(
+        calls(),
+        lambda op: op[0] == "integrate"
+        and op[2].wss_bytes == 0
+        and op[2].llc_ref_rate == 0.0,
+    )
+    find(
+        calls(),
+        lambda op: op[0] == "warm"
+        and op[2].wss_bytes > 0
+        and op[2].llc_ref_rate > 0.0
+        and op[3] == 0,
+    )
+    find(calls(), lambda op: op[0] == "warm" and 0 < op[3] < op[2].wss_bytes)
 
 
 # ----------------------------------------------------------------------

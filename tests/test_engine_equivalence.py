@@ -16,6 +16,7 @@ edge cases: ``run_until``/``step()`` re-entrancy, float truncation in
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 
 import pytest
@@ -237,6 +238,18 @@ def test_at_and_after_reject_non_integral_times():
     sim.after(7.0, lambda: fired.append(sim.now))
     sim.run_until(20)
     assert fired == [5, 7]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_at_and_after_reject_non_finite_times(value):
+    """NaN and infinities are a SimulationError, not a bare
+    ValueError/OverflowError from ``int()``, and queue nothing."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.at(value, lambda: None, "bad")
+    with pytest.raises(SimulationError):
+        sim.after(value, lambda: None, "bad")
+    assert sim.pending == 0 and sim.peek_time() is None
 
 
 # ----------------------------------------------------------------------

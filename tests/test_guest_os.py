@@ -1,5 +1,7 @@
 """Tests for the guest OS thread scheduler (via a real Machine)."""
 
+import math
+
 import pytest
 
 from repro.guest.phases import Compute, Sleep
@@ -172,3 +174,13 @@ class TestPhaseValidation:
     def test_negative_sleep_rejected(self):
         with pytest.raises(ValueError):
             Sleep(-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_compute_rejected(self, value):
+        with pytest.raises(ValueError, match="Compute"):
+            Compute(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sleep_rejected(self, value):
+        with pytest.raises(ValueError, match="Sleep"):
+            Sleep(value)
