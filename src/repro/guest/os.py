@@ -20,6 +20,30 @@ from repro.sim.units import MS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.vm import VCpu, VM
 
+#: Enum members as module constants: reading one off its class goes
+#: through the Enum metaclass, and the machine asks the guest for the
+#: next thread at every segment boundary
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
+_SPINNING = ThreadState.SPINNING
+_BLOCKED = ThreadState.BLOCKED
+_DONE = ThreadState.DONE
+
+
+class _VCpuGuest:
+    """The guest scheduler's state for one vCPU."""
+
+    __slots__ = ("ready", "current", "run_ns")
+
+    def __init__(self) -> None:
+        #: threads queued for this vCPU, in turn order; ones no longer
+        #: runnable are dropped when their turn comes
+        self.ready: deque[GuestThread] = deque()
+        #: the thread holding the vCPU (None = pick from ``ready``)
+        self.current: Optional[GuestThread] = None
+        #: run time charged to ``current``'s guest timeslice
+        self.run_ns: float = 0.0
+
 
 class GuestOS:
     """Per-VM thread scheduler."""
@@ -27,9 +51,10 @@ class GuestOS:
     def __init__(self, vm: "VM", guest_slice_ns: int = 4 * MS):
         self.vm = vm
         self.guest_slice_ns = guest_slice_ns
-        self._ready: dict[int, deque[GuestThread]] = {}
-        self._current: dict[int, Optional[GuestThread]] = {}
-        self._current_run_ns: dict[int, float] = {}
+        #: one record per vCPU, keyed by ``vcpu_id``
+        self._vcpus: dict[int, _VCpuGuest] = {
+            vcpu.vcpu_id: _VCpuGuest() for vcpu in vm.vcpus
+        }
         self.threads: list[GuestThread] = []
 
     # ------------------------------------------------------------------
@@ -39,18 +64,18 @@ class GuestOS:
         self, thread: GuestThread, vcpu: Optional["VCpu"] = None
     ) -> GuestThread:
         """Register a thread, pinning it to ``vcpu`` or the emptiest one."""
+        records = self._vcpus
         if vcpu is None:
             vcpu = min(
                 self.vm.vcpus,
-                key=lambda v: len(self._ready.get(v.vcpu_id, ())),
+                key=lambda v: len(records[v.vcpu_id].ready),
             )
         if vcpu.vm is not self.vm:
             raise ValueError(f"{vcpu!r} does not belong to {self.vm!r}")
         thread.vcpu = vcpu
         self.threads.append(thread)
-        queue = self._ready.setdefault(vcpu.vcpu_id, deque())
-        queue.append(thread)
-        thread.state = ThreadState.READY
+        records[vcpu.vcpu_id].ready.append(thread)
+        thread.state = _READY
         return thread
 
     # ------------------------------------------------------------------
@@ -58,10 +83,11 @@ class GuestOS:
     # ------------------------------------------------------------------
     def pick(self, vcpu: "VCpu") -> Optional[GuestThread]:
         """The thread that should run next on ``vcpu`` (None = idle)."""
-        current = self._current.get(vcpu.vcpu_id)
+        record = self._vcpus[vcpu.vcpu_id]
+        current = record.current
         if current is not None and current.runnable:
             return current
-        return self._switch_to_next(vcpu)
+        return _switch_to_next(record)
 
     def maybe_rotate(self, vcpu: "VCpu") -> Optional[GuestThread]:
         """Rotate if the current thread exhausted its guest timeslice.
@@ -71,63 +97,57 @@ class GuestOS:
         is precisely what makes lock-holder preemption a hypervisor
         (not guest) problem.
         """
-        current = self._current.get(vcpu.vcpu_id)
-        if current is not None and current.state == ThreadState.SPINNING:
+        record = self._vcpus[vcpu.vcpu_id]
+        current = record.current
+        if current is None:
+            return _switch_to_next(record)
+        state = current.state
+        if state is _SPINNING:
             return current
-        if current is None or not current.runnable:
-            return self._switch_to_next(vcpu)
-        if self._current_run_ns.get(vcpu.vcpu_id, 0.0) >= self.guest_slice_ns:
-            queue = self._ready.setdefault(vcpu.vcpu_id, deque())
-            if queue:  # someone else is waiting: yield the vCPU to them
-                queue.append(current)
-                current.state = ThreadState.READY
-                return self._switch_to_next(vcpu)
-            self._current_run_ns[vcpu.vcpu_id] = 0.0
+        if state is not _RUNNING and state is not _READY:
+            return _switch_to_next(record)
+        if record.run_ns < self.guest_slice_ns:
+            return current
+        ready = record.ready
+        if ready:  # someone else is waiting: yield the vCPU to them
+            ready.append(current)
+            current.state = _READY
+            return _switch_to_next(record)
+        record.run_ns = 0.0
         return current
 
     def note_run(self, vcpu: "VCpu", run_ns: float) -> None:
         """Charge run time to the current thread's guest timeslice."""
-        self._current_run_ns[vcpu.vcpu_id] = (
-            self._current_run_ns.get(vcpu.vcpu_id, 0.0) + run_ns
-        )
-
-    def _switch_to_next(self, vcpu: "VCpu") -> Optional[GuestThread]:
-        queue = self._ready.setdefault(vcpu.vcpu_id, deque())
-        while queue:
-            thread = queue.popleft()
-            if thread.runnable:
-                self._current[vcpu.vcpu_id] = thread
-                self._current_run_ns[vcpu.vcpu_id] = 0.0
-                return thread
-        self._current[vcpu.vcpu_id] = None
-        return None
+        self._vcpus[vcpu.vcpu_id].run_ns += run_ns
 
     # ------------------------------------------------------------------
     # state transitions
     # ------------------------------------------------------------------
     def thread_blocked(self, thread: GuestThread) -> None:
         """The current thread blocked (IO wait / sleep)."""
-        thread.state = ThreadState.BLOCKED
+        thread.state = _BLOCKED
         vcpu = thread.vcpu
         assert vcpu is not None
-        if self._current.get(vcpu.vcpu_id) is thread:
-            self._current[vcpu.vcpu_id] = None
+        record = self._vcpus[vcpu.vcpu_id]
+        if record.current is thread:
+            record.current = None
 
     def thread_exited(self, thread: GuestThread) -> None:
-        thread.state = ThreadState.DONE
+        thread.state = _DONE
         vcpu = thread.vcpu
         assert vcpu is not None
-        if self._current.get(vcpu.vcpu_id) is thread:
-            self._current[vcpu.vcpu_id] = None
+        record = self._vcpus[vcpu.vcpu_id]
+        if record.current is thread:
+            record.current = None
 
     def thread_ready(self, thread: GuestThread) -> bool:
         """Unblock a thread.  Returns True if its vCPU needs a wake-up."""
-        if thread.state != ThreadState.BLOCKED:
+        if thread.state is not _BLOCKED:
             return False
-        thread.state = ThreadState.READY
+        thread.state = _READY
         vcpu = thread.vcpu
         assert vcpu is not None
-        self._ready.setdefault(vcpu.vcpu_id, deque()).append(thread)
+        self._vcpus[vcpu.vcpu_id].ready.append(thread)
         return True
 
     def preempt_to(self, vcpu: "VCpu", thread: GuestThread) -> bool:
@@ -140,38 +160,58 @@ class GuestOS:
         """
         if thread.vcpu is not vcpu or not thread.runnable:
             return False
-        current = self._current.get(vcpu.vcpu_id)
+        record = self._vcpus[vcpu.vcpu_id]
+        current = record.current
         if current is thread:
             return False
-        if current is not None and current.state == ThreadState.SPINNING:
+        if current is not None and current.state is _SPINNING:
             return False
-        queue = self._ready.setdefault(vcpu.vcpu_id, deque())
+        ready = record.ready
         try:
-            queue.remove(thread)
+            ready.remove(thread)
         except ValueError:
             return False  # not queued here (e.g. still blocked)
         if current is not None and current.runnable:
-            current.state = ThreadState.READY
-            queue.appendleft(current)
-        self._current[vcpu.vcpu_id] = thread
-        self._current_run_ns[vcpu.vcpu_id] = 0.0
+            current.state = _READY
+            ready.appendleft(current)
+        record.current = thread
+        record.run_ns = 0.0
         return True
 
     def has_runnable(self, vcpu: "VCpu") -> bool:
-        current = self._current.get(vcpu.vcpu_id)
+        record = self._vcpus[vcpu.vcpu_id]
+        current = record.current
         if current is not None and current.runnable:
             return True
-        return any(t.runnable for t in self._ready.get(vcpu.vcpu_id, ()))
+        return any(t.runnable for t in record.ready)
 
     def runnable_count(self, vcpu: "VCpu") -> int:
-        count = sum(1 for t in self._ready.get(vcpu.vcpu_id, ()) if t.runnable)
-        current = self._current.get(vcpu.vcpu_id)
+        record = self._vcpus[vcpu.vcpu_id]
+        count = sum(1 for t in record.ready if t.runnable)
+        current = record.current
         if current is not None and current.runnable:
             count += 1
         return count
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<GuestOS vm={self.vm.name} threads={len(self.threads)}>"
+
+
+def _switch_to_next(record: _VCpuGuest) -> Optional[GuestThread]:
+    """Make the first runnable queued thread current (None = idle).
+
+    Queued threads popped on the way that are no longer runnable are
+    dropped: a blocked thread re-enters the queue when it is readied.
+    """
+    ready = record.ready
+    while ready:
+        thread = ready.popleft()
+        if thread.runnable:
+            record.current = thread
+            record.run_ns = 0.0
+            return thread
+    record.current = None
+    return None
 
 
 __all__ = ["GuestOS"]

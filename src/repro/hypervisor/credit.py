@@ -34,6 +34,13 @@ from repro.sim.units import MS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.machine import Machine, PCpuContext
 
+#: Enum members as module constants: reading one off its class goes
+#: through the Enum metaclass, and every dispatch classifies a vCPU
+_BOOST = Priority.BOOST
+_UNDER = Priority.UNDER
+_OVER = Priority.OVER
+_RUNNABLE = VCpuState.RUNNABLE
+
 
 @dataclass(frozen=True, slots=True)
 class CreditParams:
@@ -44,6 +51,18 @@ class CreditParams:
     credits_per_tick: float = 100.0
     credit_clip: float = 300.0
     boost_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        # `not x > 0` also rejects NaN; a zero period re-arms its event
+        # at the same instant and the run never returns
+        for name in ("tick_ns", "accounting_ns", "credits_per_tick"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not self.credit_clip >= 0:
+            raise ValueError(
+                f"credit_clip must be >= 0, got {self.credit_clip!r}"
+            )
 
     @property
     def burn_rate_per_ns(self) -> float:
@@ -130,17 +149,19 @@ class RunQueue:
 class CreditScheduler:
     """Scheduling *policy*; mechanism (dispatch/integration) lives in Machine."""
 
-    __slots__ = ("machine", "params")
+    __slots__ = ("machine", "params", "_burn_rate_per_ns")
 
     def __init__(self, machine: "Machine", params: CreditParams) -> None:
         self.machine = machine
         self.params = params
+        # params are frozen: divide once, not on every burn
+        self._burn_rate_per_ns = params.burn_rate_per_ns
 
     # ------------------------------------------------------------------
     # priority helpers
     # ------------------------------------------------------------------
     def priority_for(self, vcpu: VCpu) -> Priority:
-        return Priority.UNDER if vcpu.credit > 0 else Priority.OVER
+        return _UNDER if vcpu.credit > 0 else _OVER
 
     def boost_eligible(self, vcpu: VCpu) -> bool:
         return (
@@ -187,7 +208,7 @@ class CreditScheduler:
     # ------------------------------------------------------------------
     def enqueue(self, vcpu: VCpu, front: bool = False) -> "PCpuContext":
         ctx = self.select_pcpu(vcpu)
-        vcpu.state = VCpuState.RUNNABLE
+        vcpu.state = _RUNNABLE
         ctx.runq.push(vcpu, front=front)
         return ctx
 
@@ -200,7 +221,7 @@ class CreditScheduler:
         anything runnable so the pool stays work-conserving.
         """
         local = ctx.runq.pop_best()
-        if local is not None and local.priority < Priority.OVER:
+        if local is not None and local.priority < _OVER:
             return local
         # one pass over the pool siblings finds both the best UNDER/BOOST
         # donor and the longest busy queue; strict `>` keeps the first
@@ -222,7 +243,7 @@ class CreditScheduler:
                 busy = peer
                 busy_len = queued
             best = peer.runq.best_priority()
-            if best is not None and best < Priority.OVER and queued > donor_len:
+            if best is not None and best < _OVER and queued > donor_len:
                 donor = peer
                 donor_len = queued
         if donor is not None:
@@ -246,12 +267,12 @@ class CreditScheduler:
     # ------------------------------------------------------------------
     def burn(self, vcpu: VCpu, run_ns: float) -> None:
         """Charge exact credit burn for integrated run time."""
-        vcpu.credit -= run_ns * self.params.burn_rate_per_ns
+        vcpu.credit -= run_ns * self._burn_rate_per_ns
 
     def on_tick(self, ctx: "PCpuContext") -> None:
         """Per-pCPU 10 ms tick: BOOST expires after its first tick."""
         current = ctx.current
-        if current is not None and current.priority == Priority.BOOST:
+        if current is not None and current.priority == _BOOST:
             current.priority = self.priority_for(current)
 
     def on_accounting(self, vcpus: Iterable[VCpu]) -> None:

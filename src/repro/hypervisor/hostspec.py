@@ -72,6 +72,11 @@ class HostSpec:
             raise ValueError("default quantum must be positive")
         if self.tick_ns <= 0 or self.accounting_ns <= 0:
             raise ValueError("tick and accounting periods must be positive")
+        from repro.hypervisor.machine import check_cache_substeps
+
+        # checked here too, so a bad fuzz case or catalog entry fails
+        # when it is loaded rather than when its machine is built
+        check_cache_substeps(self.cache_substeps)
 
     def machine_spec(self) -> MachineSpec:
         """The hardware topology this host presents."""

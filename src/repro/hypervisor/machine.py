@@ -16,6 +16,7 @@ dispatch with the pool's quantum -> run segments bounded by 10 ms ticks
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.guest.os import GuestOS
@@ -60,6 +61,17 @@ _VCPU_RUNNABLE = VCpuState.RUNNABLE
 _VCPU_BLOCKED = VCpuState.BLOCKED
 _THREAD_RUNNING = ThreadState.RUNNING
 _THREAD_SPINNING = ThreadState.SPINNING
+_BOOST = Priority.BOOST
+
+
+def check_cache_substeps(value: object) -> None:
+    """Reject a sub-step count the LLC kernel cannot integrate with.
+
+    Zero divides by zero in ``integrate_duration``; a negative count
+    silently integrates nothing.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"cache_substeps must be an int >= 1, got {value!r}")
 
 
 class PCpuContext:
@@ -123,6 +135,7 @@ class Machine:
             accounting_ns=accounting_ns,
             boost_enabled=boost_enabled,
         )
+        check_cache_substeps(cache_substeps)
         self.cache_substeps = cache_substeps
         self._llc_hit_ns = self.spec.llc.hit_ns
         self._llc_miss_ns = self.spec.llc.miss_ns
@@ -271,6 +284,9 @@ class Machine:
         self, period_ns: int, fn: Callable[[], None], label: str = "periodic"
     ) -> None:
         """Invoke ``fn`` every ``period_ns`` of virtual time, forever."""
+        # a zero period re-arms at the same instant and never returns
+        if not period_ns > 0:
+            raise ValueError(f"period_ns must be positive, got {period_ns!r}")
 
         def fire() -> None:
             fn()
@@ -293,15 +309,15 @@ class Machine:
             self._parked.append(vcpu)
             return
         if self.scheduler.boost_eligible(vcpu):
-            vcpu.priority = Priority.BOOST
+            vcpu.priority = _BOOST
         else:
             vcpu.priority = self.scheduler.priority_for(vcpu)
-        ctx = self.scheduler.enqueue(vcpu, front=vcpu.priority == Priority.BOOST)
+        ctx = self.scheduler.enqueue(vcpu, front=vcpu.priority == _BOOST)
         if self.trace.enabled:
-            self.trace.emit(self.sim.now, "wake", vcpu=vcpu.name, boost=vcpu.priority == Priority.BOOST)
+            self.trace.emit(self.sim.now, "wake", vcpu=vcpu.name, boost=vcpu.priority == _BOOST)
         if self.telemetry.enabled:
             self.telemetry.registry.counter("wakes", vcpu=vcpu.name).inc()
-            if vcpu.priority == Priority.BOOST:
+            if vcpu.priority == _BOOST:
                 self.telemetry.registry.counter("boost_wakes").inc()
         self._kick(ctx)
 
@@ -362,7 +378,7 @@ class Machine:
         ctx.current = vcpu
         quantum = vcpu.quantum_override or ctx.pool.quantum_ns
         vcpu.quantum_event = self.sim.after(
-            quantum, lambda: self._on_quantum_expire(ctx, vcpu), "quantum"
+            quantum, partial(self._on_quantum_expire, ctx, vcpu), "quantum"
         )
         vcpu.segment_start = self.sim.now
         if self.trace.enabled:
@@ -468,7 +484,18 @@ class Machine:
             phase = thread.current_phase()
 
             if isinstance(phase, Compute):
-                self._enter_compute(vcpu, thread, phase)
+                if thread.started_at is None:
+                    thread.started_at = now
+                thread.state = _THREAD_RUNNING
+                vcpu.segment_kind = "compute"
+                # a thread that changed socket leaves a stale LLC
+                # footprint behind
+                socket = vcpu.pcpu.socket
+                last_socket = thread.last_socket
+                if last_socket is not None and last_socket is not socket:
+                    last_socket.llc.evict_actor(thread)
+                thread.last_socket = socket
+                self._arm_completion(vcpu, thread, phase)
                 return
 
             if isinstance(phase, Acquire):
@@ -580,20 +607,6 @@ class Machine:
 
             raise TypeError(f"unknown phase {phase!r}")
 
-    def _enter_compute(self, vcpu: VCpu, thread: GuestThread, phase: Compute) -> None:
-        if thread.started_at is None:
-            thread.started_at = self.sim.now
-        thread.state = _THREAD_RUNNING
-        vcpu.segment_kind = "compute"
-        vcpu.segment_start = self.sim.now
-        # a thread that changed socket leaves a stale LLC footprint behind
-        assert vcpu.pcpu is not None
-        socket = vcpu.pcpu.socket
-        if thread.last_socket is not None and thread.last_socket is not socket:
-            thread.last_socket.llc.evict_actor(thread)
-        thread.last_socket = socket
-        self._arm_completion(vcpu, thread, phase)
-
     def _enter_spin(self, vcpu: VCpu, thread: GuestThread) -> None:
         if thread.started_at is None:
             thread.started_at = self.sim.now
@@ -612,32 +625,46 @@ class Machine:
         event cancelled before it fires is unobservable, and a skipped
         push shifts every later seq by the same amount, so the
         ``(time, seq)`` order of live events is unchanged (DESIGN §9).
+
+        The LLC-free time ``remaining * base_cpi_ns`` is a lower bound
+        of the estimate (its LLC term is non-negative and rounding is
+        monotone), so when even that reaches the expiry the estimate is
+        never computed.
         """
-        assert vcpu.pcpu is not None
-        if vcpu.completion_event is not None:
-            vcpu.completion_event.cancel()
+        completion = vcpu.completion_event
+        if completion is not None:
+            completion.cancel()
             vcpu.completion_event = None
-        estimate = estimate_duration_ns(
-            vcpu.pcpu.socket.llc,
-            thread,
-            thread.effective_profile(),
-            phase.remaining,
-            self._llc_hit_ns,
-            self._llc_miss_ns,
-        )
-        delay = int(estimate)
-        if delay < _MIN_COMPLETION_DELAY_NS:
-            delay = _MIN_COMPLETION_DELAY_NS
+        profile = thread.effective_profile()
+        remaining = phase.remaining
         sim = self.sim
         expiry = vcpu.quantum_event
+        if expiry is not None and expiry.cancelled:
+            expiry = None
         if (
             expiry is not None
-            and not expiry.cancelled
-            and sim.now + delay >= expiry.time
+            and sim.now + int(remaining * profile.base_cpi_ns) >= expiry.time
         ):
             return
+        assert vcpu.pcpu is not None
+        delay = int(
+            estimate_duration_ns(
+                vcpu.pcpu.socket.llc,
+                thread,
+                profile,
+                remaining,
+                self._llc_hit_ns,
+                self._llc_miss_ns,
+            )
+        )
+        if delay < _MIN_COMPLETION_DELAY_NS:
+            delay = _MIN_COMPLETION_DELAY_NS
+        if expiry is not None and sim.now + delay >= expiry.time:
+            return
         vcpu.completion_event = sim.after(
-            delay, lambda: self._on_phase_complete(vcpu, thread, phase), "compute-done"
+            delay,
+            partial(self._on_phase_complete, vcpu, thread, phase),
+            "compute-done",
         )
 
     def _on_phase_complete(self, vcpu: VCpu, thread: GuestThread, phase: Compute) -> None:
@@ -1102,4 +1129,4 @@ class Machine:
         )
 
 
-__all__ = ["Machine", "PCpuContext"]
+__all__ = ["Machine", "PCpuContext", "check_cache_substeps"]

@@ -40,6 +40,35 @@ class Priority(enum.IntEnum):
 class VCpu:
     """One virtual CPU."""
 
+    __slots__ = (
+        "vcpu_id",
+        "vm",
+        "index",
+        "state",
+        "priority",
+        "credit",
+        "pool",
+        "pcpu",
+        "last_pcpu",
+        "exhausted_last_quantum",
+        "quantum_override",
+        "throttled",
+        "segment_start",
+        "segment_kind",
+        "current_thread",
+        "completion_event",
+        "quantum_event",
+        "pmu",
+        "ple",
+        "io_events",
+        "run_ns_total",
+        "run_since_tick",
+        "run_since_acct",
+        "dispatch_count",
+        "migrations",
+        "steals",
+    )
+
     def __init__(self, vcpu_id: int, vm: "VM", index: int) -> None:
         self.vcpu_id = vcpu_id  # globally unique
         self.vm = vm

@@ -117,17 +117,20 @@ class Simulator:
         Like :meth:`at`, rejects negative, non-integral and non-finite
         delays instead of truncating them.  This is the hot scheduling
         call (every quantum, tick and completion), so it pushes directly
-        rather than re-entering :meth:`at`.
+        rather than re-entering :meth:`at`, and a plain ``int`` delay
+        skips the conversion.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for {label!r}")
-        try:
-            idelay = int(delay)
-        except (ValueError, OverflowError):  # NaN, +inf
-            raise _non_integral("delay", delay, label) from None
-        if idelay != delay:
-            raise _non_integral("delay", delay, label)
-        time = self.now + idelay
+        if type(delay) is not int:
+            try:
+                idelay = int(delay)
+            except (ValueError, OverflowError):  # NaN, +inf
+                raise _non_integral("delay", delay, label) from None
+            if idelay != delay:
+                raise _non_integral("delay", delay, label)
+            delay = idelay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, label)

@@ -8,7 +8,9 @@ pins the whole fire order of nine paper scenarios/policies as a count
 plus a digest, captured on the model that queued every completion; the
 second part drives the completion-arming rule directly: when a
 completion is queued, when it is not, how equal times resolve, and the
-re-arm at a tick.
+re-arm at a tick.  The third part checks the cheap lower bound the
+rule tries first (the LLC-free time ``remaining * base_cpi_ns``): it
+may only skip a completion that the full estimate would skip too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import AqlPolicy, XenCredit
 from repro.baselines.vslicer import VSlicer
@@ -23,8 +27,9 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import SCENARIOS
 from repro.guest.phases import Compute
 from repro.guest.thread import GuestThread
-from repro.hardware.cache import MemoryProfile
-from repro.hypervisor.machine import Machine
+from repro.hardware.cache import MemoryProfile, SharedCache, estimate_duration_ns
+from repro.hardware.specs import MB
+from repro.hypervisor.machine import _MIN_COMPLETION_DELAY_NS, Machine
 from repro.sim import engine
 from repro.sim.units import MS
 
@@ -87,14 +92,16 @@ def test_fire_order_matches_pin(fired, scenario, policy):
 FLAT = MemoryProfile(base_cpi_ns=0.5)
 
 
-def one_vcpu(instructions: float, quantum_ns: int):
+def one_vcpu(
+    instructions: float, quantum_ns: int, profile: MemoryProfile = FLAT
+):
     """A started one-pCPU machine running a single compute phase."""
     machine = Machine(seed=0, default_quantum_ns=quantum_ns)
     pool = machine.create_pool("p", machine.topology.pcpus[:1], quantum_ns)
     vm = machine.new_vm("vm", 1, pool=pool)
 
     def body(thread):
-        yield Compute(instructions, FLAT)
+        yield Compute(instructions, profile)
 
     vm.guest.add_thread(GuestThread("t", body))
     machine.start()
@@ -151,3 +158,91 @@ def test_tick_refresh_keeps_skipping_past_the_expiry(fired):
     assert vcpu.completion_event is None
     machine.run(30 * MS)
     assert [time for time, label in fired if label == "compute-done"] == [35 * MS]
+
+
+# ----------------------------------------------------------------------
+# the lower bound tried before the estimate
+# ----------------------------------------------------------------------
+HIT_NS, MISS_NS = 12.0, 80.0  # the i7-3770 LLC the machine defaults to
+
+
+def bound_skips(now, remaining, profile, expiry_time) -> bool:
+    """The cheap first check of ``Machine._arm_completion``."""
+    return now + int(remaining * profile.base_cpi_ns) >= expiry_time
+
+
+def full_delay(remaining, profile, cache, actor) -> int:
+    """The full rule's delay: the estimate, floored at the minimum."""
+    estimate = estimate_duration_ns(
+        cache, actor, profile, remaining, HIT_NS, MISS_NS
+    )
+    return max(int(estimate), _MIN_COMPLETION_DELAY_NS)
+
+
+def armed_completion(profile, resident, remaining, now, expiry_time):
+    """What ``Machine._arm_completion`` queues for one running phase.
+
+    The vCPU is placed on a pCPU by hand with a live expiry at
+    ``expiry_time``; ``resident`` is the thread's share of its working
+    set already in the LLC.  Returns the completion event (or None) and
+    the socket's cache.
+    """
+    machine = Machine(seed=0)
+    vm = machine.new_vm("vm", 1)
+    vcpu = vm.vcpus[0]
+    thread = vm.guest.add_thread(GuestThread("t", lambda t: iter(()), profile))
+    phase = thread.phase = Compute(remaining)
+    vcpu.pcpu = machine.topology.pcpus[0]
+    cache = vcpu.pcpu.socket.llc
+    cache.insert(thread, resident * min(profile.wss_bytes, 8 * MB), profile.wss_bytes)
+    machine.sim.now = now
+    vcpu.quantum_event = machine.sim.at(expiry_time, engine.noop, "quantum")
+    machine._arm_completion(vcpu, thread, phase)
+    return vcpu.completion_event, cache, thread
+
+
+profiles = st.builds(
+    MemoryProfile,
+    wss_bytes=st.sampled_from((0, 64 * 1024, 2 * MB, 8 * MB, 64 * MB)),
+    llc_ref_rate=st.sampled_from((0.0,)) | st.floats(0.0, 0.2),
+    base_cpi_ns=st.floats(0.01, 3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    profile=profiles,
+    resident=st.floats(0.0, 1.0),
+    remaining=st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1e9),
+    now=st.integers(0, 10**12),
+    # around the bound itself, or anywhere in a quantum
+    offset=st.integers(-3, 3) | st.integers(-(10**8), 10**8),
+)
+def test_lower_bound_skips_only_what_the_estimate_skips(
+    profile, resident, remaining, now, offset
+):
+    expiry_time = max(now, now + int(remaining * profile.base_cpi_ns) + offset)
+    completion, cache, thread = armed_completion(
+        profile, resident, remaining, now, expiry_time
+    )
+    delay = full_delay(remaining, profile, cache, thread)
+    estimate_skips = now + delay >= expiry_time
+    if bound_skips(now, remaining, profile, expiry_time):
+        assert estimate_skips
+    # and the machine queues exactly what the full rule alone would
+    if estimate_skips:
+        assert completion is None
+    else:
+        assert completion is not None and completion.time == now + delay
+
+
+def test_cold_cache_estimate_skips_where_the_bound_does_not():
+    # 1.5e6 instructions: 0.75 ms LLC-free, but a cold 64 MB working set
+    # misses on every reference, so the estimate is far past the 1 ms
+    # expiry
+    profile = MemoryProfile(wss_bytes=64 * MB, llc_ref_rate=0.05, base_cpi_ns=0.5)
+    assert not bound_skips(0, 1_500_000, profile, 1 * MS)
+    assert full_delay(1_500_000, profile, SharedCache(8 * MB), "t") >= 1 * MS
+    _, vcpu = one_vcpu(1_500_000, 1 * MS, profile)
+    assert vcpu.completion_event is None
+    assert not vcpu.quantum_event.cancelled
