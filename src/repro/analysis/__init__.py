@@ -4,17 +4,17 @@ Static analysis tailored to this reproduction's invariants: every
 result rests on runs being pure functions of their seed (so the
 serial≡parallel≡cache-replay and queue≡sorted-list-reference
 equivalences hold) and on the simulation hot path staying
-allocation-lean.  The rule battery
-(``repro.analysis.rules``) encodes those invariants; the engine
-(``repro.analysis.core``) runs them in one AST walk per file; the
-whole-program layer (``repro.analysis.interproc``) lifts the audit
-across module boundaries — interprocedural determinism taint (SIM008)
-and engine-cell purity proofs (SIM009) over a project-wide,
-alias-resolved call graph, ratcheted by a committed findings baseline;
-the CLI (``python -m repro.analysis``) and
+allocation-lean.  The rule battery (``repro.analysis.rules``) encodes
+those invariants; the engine (``repro.analysis.core``) parses each file
+once and runs the per-module rules in one AST walk; the whole-program
+layer (``repro.analysis.interproc``) runs over a project-wide,
+alias-resolved call graph built from the same parse — determinism
+(SIM008: wall-clock, RNG and ordering sources, read directly or through
+helpers) and engine-cell purity proofs (SIM009), ratcheted by a
+committed findings baseline; the CLI (``python -m repro.analysis``) and
 ``tests/test_analysis_selfcheck.py`` keep the tree clean.  DESIGN.md
-§10 documents the per-module rule catalogue and the suppression
-policy; §15 documents the whole-program pass.
+§10 documents the rule catalogue and the suppression policy; §15
+documents the whole-program passes.
 """
 
 from repro.analysis.core import (
@@ -28,7 +28,6 @@ from repro.analysis.core import (
 from repro.analysis.interproc import (
     ProjectIndex,
     TaintAnalysis,
-    WholeProgramAnalyzer,
     interprocedural_violations,
 )
 from repro.analysis.report import (
@@ -57,7 +56,6 @@ __all__ = [
     "TaintAnalysis",
     "Violation",
     "WHOLE_PROGRAM_RULE_IDS",
-    "WholeProgramAnalyzer",
     "default_rules",
     "describe_rules",
     "exit_code",

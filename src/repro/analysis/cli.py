@@ -1,23 +1,19 @@
 """The simlint command line.
 
     python -m repro.analysis [paths ...] [--format text|json|sarif]
-                             [--rule SIM001 ...] [--list-rules]
-                             [--whole-program] [--explain SIMnnn]
+                             [--rule SIMnnn ...] [--list-rules]
+                             [--explain SIMnnn]
                              [--baseline FILE] [--write-baseline]
-                             [--changed-only] [--cache-dir DIR]
 
 With no paths, audits the default surface (``src/repro`` and
 ``benchmarks`` relative to the working directory, whichever exist).
 Exit status: 0 clean, 1 violations, 2 usage error — the same contract
 ``make lint``, the pre-commit hook and the CI job rely on.
 
-Whole-program mode (``--whole-program``, implied by selecting SIM008 or
-SIM009 with ``--rule``) parses every file once, feeds the per-module
-battery and the call-graph summaries from the same parse, then runs the
-interprocedural passes over the combined index.  ``--baseline`` filters
-findings against a committed ratchet so only *new* findings affect the
-exit code; ``--changed-only`` reuses cached per-file results for files
-whose content hash is unchanged; ``--explain SIMnnn`` prints each
+Every file is parsed once; the parse feeds the per-module rules and the
+call-graph summaries the whole-program passes (SIM008/SIM009) run over.
+``--baseline`` filters findings against a committed ratchet so only
+*new* findings affect the exit code; ``--explain SIMnnn`` prints each
 finding's witness path edge by edge.
 """
 
@@ -28,29 +24,12 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.cache import (
-    DEFAULT_CACHE_DIR,
-    FindingsCache,
-    content_hash,
-    engine_salt,
-)
-from repro.analysis.core import (
-    Analyzer,
-    Violation,
-    build_context,
-    iter_python_files,
-)
-from repro.analysis.interproc import interprocedural_violations
+from repro.analysis.core import Analyzer, Violation, iter_python_files
 from repro.analysis.interproc.baseline import (
     DEFAULT_BASELINE,
     apply_baseline,
     load_baseline,
     write_baseline,
-)
-from repro.analysis.interproc.callgraph import (
-    ModuleSummary,
-    ProjectIndex,
-    summarize_module,
 )
 from repro.analysis.report import (
     exit_code,
@@ -58,12 +37,7 @@ from repro.analysis.report import (
     render_sarif,
     render_text,
 )
-from repro.analysis.rules import (
-    RULE_INDEX,
-    WHOLE_PROGRAM_RULE_IDS,
-    describe_rules,
-    get_rules,
-)
+from repro.analysis.rules import RULE_INDEX, describe_rules, get_rules
 
 #: Audited when the CLI is invoked without path arguments.
 DEFAULT_SURFACE = ("src/repro", "benchmarks")
@@ -99,14 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--whole-program",
-        action="store_true",
-        help=(
-            "also run the interprocedural passes (SIM008/SIM009) over the "
-            "project-wide call graph; implied by --rule SIM008/SIM009"
-        ),
-    )
-    parser.add_argument(
         "--explain",
         metavar="SIMnnn",
         help="print each finding's witness path edge by edge after the report",
@@ -124,21 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline",
         action="store_true",
         help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "reuse cached per-file results for files whose content hash is "
-            "unchanged (whole-program passes always re-run over the index)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=Path(DEFAULT_CACHE_DIR),
-        metavar="DIR",
-        help=f"--changed-only cache location (default: {DEFAULT_CACHE_DIR})",
     )
     return parser
 
@@ -176,11 +127,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"simlint: unknown rule {explain!r} for --explain", file=sys.stderr)
         return 2
 
-    selected = {rid.upper() for rid in (args.rules or ())}
-    whole_program = args.whole_program or bool(
-        selected & WHOLE_PROGRAM_RULE_IDS
-    )
-
     paths = list(args.paths)
     if not paths:
         paths = [Path(entry) for entry in DEFAULT_SURFACE if Path(entry).exists()]
@@ -217,53 +163,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"simlint: {exc}", file=sys.stderr)
             return 2
 
-    cache: Optional[FindingsCache] = None
-    if args.changed_only:
-        rule_ids = sorted(rule.rule_id for rule in rules)
-        cache = FindingsCache(args.cache_dir, engine_salt(rule_ids))
-
     files = list(iter_python_files(paths))
-    analyzer = Analyzer(rules)
-    violations: list[Violation] = []
-    summaries: list[ModuleSummary] = []
-    for path in files:
-        source = path.read_text(encoding="utf-8")
-        file_hash = content_hash(source)
-        if cache is not None:
-            hit = cache.lookup(path, file_hash)
-            if hit is not None:
-                cached_violations, cached_summary = hit
-                violations.extend(cached_violations)
-                if cached_summary is not None:
-                    summaries.append(cached_summary)
-                continue
-        ctx, parse_error = build_context(source, path)
-        summary: Optional[ModuleSummary] = None
-        if ctx is None:
-            assert parse_error is not None
-            file_violations = [parse_error]
-        else:
-            file_violations = analyzer.analyze_context(ctx)
-            summary = summarize_module(ctx)
-        violations.extend(file_violations)
-        if summary is not None:
-            summaries.append(summary)
-        if cache is not None:
-            cache.store(path, file_hash, file_violations, summary)
-    if cache is not None:
-        cache.save()
-        stats = cache.stats()
-        print(
-            f"simlint: cache {stats['hits']} hit(s), "
-            f"{stats['misses']} miss(es)",
-            file=sys.stderr,
-        )
-
-    if whole_program:
-        index = ProjectIndex(summaries)
-        active_ids = frozenset(rule.rule_id for rule in rules)
-        violations.extend(interprocedural_violations(index, active_ids))
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
+    violations = Analyzer(rules).analyze_sources(
+        (path, path.read_text(encoding="utf-8"), None) for path in files
+    )
 
     if args.write_baseline:
         assert baseline_path is not None

@@ -16,9 +16,11 @@ Architecture
   map, and the parsed suppressions.
 * :class:`~repro.analysis.rules.base.Rule` — rules declare the AST node
   types they care about (``interests``) and the dotted-module domains
-  they audit; the :class:`Analyzer` walks each tree **once**,
-  dispatching nodes to every interested rule.
-* Suppressions — ``# simlint: disable=SIM001,SIM004`` on the offending
+  they audit; the :class:`Analyzer` parses each file **once**, walks
+  the tree once dispatching nodes to every interested rule, and hands
+  the same parse to the whole-program passes
+  (:mod:`repro.analysis.interproc`) when SIM008 or SIM009 is selected.
+* Suppressions — ``# simlint: disable=SIM003,SIM004`` on the offending
   line silences exactly those rules there (``disable=all`` silences
   everything).  The policy (DESIGN.md §10): a suppression must carry a
   justification comment; fixing the code is always preferred.
@@ -43,6 +45,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.interproc.callgraph import ModuleSummary
     from repro.analysis.rules.base import Rule
 
 #: Violation severities, most severe first.  ``error`` findings fail the
@@ -94,27 +97,13 @@ class Violation:
             row["trace"] = list(self.trace)
         return row
 
-    @classmethod
-    def from_dict(cls, row: Mapping[str, object]) -> "Violation":
-        """Inverse of :meth:`as_dict`; the incremental cache round-trips
-        findings through JSON with this pair."""
-        return cls(
-            rule_id=str(row["rule"]),
-            path=str(row["path"]),
-            line=int(row["line"]),  # type: ignore[call-overload]
-            col=int(row["col"]),  # type: ignore[call-overload]
-            message=str(row["message"]),
-            severity=str(row.get("severity", "error")),
-            trace=tuple(str(hop) for hop in row.get("trace", ())),  # type: ignore[union-attr]
-        )
-
 
 def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
     """Map 1-based line numbers to the rule ids suppressed on that line.
 
     The token ``all`` (any case) suppresses every rule.  Several
     ``disable=`` comments on one line union together.  Rule ids are
-    upper-cased so ``sim001`` and ``SIM001`` are the same suppression.
+    upper-cased so ``sim008`` and ``SIM008`` are the same suppression.
     """
     table: dict[int, frozenset[str]] = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
@@ -266,34 +255,67 @@ def build_context(
     return ModuleContext(path, module, source, tree), None
 
 
+#: ``(path, source, module-override)`` triples accepted by
+#: :meth:`Analyzer.analyze_sources`; module may be None to derive it from
+#: the path / ``# simlint: module=`` directive.
+SourceSpec = tuple[Path, str, Optional[str]]
+
+
 class Analyzer:
-    """Runs a rule battery over files, one AST walk per file."""
+    """Runs a rule battery over files, one parse per file.
+
+    Each parse feeds one AST walk for the per-module rules and, when a
+    whole-program rule (SIM008/SIM009) is selected, the call-graph
+    summary that :mod:`repro.analysis.interproc` runs its passes over.
+    """
 
     def __init__(self, rules: Optional[Sequence["Rule"]] = None) -> None:
-        if rules is None:
-            from repro.analysis.rules import default_rules
+        from repro.analysis.rules import WHOLE_PROGRAM_RULE_IDS, default_rules
 
+        if rules is None:
             rules = default_rules()
         self.rules: tuple["Rule", ...] = tuple(rules)
+        self.whole_program_ids = frozenset(
+            rule.rule_id for rule in self.rules
+        ) & WHOLE_PROGRAM_RULE_IDS
 
     # ------------------------------------------------------------------
+    def analyze_sources(self, specs: Iterable[SourceSpec]) -> list[Violation]:
+        """Analyze in-memory sources as one program; the workhorse behind
+        every entry point."""
+        from repro.analysis.interproc import (
+            ProjectIndex,
+            interprocedural_violations,
+            summarize_module,
+        )
+
+        violations: list[Violation] = []
+        summaries: list["ModuleSummary"] = []
+        for path, source, module in specs:
+            ctx, parse_error = build_context(source, path, module)
+            if ctx is None:
+                assert parse_error is not None
+                violations.append(parse_error)
+                continue
+            violations.extend(self.analyze_context(ctx))
+            if self.whole_program_ids:
+                summaries.append(summarize_module(ctx))
+        if self.whole_program_ids:
+            violations.extend(
+                interprocedural_violations(
+                    ProjectIndex(summaries), self.whole_program_ids
+                )
+            )
+        violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
+        return violations
+
     def analyze_source(
         self, source: str, path: Path, module: Optional[str] = None
     ) -> list[Violation]:
-        """Analyze one file's text; the workhorse behind every entry point."""
-        ctx, parse_error = build_context(source, path, module)
-        if ctx is None:
-            assert parse_error is not None
-            return [parse_error]
-        return self.analyze_context(ctx)
+        return self.analyze_sources([(path, source, module)])
 
     def analyze_context(self, ctx: ModuleContext) -> list[Violation]:
-        """Run the per-module battery over an already-built context.
-
-        Split out from :meth:`analyze_source` so the whole-program layer
-        (:mod:`repro.analysis.interproc`) can reuse one parse for both
-        the per-module rules and its call-graph summary.
-        """
+        """Run the per-module battery over one parsed file."""
         active = [rule for rule in self.rules if rule.applies_to(ctx.module)]
         if not active:
             return []
@@ -308,19 +330,16 @@ class Analyzer:
                 found.extend(rule.visit(node, ctx))
         for rule in active:
             found.extend(rule.finish_module(ctx))
-        kept = [v for v in found if not is_suppressed(v, ctx.suppressions)]
-        kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-        return kept
+        return [v for v in found if not is_suppressed(v, ctx.suppressions)]
 
     def analyze_file(self, path: Path) -> list[Violation]:
-        source = path.read_text(encoding="utf-8")
-        return self.analyze_source(source, path)
+        return self.analyze_paths([path])
 
     def analyze_paths(self, paths: Iterable[Path]) -> list[Violation]:
-        violations: list[Violation] = []
-        for path in iter_python_files(paths):
-            violations.extend(self.analyze_file(path))
-        return violations
+        return self.analyze_sources(
+            (path, path.read_text(encoding="utf-8"), None)
+            for path in iter_python_files(paths)
+        )
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -346,6 +365,7 @@ __all__ = [
     "Analyzer",
     "ModuleContext",
     "SEVERITIES",
+    "SourceSpec",
     "Violation",
     "build_context",
     "format_suppression",

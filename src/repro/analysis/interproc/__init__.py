@@ -1,16 +1,17 @@
 """``repro.analysis.interproc`` — the whole-program simlint layer.
 
-The per-module rules (SIM001–SIM007) see one file at a time, so a
-determinism violation laundered through a helper function — a
-sim-domain scheduler calling ``repro.perf``'s wall-clock probe two
-modules away — is invisible to them.  This package builds a
-project-wide view and proves two properties over it:
+A per-module check sees one file at a time, so a determinism violation
+laundered through a helper function — a sim-domain scheduler calling
+``repro.perf``'s wall-clock probe two modules away — is invisible to
+it.  This package builds a project-wide view and proves two properties
+over it:
 
-* **SIM008, determinism taint** (``taint.py``): wall-clock reads,
-  unseeded RNG and host-ordering sources seed taint wherever they
-  occur; taint propagates along the alias-resolved call graph
-  (``callgraph.py``); any sim-domain function that can reach a source
-  is flagged at the offending call site, with the full path recorded.
+* **SIM008, determinism** (``taint.py``): wall-clock reads, unseeded
+  RNG and host-ordering sources are flagged where they are read and
+  seed taint wherever they occur; taint propagates along the
+  alias-resolved call graph (``callgraph.py``); any sim-domain function
+  that can reach a source is flagged at the offending call site, with
+  the full path recorded.
 * **SIM009, engine-cell purity** (``purity.py``): every function
   submitted to ``repro.exec`` — ``Cell(...)`` literals and
   ``@engine_cell``-marked functions — is proven taint-free, free of
@@ -19,23 +20,15 @@ project-wide view and proves two properties over it:
 
 ``baseline.py`` adds the ratchet: findings are fingerprinted
 (line-number independent) against a committed baseline so CI fails
-only on *new* findings.  The :class:`WholeProgramAnalyzer` below is
-the façade the CLI, the self-check test and the Hypothesis properties
-drive.
+only on *new* findings.  :class:`repro.analysis.Analyzer` drives these
+passes from the same parse as the per-module rules.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional
 
-from repro.analysis.core import (
-    Analyzer,
-    ModuleContext,
-    Violation,
-    build_context,
-    iter_python_files,
-)
+from repro.analysis.core import Violation
 from repro.analysis.interproc.baseline import (
     apply_baseline,
     finding_fingerprint,
@@ -51,11 +44,6 @@ from repro.analysis.interproc.callgraph import (
 )
 from repro.analysis.interproc.purity import purity_violations
 from repro.analysis.interproc.taint import TaintAnalysis, taint_violations
-
-#: ``(path, source, module-override)`` triples accepted by
-#: :meth:`WholeProgramAnalyzer.analyze_sources`; module may be None to
-#: derive from the path / ``# simlint: module=`` directive.
-SourceSpec = Tuple[Path, str, Optional[str]]
 
 
 def interprocedural_violations(
@@ -73,59 +61,12 @@ def interprocedural_violations(
     return found
 
 
-class WholeProgramAnalyzer:
-    """Per-module battery plus the interprocedural passes, one parse each.
-
-    Every file is parsed once; the resulting :class:`ModuleContext`
-    feeds both the per-module rules and the call-graph summary the
-    whole-program passes consume.
-    """
-
-    def __init__(self, analyzer: Optional[Analyzer] = None) -> None:
-        self.analyzer = analyzer or Analyzer()
-        self.rule_ids = frozenset(rule.rule_id for rule in self.analyzer.rules)
-
-    # ------------------------------------------------------------------
-    def analyze_sources(self, specs: Sequence[SourceSpec]) -> list[Violation]:
-        """Analyze in-memory sources (the Hypothesis properties' entry)."""
-        violations: list[Violation] = []
-        summaries: list[ModuleSummary] = []
-        for path, source, module in specs:
-            ctx, parse_error = build_context(source, path, module)
-            if ctx is None:
-                assert parse_error is not None
-                violations.append(parse_error)
-                continue
-            violations.extend(self.analyzer.analyze_context(ctx))
-            summaries.append(summarize_module(ctx))
-        violations.extend(self.project_violations(summaries))
-        violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-        return violations
-
-    def analyze_paths(self, paths: Iterable[Path]) -> list[Violation]:
-        specs: list[SourceSpec] = [
-            (path, path.read_text(encoding="utf-8"), None)
-            for path in iter_python_files(paths)
-        ]
-        return self.analyze_sources(specs)
-
-    def project_violations(
-        self, summaries: Sequence[ModuleSummary]
-    ) -> list[Violation]:
-        """The interprocedural findings for pre-built module summaries."""
-        index = ProjectIndex(summaries)
-        return interprocedural_violations(index, self.rule_ids)
-
-
 __all__ = [
     "CellSite",
     "FunctionInfo",
-    "ModuleContext",
     "ModuleSummary",
     "ProjectIndex",
-    "SourceSpec",
     "TaintAnalysis",
-    "WholeProgramAnalyzer",
     "apply_baseline",
     "finding_fingerprint",
     "interprocedural_violations",

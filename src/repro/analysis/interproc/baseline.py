@@ -10,7 +10,7 @@ refresh away.
 Fingerprints are **line-number independent** (rule id, repo-relative
 path, message) so pure code motion above a finding does not churn the
 baseline; identical findings in one file are disambiguated by count —
-a file holding two baselined ``SIM002`` findings may keep two, and the
+a file holding two baselined ``SIM008`` findings may keep two, and the
 third is new.
 """
 

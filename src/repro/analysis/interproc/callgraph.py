@@ -1,11 +1,16 @@
-"""Project-wide call-graph extraction and the cross-module index.
+"""Project-wide call-graph extraction, the determinism sources, and the
+cross-module index.
 
-One :class:`ModuleSummary` per file — every function the module
-defines (methods keyed ``Class.method``), every alias-resolved call it
-makes, every determinism *source* it touches, every module-global
-write, and every ``Cell(...)`` construction — all JSON-round-trippable
-so the ``--changed-only`` cache can rebuild the whole-program index
-without re-parsing unchanged files.
+One :class:`ModuleSummary` per file: every function the module defines
+(methods keyed ``Class.method``), every alias-resolved call it makes,
+every determinism *source* it touches (inside functions and at module
+level), every module-global write, and every ``Cell(...)``
+construction.
+
+Determinism sources come in three kinds, each with one classifier here
+that SIM008 and SIM009 share: wall-clock reads (:data:`WALL_CLOCK_NAMES`),
+global-state or entropy-seeded randomness (:func:`classify_rng_call`),
+and host-environment / ordering reads (:data:`ORDERING_SOURCE_NAMES`).
 
 Resolution strategy (documented precision envelope):
 
@@ -25,13 +30,11 @@ Resolution strategy (documented precision envelope):
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.analysis.core import ModuleContext
-from repro.analysis.rules.rng import classify_rng_call
-from repro.analysis.rules.wallclock import WALL_CLOCK_NAMES
 
 #: Dotted names under which the sweep engine's cell type is imported.
 CELL_CONSTRUCTOR_NAMES = frozenset({"repro.exec.Cell", "repro.exec.cells.Cell"})
@@ -59,9 +62,49 @@ BANNED_CAPTURE_NAMES = frozenset(
     }
 )
 
-#: Host-environment / ordering sources (SIM008's third family): none of
-#: these is covered by a per-module rule, so direct uses in sim domains
-#: are flagged by the whole-program pass itself.
+#: Canonical dotted names of wall-clock reads (import aliases are
+#: resolved before matching, so ``from time import time; time()`` and
+#: ``as`` renames are all caught).
+WALL_CLOCK_NAMES = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.thread_time",
+        "time.thread_time_ns",
+        "time.clock_gettime",
+        "time.clock_gettime_ns",
+        "os.times",
+        "resource.getrusage",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: ``numpy.random`` attributes that *construct* seeded generators —
+#: the modern, reproducible API — rather than draw from global state.
+SEEDED_CONSTRUCTORS = frozenset(
+    {
+        "default_rng",
+        "Generator",
+        "SeedSequence",
+        "BitGenerator",
+        "PCG64",
+        "PCG64DXSM",
+        "Philox",
+        "SFC64",
+        "MT19937",
+    }
+)
+
+#: Host-environment / ordering sources.
 ORDERING_SOURCE_NAMES = frozenset(
     {
         "os.getenv",
@@ -87,26 +130,93 @@ ORDERING_SOURCE_NAMES = frozenset(
 #: Prefix-matched ordering sources (``os.environ.get`` and friends).
 ORDERING_SOURCE_PREFIXES = ("os.environ",)
 
+#: How findings name a read of each source kind (``.format(call)``).
+SOURCE_LABELS = {
+    "wall-clock": "wall-clock read {}()",
+    "rng": "nondeterministic randomness {}()",
+    "ordering": "{}() depends on the host environment / iteration order",
+}
+
+
+def _entropy_seeded(node: ast.Call) -> bool:
+    """True when a generator constructor gets no seed or a literal None."""
+    seeds = [*node.args, *(kw.value for kw in node.keywords)]
+    if not seeds:
+        return True
+    return (
+        len(seeds) == 1
+        and isinstance(seeds[0], ast.Constant)
+        and seeds[0].value is None
+    )
+
+
+def classify_rng_call(resolved: str, node: ast.Call) -> Optional[str]:
+    """Reason string when the call is nondeterministic randomness, else None.
+
+    ``resolved`` is the alias-resolved dotted name of ``node.func``.
+    The stdlib ``random`` module's free functions and the legacy
+    ``numpy.random.*`` functions share hidden global state, so two
+    components drawing from them entangle their streams.  Constructors
+    are judged by their seed: ``random.Random(seed)`` and
+    ``default_rng(seed)`` pass, while the forms with no seed or a
+    literal ``None`` one are entropy-seeded (``random.SystemRandom`` is
+    OS entropy by construction and always flagged).
+    """
+    if resolved == "random.SystemRandom":
+        return (
+            "random.SystemRandom() draws OS entropy and can never be "
+            "seeded; derive a stream from RngFactory (repro.sim.rng)"
+        )
+    if resolved == "random.Random":
+        if _entropy_seeded(node):
+            return (
+                "random.Random() without a seed (or with None) is "
+                "entropy-seeded and unreproducible; pass a derived seed"
+            )
+        return None  # random.Random(seed) is an explicitly seeded instance
+    if resolved == "random" or resolved.startswith("random."):
+        return (
+            f"{resolved}() draws from the stdlib's hidden global RNG; "
+            "derive a stream from RngFactory (repro.sim.rng) instead"
+        )
+    if resolved.startswith("numpy.random."):
+        tail = resolved.rsplit(".", 1)[-1]
+        if tail not in SEEDED_CONSTRUCTORS:
+            return (
+                f"{resolved}() uses numpy's legacy global RNG; construct "
+                "a seeded Generator (RngFactory.stream / default_rng(seed))"
+            )
+        if tail == "default_rng" and _entropy_seeded(node):
+            return (
+                "default_rng() without a seed (or with None) is "
+                "entropy-seeded and unreproducible; pass the experiment seed"
+            )
+    return None
+
 
 def classify_source(resolved: str, node: ast.Call) -> Optional[tuple[str, str]]:
     """``(kind, reason)`` when the call is a determinism source, else None."""
     if resolved in WALL_CLOCK_NAMES:
-        return "wall-clock", f"wall-clock read {resolved}()"
+        return "wall-clock", (
+            SOURCE_LABELS["wall-clock"].format(resolved)
+            + " makes the run depend on host load, not the seed; read the "
+            "simulator clock instead"
+        )
     rng_reason = classify_rng_call(resolved, node)
     if rng_reason is not None:
-        return "rng", f"nondeterministic randomness {resolved}()"
+        return "rng", rng_reason
     if resolved in ORDERING_SOURCE_NAMES or resolved.startswith(
         ORDERING_SOURCE_PREFIXES
     ):
-        return (
-            "ordering",
-            f"{resolved}() depends on the host environment / iteration order",
+        return "ordering", (
+            SOURCE_LABELS["ordering"].format(resolved)
+            + "; sim-domain code must be a pure function of the seed"
         )
     return None
 
 
 # ----------------------------------------------------------------------
-# summary data model (JSON-round-trippable for the incremental cache)
+# summary data model
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class CallSite:
@@ -119,16 +229,21 @@ class CallSite:
 
 @dataclass(frozen=True, slots=True)
 class TaintSource:
-    """One determinism source occurrence inside a function."""
+    """One determinism source occurrence."""
 
     call: str
     kind: str  # "wall-clock" | "rng" | "ordering"
+    #: The message of the zero-hop SIM008 finding at this read.
     reason: str
     line: int
     col: int
     #: True when the source line carries ``# simlint: disable=SIM008``
     #: (or ``all``) — a suppressed source never contributes taint.
     suppressed: bool
+
+    @property
+    def label(self) -> str:
+        return SOURCE_LABELS[self.kind].format(self.call)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,124 +300,54 @@ class ModuleSummary:
     imports: Mapping[str, str]
     functions: tuple[FunctionInfo, ...]
     cell_sites: tuple[CellSite, ...]
-    suppressions: Mapping[int, frozenset[str]] = field(default_factory=dict)
+    #: Sources outside every function body: module-level statements and
+    #: class bodies.  They get zero-hop findings but seed no taint, as no
+    #: call can reach them.
+    module_sources: tuple[TaintSource, ...]
+    suppressions: Mapping[int, frozenset[str]]
 
     def suppressed_at(self, line: int, rule_id: str) -> bool:
         active = self.suppressions.get(line)
         return bool(active) and ("all" in active or rule_id in active)
-
-    # -- JSON (incremental cache) --------------------------------------
-    def to_json(self) -> dict[str, object]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "imports": dict(self.imports),
-            "functions": [
-                {
-                    "qualname": fn.qualname,
-                    "line": fn.line,
-                    "col": fn.col,
-                    "is_engine_cell": fn.is_engine_cell,
-                    "calls": [[c.target, c.line, c.col] for c in fn.calls],
-                    "sources": [
-                        [s.call, s.kind, s.reason, s.line, s.col, s.suppressed]
-                        for s in fn.sources
-                    ],
-                    "global_writes": [
-                        [w.name, w.line, w.col] for w in fn.global_writes
-                    ],
-                }
-                for fn in self.functions
-            ],
-            "cell_sites": [
-                {
-                    "line": site.line,
-                    "col": site.col,
-                    "target": site.target,
-                    "captures": [
-                        [c.kind, c.detail, c.keyword, c.line, c.col]
-                        for c in site.captures
-                    ],
-                }
-                for site in self.cell_sites
-            ],
-            "suppressions": {
-                str(line): sorted(ids) for line, ids in self.suppressions.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, doc: Mapping[str, object]) -> "ModuleSummary":
-        functions = tuple(
-            FunctionInfo(
-                qualname=str(fn["qualname"]),
-                line=int(fn["line"]),
-                col=int(fn["col"]),
-                is_engine_cell=bool(fn["is_engine_cell"]),
-                calls=tuple(
-                    CallSite(str(t), int(ln), int(co)) for t, ln, co in fn["calls"]
-                ),
-                sources=tuple(
-                    TaintSource(
-                        str(call), str(kind), str(reason),
-                        int(ln), int(co), bool(supp),
-                    )
-                    for call, kind, reason, ln, co, supp in fn["sources"]
-                ),
-                global_writes=tuple(
-                    GlobalWrite(str(n), int(ln), int(co))
-                    for n, ln, co in fn["global_writes"]
-                ),
-            )
-            for fn in doc["functions"]  # type: ignore[union-attr]
-        )
-        cell_sites = tuple(
-            CellSite(
-                line=int(site["line"]),
-                col=int(site["col"]),
-                target=None if site["target"] is None else str(site["target"]),
-                captures=tuple(
-                    CellCapture(str(k), str(d), str(kw), int(ln), int(co))
-                    for k, d, kw, ln, co in site["captures"]
-                ),
-            )
-            for site in doc["cell_sites"]  # type: ignore[union-attr]
-        )
-        suppressions = {
-            int(line): frozenset(str(rid) for rid in ids)
-            for line, ids in doc["suppressions"].items()  # type: ignore[union-attr]
-        }
-        return cls(
-            module=str(doc["module"]),
-            path=str(doc["path"]),
-            imports={
-                str(k): str(v)
-                for k, v in doc["imports"].items()  # type: ignore[union-attr]
-            },
-            functions=functions,
-            cell_sites=cell_sites,
-            suppressions=suppressions,
-        )
 
 
 # ----------------------------------------------------------------------
 # extraction
 # ----------------------------------------------------------------------
 def _shallow_walk(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node``'s body without descending into nested def/class.
+    """Walk ``node``'s body without descending into nested defs.
 
-    Lambda bodies *are* descended into: they execute in the enclosing
-    function's dynamic extent often enough (sort keys, callbacks) that
-    attributing their sources to the enclosing function is the
-    conservative choice.
+    Class bodies and lambda bodies *are* descended into: a class body
+    runs when its enclosing scope does, and a lambda executes in the
+    enclosing function's dynamic extent often enough (sort keys,
+    callbacks) that attributing its sources there is the conservative
+    choice.  Every node of a module is therefore walked exactly once,
+    by its innermost enclosing def or by the module-level walk.
     """
     for child in ast.iter_child_nodes(node):
         yield child
-        if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         yield from _shallow_walk(child)
+
+
+def _source_at(
+    ctx: ModuleContext, node: ast.Call, resolved: str
+) -> Optional[TaintSource]:
+    """The determinism source ``node`` reads, if it is one."""
+    source = classify_source(resolved, node)
+    if source is None:
+        return None
+    kind, reason = source
+    active = ctx.suppressions.get(node.lineno)
+    return TaintSource(
+        call=resolved,
+        kind=kind,
+        reason=reason,
+        line=node.lineno,
+        col=node.col_offset,
+        suppressed=bool(active) and ("all" in active or "SIM008" in active),
+    )
 
 
 def _collect_defs(
@@ -421,19 +466,9 @@ class _FunctionExtractor:
                     cells.append(self._cell_site(sub, local_ctors))
                     continue
                 if resolved is not None:
-                    source = classify_source(resolved, sub)
+                    source = _source_at(self.ctx, sub, resolved)
                     if source is not None:
-                        kind, reason = source
-                        sources.append(
-                            TaintSource(
-                                call=resolved,
-                                kind=kind,
-                                reason=reason,
-                                line=sub.lineno,
-                                col=sub.col_offset,
-                                suppressed=self._source_suppressed(sub.lineno),
-                            )
-                        )
+                        sources.append(source)
                         continue
                 target_name = self.resolve_call_target(sub.func)
                 if target_name is not None:
@@ -451,10 +486,6 @@ class _FunctionExtractor:
             global_writes=tuple(writes),
         )
         return info, cells
-
-    def _source_suppressed(self, line: int) -> bool:
-        active = self.ctx.suppressions.get(line)
-        return bool(active) and ("all" in active or "SIM008" in active)
 
     def _is_engine_cell(self) -> bool:
         for decorator in self.node.decorator_list:
@@ -577,12 +608,23 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
         functions.append(info)
         cell_sites.extend(cells)
 
+    module_sources: list[TaintSource] = []
+    for node in _shallow_walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        resolved = ctx.resolve(node.func)
+        if resolved is not None:
+            source = _source_at(ctx, node, resolved)
+            if source is not None:
+                module_sources.append(source)
+
     return ModuleSummary(
         module=ctx.module,
         path=str(ctx.path),
         imports=dict(ctx.imports),
         functions=tuple(functions),
         cell_sites=tuple(cell_sites),
+        module_sources=tuple(module_sources),
         suppressions=dict(ctx.suppressions),
     )
 
@@ -686,7 +728,11 @@ __all__ = [
     "ORDERING_SOURCE_NAMES",
     "ORDERING_SOURCE_PREFIXES",
     "ProjectIndex",
+    "SEEDED_CONSTRUCTORS",
+    "SOURCE_LABELS",
     "TaintSource",
+    "WALL_CLOCK_NAMES",
+    "classify_rng_call",
     "classify_source",
     "summarize_module",
 ]

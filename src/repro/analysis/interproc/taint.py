@@ -1,4 +1,13 @@
-"""SIM008 — interprocedural determinism taint propagation.
+"""SIM008 — determinism: direct reads and interprocedural taint.
+
+A single ``time.time()`` (or friend) on a decision path makes a run a
+function of the host machine's load instead of the seed; a draw from
+a global or entropy-seeded RNG entangles streams so that any
+reordering silently changes every number downstream.  Serial and
+parallel sweeps then diverge, cache replay stops being byte-identical,
+and the queue ≡ sorted-list reference suite loses its meaning.  SIM008
+is the one rule for these sources, whether code reads them in place
+or through any chain of helpers.
 
 The lattice is deliberately binary: a function is *tainted* when it can
 reach a determinism source (wall-clock read, nondeterministic RNG,
@@ -9,22 +18,28 @@ each tainted function records a **shortest witness path** down to a
 concrete primitive — that path is what the violation message summarises
 and ``--explain SIM008`` prints edge-by-edge.
 
-Flagging policy:
+Flagging policy — zero hops (the read itself, in a function body, a
+class body or at module level):
 
-* Sinks are functions defined in the sim domains
-  (:data:`~repro.analysis.rules.base.SIM_DOMAINS`); SIM001's module
-  allowlist is *lifted to the sink* — an allowlisted module (e.g.
-  ``repro.perf``) may read the clock, but it still seeds taint into
-  any sim-domain caller.
-* A call site is flagged when its resolved callee is tainted.  Direct
-  wall-clock / RNG sources are *not* re-flagged — those are SIM001 and
-  SIM002 findings and stay per-module.  Direct *ordering* sources
-  (``os.environ`` and friends) are flagged here, because no per-module
-  rule covers them.
-* ``# simlint: disable=SIM008`` on a **source** line kills the taint at
-  the root (the suppressed source contributes nothing anywhere — the
-  Hypothesis property in ``tests/test_analysis_interproc.py`` pins
-  this); on a **call site** line it silences that one finding only.
+* a wall-clock read is flagged in every module except
+  :data:`WALL_CLOCK_ALLOWLIST`;
+* nondeterministic randomness is flagged in every module, with no
+  allowlist;
+* an ordering source (``os.environ`` and friends) is flagged in the
+  sink domains below.
+
+One or more hops: a call site is flagged when its resolved callee is
+tainted and the caller is a sink — a function in
+:data:`SINK_DOMAINS` outside :data:`WALL_CLOCK_ALLOWLIST`.  The
+allowlist is *lifted to the sink*: ``repro.perf`` may read the clock,
+but it still seeds taint into any sim-domain caller, which is exactly
+the laundering a per-module check cannot see.
+
+``# simlint: disable=SIM008`` on a **source** line both silences its
+zero-hop finding and kills the taint at the root (the suppressed
+source contributes nothing anywhere — the Hypothesis property in
+``tests/test_analysis_interproc.py`` pins this); on a **call site**
+line it silences that one finding only.
 """
 
 from __future__ import annotations
@@ -35,14 +50,51 @@ from typing import Optional
 
 from repro.analysis.core import Violation
 from repro.analysis.rules.base import SIM_DOMAINS, module_in
-from repro.analysis.rules.wallclock import WallClockRule
 from repro.analysis.interproc.callgraph import ProjectIndex, TaintSource
 
 RULE_ID = "SIM008"
 
-#: Sink exemptions: modules that measure wall time on purpose.  Shared
-#: with SIM001 so the two layers cannot disagree about who is exempt.
-SINK_ALLOWLIST: tuple[str, ...] = WallClockRule.allowlist
+#: Modules that measure *real* wall time on purpose and are therefore
+#: outside the deterministic core: their clock reads are not flagged and
+#: they are not sinks.  They still seed taint into their callers.
+#:
+#: ``repro.perf``
+#:     The profiling subsystem.  Capturing wall-clock cost of the
+#:     simulator is its entire job; it never runs inside a simulation.
+#: ``benchmarks``
+#:     The benchmark harness.  It times the simulator from the outside;
+#:     the simulated work it drives stays on the virtual clock.
+#: ``repro.exec.queue``
+#:     The engine's work-stealing pool stamps each cell with its wall
+#:     duration (``timed_call``), its CPU/RSS resource profile
+#:     (``profiled_call``: ``os.times`` / ``resource.getrusage``) and
+#:     worker heartbeat timestamps — progress reporting, event-stream
+#:     metadata and the ops plane's liveness ledger.  None of it ever
+#:     feeds back into any result; the event-stream golden test
+#:     normalises all of it to zero because it is presentation-only.
+#: ``repro.experiments.overhead``
+#:     Reproduces the paper's overhead table, whose whole point is
+#:     comparing *real* recognition cost against the oracle — the one
+#:     experiment where wall time is the measured quantity.
+#: ``repro.experiments.__main__``
+#:     CLI progress output ("[fig5 took 12.3s]"); presentation only.
+#: ``repro.telemetry.exposition``
+#:     The telemetry *export* layer stamps artifacts (Prometheus text,
+#:     JSONL) with the wall-clock moment they were written — host-side
+#:     provenance, recorded after the simulation finished, never an
+#:     input to it.  The recording layers (``repro.telemetry.registry``
+#:     / ``spans`` / ``audit``) stay on the virtual clock and remain
+#:     fully audited; the fixture ``sim001_telemetry_flagged.py`` proves
+#:     an unguarded wall-clock read there still fails, and
+#:     ``sim002_exposition_flagged.py`` that exposition's RNG draws do.
+WALL_CLOCK_ALLOWLIST: tuple[str, ...] = (
+    "repro.perf",
+    "benchmarks",
+    "repro.exec.queue",
+    "repro.experiments.overhead",
+    "repro.experiments.__main__",
+    "repro.telemetry.exposition",
+)
 
 #: Domains whose functions count as SIM008 sinks.  ``repro.ops`` is a
 #: sink on top of the sim domains: the observation plane must stay a
@@ -66,7 +118,7 @@ class TaintInfo:
 
     def describe(self) -> str:
         hops = " -> ".join((*self.chain, f"{self.source.call}()"))
-        return f"{self.source.reason} [path: {hops}]"
+        return f"{self.source.label} [path: {hops}]"
 
 
 class TaintAnalysis:
@@ -131,7 +183,34 @@ class TaintAnalysis:
 
 def _is_sink(module: str) -> bool:
     return module_in(module, SINK_DOMAINS) and not module_in(
-        module, SINK_ALLOWLIST
+        module, WALL_CLOCK_ALLOWLIST
+    )
+
+
+def _flags_read(source: TaintSource, module: str) -> bool:
+    """Zero-hop scope: is reading ``source`` in ``module`` a finding?"""
+    if source.suppressed:
+        return False
+    if source.kind == "rng":
+        return True
+    if source.kind == "wall-clock":
+        return not module_in(module, WALL_CLOCK_ALLOWLIST)
+    return _is_sink(module)
+
+
+def _read_violation(
+    index: ProjectIndex,
+    path: str,
+    chain: tuple[str, ...],
+    source: TaintSource,
+) -> Violation:
+    return Violation(
+        rule_id=RULE_ID,
+        path=path,
+        line=source.line,
+        col=source.col,
+        message=source.reason,
+        trace=render_trace(index, chain, source),
     )
 
 
@@ -154,28 +233,22 @@ def render_trace(
 def taint_violations(
     index: ProjectIndex, taint: TaintAnalysis
 ) -> list[Violation]:
-    """SIM008 findings: sim-domain functions that can reach a source."""
+    """SIM008 findings: direct source reads, and sinks that reach one."""
     found: list[Violation] = []
+    for summary in index.summaries:
+        found.extend(
+            _read_violation(index, summary.path, (), source)
+            for source in summary.module_sources
+            if _flags_read(source, summary.module)
+        )
     for ref, (summary, fn) in index.iter_functions():
+        found.extend(
+            _read_violation(index, summary.path, (ref,), source)
+            for source in fn.sources
+            if _flags_read(source, summary.module)
+        )
         if not _is_sink(summary.module):
             continue
-        # direct ordering sources (no per-module rule covers these)
-        for source in fn.sources:
-            if source.kind != "ordering" or source.suppressed:
-                continue
-            found.append(
-                Violation(
-                    rule_id=RULE_ID,
-                    path=summary.path,
-                    line=source.line,
-                    col=source.col,
-                    message=(
-                        f"{source.reason}; sim-domain code must be a pure "
-                        "function of the seed"
-                    ),
-                    trace=render_trace(index, (ref,), source),
-                )
-            )
         # calls into tainted callees, wherever the source lives
         for call in fn.calls:
             if summary.suppressed_at(call.line, RULE_ID):
@@ -206,9 +279,9 @@ def taint_violations(
 __all__ = [
     "RULE_ID",
     "render_trace",
-    "SINK_ALLOWLIST",
     "SINK_DOMAINS",
     "TaintAnalysis",
     "TaintInfo",
+    "WALL_CLOCK_ALLOWLIST",
     "taint_violations",
 ]

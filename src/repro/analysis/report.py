@@ -7,7 +7,7 @@ versioned::
     {
       "schema": 1,
       "violations": [{"rule", "path", "line", "col", "severity", "message"}],
-      "counts": {"SIM001": 2, ...},        # only rules that fired
+      "counts": {"SIM008": 2, ...},        # only rules that fired
       "checked_rules": [{"rule", "severity", "description"}],
       "files": 42,
       "exit": 1

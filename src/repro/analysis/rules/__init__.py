@@ -27,18 +27,14 @@ from repro.analysis.rules.interproc import (
 )
 from repro.analysis.rules.ordering import UnorderedIterationRule
 from repro.analysis.rules.procpool import ProcessPoolRule
-from repro.analysis.rules.rng import UnseededRngRule
 from repro.analysis.rules.simtime import SimTimeFloatRule
 from repro.analysis.rules.slots import MissingSlotsRule
-from repro.analysis.rules.wallclock import WallClockRule
 
 #: Every registered rule, in rule-id order.  SIM008/SIM009 are
 #: whole-program descriptors (see ``rules/interproc.py``): listed,
 #: selectable and suppressible like any rule, but their analysis runs
-#: in ``repro.analysis.interproc`` under ``--whole-program``.
+#: in ``repro.analysis.interproc`` over the project-wide call graph.
 RULE_CLASSES: tuple[type[Rule], ...] = (
-    WallClockRule,
-    UnseededRngRule,
     UnorderedIterationRule,
     SimTimeFloatRule,
     MissingSlotsRule,

@@ -1,23 +1,21 @@
 """SIM008 / SIM009 — the whole-program rules.
 
-Unlike SIM001–SIM007 these are not per-module AST visitors: they need
+Unlike SIM003–SIM007 these are not per-module AST visitors: they need
 the project-wide call graph that :mod:`repro.analysis.interproc` builds
 from every analyzed file at once, so the classes here are *descriptors*
-— they carry the rule id, severity, description and scope tables that
+— they carry the rule id, severity and description that
 ``--list-rules``, ``--rule`` selection, the JSON/SARIF reports and the
 suppression machinery all key on, while the actual analysis lives in
-``interproc/taint.py`` and ``interproc/purity.py``.  Running them
-requires ``--whole-program`` (selecting one with ``--rule`` enables it
-implicitly); under the plain per-module engine they match no AST nodes
-and stay silent.
+``interproc/taint.py`` and ``interproc/purity.py``.  The analyzer
+builds the call graph whenever one of them is selected.
 
-SIM008 — **interprocedural determinism taint.**  Wall-clock reads,
-unseeded RNG and ordering sources (``os.environ``, pids, directory
-listings) seed taint wherever they occur — including modules SIM001
-exempts, because the allowlist is *lifted to the sink*: ``repro.perf``
-may read the clock, but a sim-domain function calling a ``repro.perf``
-helper two modules away is exactly the laundering the per-module rule
-cannot see.
+SIM008 — **determinism.**  Wall-clock reads, unseeded RNG and ordering
+sources (``os.environ``, pids, directory listings) are flagged where
+they are read, and seed taint wherever they occur — including modules
+the wall-clock allowlist exempts, because that allowlist is *lifted to
+the sink*: ``repro.perf`` may read the clock, but a sim-domain function
+calling a ``repro.perf`` helper two modules away is flagged at the call.
+``interproc/taint.py`` documents the scope of each source kind.
 
 SIM009 — **engine-cell purity proofs.**  Every function submitted to
 ``repro.exec`` (``Cell(...)`` literals and ``@engine_cell``-marked
@@ -28,31 +26,21 @@ engine's crash-resume guarantee that re-executing a cell is harmless.
 
 from __future__ import annotations
 
-from repro.analysis.rules.base import SIM_DOMAINS, Rule
-from repro.analysis.rules.wallclock import WallClockRule
+from repro.analysis.rules.base import Rule
 
 
 class WholeProgramRule(Rule):
     """Marker base: analysis happens in ``repro.analysis.interproc``."""
 
-    #: Distinguishes descriptor rules from per-module visitors; the CLI
-    #: auto-enables ``--whole-program`` when one is selected explicitly.
-    whole_program: bool = True
-
 
 class DeterminismTaintRule(WholeProgramRule):
     rule_id = "SIM008"
     description = (
-        "interprocedural determinism taint: sim-domain code reaches a "
-        "wall-clock/RNG/ordering source through helper calls "
-        "(whole-program; SIM001's allowlist applies to the sink, not "
-        "the source)"
+        "determinism: wall-clock read, global-state or entropy-seeded "
+        "randomness, or host-ordering source, read directly or reached "
+        "through helper calls; use the virtual clock (Simulator.now) and "
+        "the seeded sim.rng streams"
     )
-    #: Sinks audited: the deterministic core.  The allowlist re-uses
-    #: SIM001's — those modules measure wall time *on purpose* and are
-    #: legitimate sinks, but still seed taint into their callers.
-    domains = SIM_DOMAINS
-    allowlist = WallClockRule.allowlist
 
 
 class EngineCellPurityRule(WholeProgramRule):
@@ -60,12 +48,8 @@ class EngineCellPurityRule(WholeProgramRule):
     description = (
         "engine-cell purity: a function submitted to repro.exec "
         "(Cell(...) / @engine_cell) must be taint-free, mutate no "
-        "module globals, and capture nothing unpicklable (whole-program)"
+        "module globals, and capture nothing unpicklable"
     )
-    # Cells may be defined anywhere (experiments, fuzz, fleet,
-    # third-party policy modules), so the sink scope is every module.
-    domains = ()
-    allowlist = ()
 
 
 __all__ = ["DeterminismTaintRule", "EngineCellPurityRule", "WholeProgramRule"]

@@ -33,9 +33,9 @@ barrier is exactly a sequence of ``run()`` calls — each barrier is a
 phase boundary): the checkpoint journal is keyed by cache key, not by
 position, so multi-sweep runs resume just as precisely.
 
-Wall-clock note: SIM001 allowlists this module for the same reason it
-allowlists the queue — per-cell wall timing is progress metadata,
-never an input to any result.
+Wall-clock note: this module reads no clock.  Per-cell wall timing
+happens in ``repro.exec.queue`` (on simlint SIM008's wall-clock
+allowlist); it is progress metadata, never an input to any result.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ engine's checkpointing and event stream.
 
 Wall-clock note: per-cell ``perf_counter`` timing, the ``os.times`` /
 ``resource.getrusage`` resource profiles and the heartbeat wall stamps
-here are progress/ops metadata only (SIM001 allowlists
-``repro.exec.queue``); none of it ever feeds a result.
+here are progress/ops metadata only (simlint's SIM008 wall-clock
+allowlist names ``repro.exec.queue``); none of it ever feeds a result.
 """
 
 from __future__ import annotations

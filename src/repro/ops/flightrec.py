@@ -99,7 +99,7 @@ class FlightRecorder:
             # The filename stamp records when the host dumped —
             # operational provenance, never an engine input (pinned by
             # tests/test_ops_plane.py::test_serve_preserves_fold_bytes).
-            stamp = int(time.time() * 1000)  # simlint: disable=SIM001,SIM008
+            stamp = int(time.time() * 1000)  # simlint: disable=SIM008
             name = f"flightrec-{stamp}-{self._dump_seq:02d}"
             self._dump_seq += 1
             path = Path(directory) / f"{name}.jsonl"

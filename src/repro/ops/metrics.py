@@ -174,7 +174,7 @@ class EngineMetricsSink:
         # reading about the host, never an input to any engine result
         # (pinned by tests/test_ops_plane.py::
         # test_serve_preserves_fold_bytes).
-        now = time.time()  # simlint: disable=SIM001,SIM008
+        now = time.time()  # simlint: disable=SIM008
         with self._lock:
             registry = self.registry
             registry.gauge(

@@ -80,7 +80,7 @@ class RunStatus:
         # Status timestamps are host-side provenance for dashboards and
         # status.json; no engine result reads them (pinned by
         # tests/test_ops_plane.py::test_serve_preserves_fold_bytes).
-        now = time.time()  # simlint: disable=SIM001,SIM008
+        now = time.time()  # simlint: disable=SIM008
         with self._lock:
             if self.started_unix is None:
                 self.started_unix = now

@@ -13,7 +13,7 @@ Two formats, two audiences:
 This module is the *only* telemetry component allowed to read the wall
 clock (the export header stamps when the artifact was written — an
 operational fact about the host, not the simulation).  It is
-allowlisted for simlint SIM001; the registry/span/audit layers stay on
+on simlint SIM008's wall-clock allowlist; the registry/span/audit layers stay on
 the virtual clock, and an unguarded wall-clock read anywhere else in
 sim code still fails the lint (see
 ``tests/analysis_fixtures/sim001_telemetry_flagged.py``).

@@ -19,7 +19,7 @@ def sample(seed: int) -> int:
 
 
 def _justified_probe() -> float:
-    return time.time()  # simlint: disable=SIM001,SIM008 -- fixture: waived source
+    return time.time()  # simlint: disable=SIM008 -- fixture: waived source
 
 
 def probe_caller() -> float:

@@ -3,11 +3,11 @@
 """SIM008 positive fixture: laundered and direct nondeterminism.
 
 ``elapsed`` launders a wall-clock read through an allowlisted helper
-in another file — invisible to per-module SIM001 (the source module is
+in another file — invisible to a per-module check (the source module is
 exempt and this module never touches ``time``), caught by the
-interprocedural taint pass at the call site.  ``pick_kernel`` hits a
-direct ordering source no per-module rule covers; ``tolerated`` shows
-a call-site waiver silencing exactly one finding.
+interprocedural taint pass at the call site.  ``pick_kernel`` reads a
+direct ordering source; ``tolerated`` shows a call-site waiver
+silencing exactly one finding.
 """
 import os
 

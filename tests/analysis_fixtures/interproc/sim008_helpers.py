@@ -2,8 +2,9 @@
 # simlint-expect:
 """SIM008 helper fixture: an allowlisted module that reads the clock.
 
-``repro.perf`` profiles on purpose, so SIM001 exempts it and SIM008
-treats it as a legitimate *sink* — no finding lands in this file.  But
+``repro.perf`` profiles on purpose, so it is on SIM008's wall-clock
+allowlist: its read is not flagged and it is not a sink — no finding
+lands in this file.  But
 the allowlist is lifted to the sink only: ``now_ms`` still seeds taint,
 and the laundering it enables is caught in ``sim008_flagged.py`` at the
 sim-domain caller.

@@ -1,6 +1,6 @@
 # simlint: module=repro.perf.fake_fixture
 # simlint-expect:
-"""SIM001 negative fixture: repro.perf is allowlisted (profiling is its job)."""
+"""SIM008 negative fixture: repro.perf may read the clock (profiling is its job)."""
 import time
 
 

@@ -1,6 +1,6 @@
 # simlint: module=repro.hypervisor.fake_fixture
-# simlint-expect: SIM001:10 SIM001:11 SIM001:15 SIM001:19
-"""SIM001 positive fixture: wall-clock reads in simulation code."""
+# simlint-expect: SIM008:10 SIM008:11 SIM008:15 SIM008:19 SIM008:28 SIM008:28 SIM008:33 SIM008:33
+"""SIM008 positive fixture: direct wall-clock reads in simulation code."""
 import time
 from datetime import datetime
 from time import perf_counter as pc
@@ -21,4 +21,13 @@ def quick() -> float:
 
 def justified() -> float:
     # wall probe kept for a doc example
-    return time.perf_counter()  # simlint: disable=SIM001
+    return time.perf_counter()  # simlint: disable=SIM008
+
+
+def thread_clocks() -> float:
+    return time.thread_time() + time.thread_time_ns()
+
+
+def posix_clocks() -> float:
+    clock = time.CLOCK_MONOTONIC
+    return time.clock_gettime(clock) + time.clock_gettime_ns(clock)

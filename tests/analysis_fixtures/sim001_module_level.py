@@ -1,5 +1,5 @@
 # simlint: module=repro.sim.fake_fixture
-# simlint-expect: SIM001:11 SIM001:15 SIM001:18 SIM001:23
+# simlint-expect: SIM008:11 SIM008:15 SIM008:18 SIM008:23
 """Wall-clock reads outside any function body are still reads.
 
 Module-level statements, class bodies and module-level lambdas run in

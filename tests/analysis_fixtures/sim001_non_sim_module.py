@@ -1,5 +1,5 @@
 # simlint: module=repro.exec.fake_fixture
-# simlint-expect: SIM001:13 SIM002:17
+# simlint-expect: SIM008:13 SIM008:17
 """Direct wall-clock and RNG reads are flagged outside the sim domains too.
 
 ``repro.exec`` is orchestration, not simulation, but only the modules

@@ -1,6 +1,6 @@
 # simlint: module=repro.telemetry.exposition
 # simlint-expect:
-"""SIM001 negative fixture: exposition may stamp export artifacts.
+"""SIM008 negative fixture: exposition may stamp export artifacts.
 
 The wall-clock moment an artifact was *written* is host provenance,
 recorded after the simulation finished — never a simulation input."""

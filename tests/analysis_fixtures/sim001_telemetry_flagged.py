@@ -1,8 +1,8 @@
 # simlint: module=repro.telemetry.registry
-# simlint-expect: SIM001:11 SIM001:15
-"""SIM001 positive fixture: telemetry *recording* is simulation code.
+# simlint-expect: SIM008:11 SIM008:15
+"""SIM008 positive fixture: telemetry *recording* is simulation code.
 
-Only repro.telemetry.exposition is allowlisted; a wall-clock read while
+Only repro.telemetry.exposition is on the wall-clock allowlist; a wall-clock read while
 emitting registry samples or spans still fails the lint."""
 import time
 

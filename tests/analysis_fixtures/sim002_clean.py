@@ -1,6 +1,6 @@
 # simlint: module=repro.dynamics.fake_fixture
 # simlint-expect:
-"""SIM002 negative fixture: seeded generators are the sanctioned API."""
+"""SIM008 negative fixture: seeded generators are the sanctioned API."""
 import random
 
 import numpy as np

@@ -1,9 +1,9 @@
 # simlint: module=repro.telemetry.exposition
-# simlint-expect: SIM002:17
+# simlint-expect: SIM008:17
 """The wall-clock allowlist does not cover randomness.
 
 ``repro.telemetry.exposition`` may stamp export artifacts with the
-host clock, but an unseeded draw there is still flagged: the RNG rule
+host clock, but an unseeded draw there is still flagged: randomness
 has no allowlist."""
 import random
 import time

@@ -1,6 +1,6 @@
 # simlint: module=repro.dynamics.fake_fixture
-# simlint-expect: SIM002:10 SIM002:14 SIM002:18 SIM002:22 SIM002:26 SIM002:30
-"""SIM002 positive fixture: global-state and unseeded randomness."""
+# simlint-expect: SIM008:10 SIM008:14 SIM008:18 SIM008:22 SIM008:26 SIM008:30 SIM008:38 SIM008:42 SIM008:46
+"""SIM008 positive fixture: global-state, unseeded and None-seeded randomness."""
 import random
 
 import numpy as np
@@ -31,4 +31,16 @@ def os_entropy():
 
 
 def justified() -> float:
-    return random.random()  # doc example only  # simlint: disable=SIM002
+    return random.random()  # doc example only  # simlint: disable=SIM008
+
+
+def none_seeded_instance():
+    return random.Random(None)
+
+
+def none_seeded_generator():
+    return np.random.default_rng(None)
+
+
+def none_seeded_keyword():
+    return np.random.default_rng(seed=None)

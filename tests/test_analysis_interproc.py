@@ -1,8 +1,8 @@
 """Whole-program pass contract.
 
 Three layers: the fixture battery under ``analysis_fixtures/interproc``
-(exact per-file findings, including the laundering case the per-module
-rules cannot see), a Hypothesis property pinning that a suppressed
+(exact per-file findings, including the laundering case a per-module
+check cannot see), a Hypothesis property pinning that a suppressed
 source never contributes taint at any chain depth, and unit checks for
 the witness traces and the baseline ratchet.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import Analyzer, Violation, WholeProgramAnalyzer
+from repro.analysis import Analyzer, Violation
 from repro.analysis.interproc.baseline import (
     apply_baseline,
     finding_fingerprint,
@@ -41,7 +41,7 @@ def _expected_findings(path: Path) -> list[tuple[str, int]]:
 
 @pytest.fixture(scope="module")
 def interproc_violations() -> list[Violation]:
-    return WholeProgramAnalyzer().analyze_paths([INTERPROC_DIR])
+    return Analyzer().analyze_paths([INTERPROC_DIR])
 
 
 # ----------------------------------------------------------------------
@@ -59,16 +59,29 @@ def test_interproc_fixture_findings_match(interproc_violations):
         assert sorted(found[path.name]) == _expected_findings(path), path.name
 
 
-def test_laundering_is_invisible_to_the_per_module_battery():
-    """The acceptance case: SIM001 misses what SIM008 catches.
-
-    ``sim008_flagged.py`` never touches ``time`` itself and the helper
-    module is allowlisted, so the per-module battery finds nothing in
-    either file — the whole-program pass (previous test) finds two.
-    """
-    analyzer = Analyzer()
-    for name in ("sim008_flagged.py", "sim008_helpers.py"):
-        assert analyzer.analyze_file(INTERPROC_DIR / name) == []
+def test_sim008_flags_both_the_direct_read_and_the_laundered_call():
+    """One rule per source: the clock read in place and the call that
+    launders it through an allowlisted helper are both SIM008 findings,
+    and the allowlisted helper itself is not flagged."""
+    helper = "import time\ndef now():\n    return time.time()\n"
+    sink = (
+        "import time\n"
+        "from repro.perf.fake_clock import now\n"
+        "def direct():\n"
+        "    return time.time()\n"
+        "def laundered():\n"
+        "    return now()\n"
+    )
+    violations = Analyzer().analyze_sources(
+        [
+            (Path("helper.py"), helper, "repro.perf.fake_clock"),
+            (Path("sink.py"), sink, "repro.sim.fake_sink"),
+        ]
+    )
+    assert [(v.rule_id, v.path, v.line) for v in violations] == [
+        ("SIM008", "sink.py", 4),
+        ("SIM008", "sink.py", 6),
+    ]
 
 
 def test_live_machine_capture_is_flagged(interproc_violations):
@@ -117,7 +130,7 @@ def test_suppressed_source_never_contributes_taint(
         "def consume():\n"
         f"    return f{depth}()\n"
     )
-    violations = WholeProgramAnalyzer().analyze_sources(
+    violations = Analyzer().analyze_sources(
         [
             (
                 Path("helper.py"),
@@ -131,7 +144,10 @@ def test_suppressed_source_never_contributes_taint(
     if suppress:
         assert sim008 == []
     else:
-        assert sim008 == [("sink.py", 3)]
+        # the helper module is on the wall-clock allowlist and is no
+        # sink, so only an RNG draw is also flagged where it is read
+        direct = [("helper.py", 3)] if kind == "rng" else []
+        assert sim008 == [*direct, ("sink.py", 3)]
 
 
 # ----------------------------------------------------------------------
@@ -159,14 +175,14 @@ def test_new_finding_escapes_the_baseline(tmp_path, interproc_violations):
 
 
 def test_baseline_fingerprint_ignores_line_numbers():
-    a = Violation("SIM002", "m.py", 3, 0, "unseeded rng")
-    b = Violation("SIM002", "m.py", 90, 4, "unseeded rng")
+    a = Violation("SIM008", "m.py", 3, 0, "unseeded rng")
+    b = Violation("SIM008", "m.py", 90, 4, "unseeded rng")
     assert finding_fingerprint(a) == finding_fingerprint(b)
 
 
 def test_baseline_count_semantics(tmp_path):
-    a = Violation("SIM002", "m.py", 3, 0, "unseeded rng")
-    b = Violation("SIM002", "m.py", 9, 0, "unseeded rng")  # same fingerprint
+    a = Violation("SIM008", "m.py", 3, 0, "unseeded rng")
+    b = Violation("SIM008", "m.py", 9, 0, "unseeded rng")  # same fingerprint
     path = tmp_path / "baseline.json"
     write_baseline(path, [a])  # one tolerated occurrence
     fresh, baselined = apply_baseline([a, b], load_baseline(path))

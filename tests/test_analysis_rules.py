@@ -7,8 +7,10 @@ its expected findings in two header directives::
     # simlint-expect: SIM004:8 SIM004:12         (read by this test)
 
 so adding coverage for a new rule is dropping in a snippet — no test
-code changes.  The unit tests below pin the subtler semantic edges the
-fixtures would state less clearly.
+code changes.  The fixtures named ``sim001_*`` and ``sim002_*`` pin
+SIM008's direct wall-clock and RNG reads; the prefixes are the ids
+those checks had before SIM008 took them over.  The unit tests below
+pin the subtler semantic edges the fixtures would state less clearly.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _check(source: str, module: str) -> list[tuple[str, int]]:
 
 def test_sim001_alias_resolution():
     source = "import time as walltime\nx = walltime.perf_counter()\n"
-    assert _check(source, "repro.sim.fake") == [("SIM001", 2)]
+    assert _check(source, "repro.sim.fake") == [("SIM008", 2)]
 
 
 def test_sim001_allowlisted_module_is_exempt():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 BENCHMARKS = REPO_ROOT / "benchmarks"
 FIXTURES = REPO_ROOT / "tests" / "analysis_fixtures"
+
+#: Every rule id in the catalogue.
+ALL_RULES = {f"SIM00{n}" for n in range(3, 10)}
+
+
+def _expected_sim008_count() -> int:
+    """SIM008 findings the fixtures declare in their expect directives."""
+    return sum(
+        len(re.findall(r"\bSIM008:\d+", line))
+        for path in FIXTURES.rglob("*.py")
+        for line in path.read_text().splitlines()[:10]
+        if "simlint-expect:" in line
+    )
 
 
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -53,27 +67,29 @@ def test_cli_clean_tree_exits_zero():
 
 
 def test_cli_seeded_violations_exit_nonzero_with_rule_ids_in_json():
+    """The CI fixture gate: every rule fires over the fixtures, and
+    SIM008 fires exactly as often as the fixtures declare."""
     result = _run_cli("--format", "json", str(FIXTURES))
     assert result.returncode == 1, result.stdout + result.stderr
     document = json.loads(result.stdout)
     assert document["schema"] == 1
     assert document["exit"] == 1
     fired = set(document["counts"])
-    expected = {
-        "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007",
-    }
-    assert fired == expected, f"expected all rules to fire, got {fired}"
+    assert fired == ALL_RULES, f"expected all rules to fire, got {fired}"
+    assert document["counts"]["SIM008"] == _expected_sim008_count()
     # every violation row carries a full location
     for row in document["violations"]:
-        assert row["path"] and row["line"] >= 1 and row["rule"] in expected
+        assert row["path"] and row["line"] >= 1 and row["rule"] in ALL_RULES
 
 
 def test_cli_rule_filter_restricts_findings():
-    result = _run_cli("--format", "json", "--rule", "SIM001", str(FIXTURES))
+    result = _run_cli("--format", "json", "--rule", "SIM008", str(FIXTURES))
     assert result.returncode == 1
     document = json.loads(result.stdout)
-    assert set(document["counts"]) == {"SIM001"}
-    assert [row["rule"] for row in document["checked_rules"]] == ["SIM001"]
+    assert set(document["counts"]) == {"SIM008"}
+    assert [row["rule"] for row in document["checked_rules"]] == ["SIM008"]
+    # every SIM008 finding carries its witness path
+    assert all(row.get("trace") for row in document["violations"])
 
 
 def test_cli_unknown_rule_is_a_usage_error():
@@ -85,8 +101,8 @@ def test_cli_unknown_rule_is_a_usage_error():
 def test_cli_list_rules_prints_catalogue():
     result = _run_cli("--list-rules")
     assert result.returncode == 0
-    for n in range(1, 10):
-        assert f"SIM00{n}" in result.stdout
+    listed = re.findall(r"^(SIM\d{3}) ", result.stdout, flags=re.MULTILINE)
+    assert set(listed) == ALL_RULES and len(listed) == len(ALL_RULES)
 
 
 def test_cli_missing_path_is_a_usage_error():
@@ -96,52 +112,32 @@ def test_cli_missing_path_is_a_usage_error():
 
 
 # ----------------------------------------------------------------------
-# whole-program mode
+# the default invocation and the whole-program reports
 # ----------------------------------------------------------------------
 def test_whole_program_source_tree_is_clean():
-    from repro.analysis import WholeProgramAnalyzer
-
-    violations = WholeProgramAnalyzer().analyze_paths([SRC, BENCHMARKS])
-    rendered = "\n".join(v.render() for v in violations)
-    assert not violations, f"whole-program violations in the tree:\n{rendered}"
-
-
-def test_cli_whole_program_fixture_gate_fires_all_nine_rules():
-    result = _run_cli("--whole-program", "--format", "json", str(FIXTURES))
-    assert result.returncode == 1, result.stdout + result.stderr
-    document = json.loads(result.stdout)
-    fired = set(document["counts"])
-    expected = {f"SIM00{n}" for n in range(1, 10)}
-    assert fired == expected, f"expected all nine rules to fire, got {fired}"
-
-
-def test_cli_selecting_sim008_implies_whole_program():
-    result = _run_cli("--format", "json", "--rule", "SIM008", str(FIXTURES))
-    assert result.returncode == 1, result.stdout + result.stderr
-    document = json.loads(result.stdout)
-    assert set(document["counts"]) == {"SIM008"}
-    # interprocedural findings carry their witness path
-    assert all(row.get("trace") for row in document["violations"])
+    """The invocation ``make lint``, pre-commit and CI share: default
+    surface, every rule, the committed baseline, no other flag."""
+    result = _run_cli("--baseline", "simlint-baseline.json")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "simlint: clean" in result.stdout
 
 
 def test_cli_explain_prints_witness_paths():
-    result = _run_cli(
-        "--whole-program", "--explain", "SIM008", str(FIXTURES / "interproc")
-    )
+    result = _run_cli("--explain", "SIM008", str(FIXTURES / "interproc"))
     assert result.returncode == 1
     assert "witness path" in result.stdout
     assert "time.perf_counter() at line" in result.stdout
 
 
 def test_cli_sarif_output_is_wellformed():
-    result = _run_cli("--whole-program", "--format", "sarif", str(FIXTURES))
+    result = _run_cli("--format", "sarif", str(FIXTURES))
     assert result.returncode == 1
     document = json.loads(result.stdout)
     assert document["version"] == "2.1.0"
     run = document["runs"][0]
     assert run["tool"]["driver"]["name"] == "simlint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {f"SIM00{n}" for n in range(1, 10)} <= rule_ids
+    assert rule_ids == ALL_RULES
     assert run["results"], "expected findings over the fixture tree"
     for row in run["results"]:
         location = row["locations"][0]["physicalLocation"]
@@ -152,37 +148,18 @@ def test_cli_sarif_output_is_wellformed():
 def test_cli_baseline_gate_tolerates_known_findings(tmp_path):
     baseline = tmp_path / "baseline.json"
     write = _run_cli(
-        "--whole-program", "--write-baseline",
-        "--baseline", str(baseline), str(FIXTURES / "interproc"),
-    )
-    assert write.returncode == 0, write.stdout + write.stderr
-    gated = _run_cli(
-        "--whole-program", "--baseline", str(baseline),
+        "--write-baseline", "--baseline", str(baseline),
         str(FIXTURES / "interproc"),
     )
+    assert write.returncode == 0, write.stdout + write.stderr
+    gated = _run_cli("--baseline", str(baseline), str(FIXTURES / "interproc"))
     assert gated.returncode == 0, gated.stdout + gated.stderr
     assert "baselined finding(s) hidden" in gated.stdout
 
 
 def test_cli_missing_baseline_is_a_usage_error(tmp_path):
     result = _run_cli(
-        "--whole-program", "--baseline", str(tmp_path / "absent.json"),
-        str(FIXTURES / "interproc"),
+        "--baseline", str(tmp_path / "absent.json"), str(FIXTURES / "interproc")
     )
     assert result.returncode == 2
     assert "--write-baseline" in result.stderr
-
-
-def test_cli_changed_only_cache_is_result_invariant(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    args = (
-        "--whole-program", "--changed-only", "--cache-dir", cache_dir,
-        "--format", "json", str(FIXTURES / "interproc"),
-    )
-    cold = _run_cli(*args)
-    warm = _run_cli(*args)
-    assert cold.returncode == warm.returncode == 1
-    assert json.loads(cold.stdout) == json.loads(warm.stdout)
-    assert "155 miss" not in cold.stderr  # only the fixture files are hashed
-    assert " 0 hit(s)" in cold.stderr
-    assert " 0 miss(es)" in warm.stderr

@@ -46,13 +46,13 @@ def test_parse_is_case_insensitive(ids: list[str]):
 
 def test_all_token_suppresses_everything():
     parsed = parse_suppressions("x = 1  # simlint: disable=all\n")
-    violation = Violation("SIM001", "<s>", 1, 0, "m")
+    violation = Violation("SIM008", "<s>", 1, 0, "m")
     assert is_suppressed(violation, parsed)
 
 
 def test_multiple_comments_union_on_one_line():
-    line = "x = 1  # simlint: disable=SIM001 # simlint: disable=SIM002\n"
-    assert parse_suppressions(line) == {1: frozenset({"SIM001", "SIM002"})}
+    line = "x = 1  # simlint: disable=SIM003 # simlint: disable=SIM008\n"
+    assert parse_suppressions(line) == {1: frozenset({"SIM003", "SIM008"})}
 
 
 def test_unrelated_comments_parse_to_nothing():
@@ -68,17 +68,17 @@ def test_suppression_silences_engine_end_to_end():
     source = (
         "import time\n"
         "a = time.time()\n"
-        "b = time.time()  # simlint: disable=SIM001\n"
+        "b = time.time()  # simlint: disable=SIM008\n"
     )
     violations = Analyzer().analyze_source(
         source, Path("<unit>"), module="repro.sim.fake"
     )
-    assert [(v.rule_id, v.line) for v in violations] == [("SIM001", 2)]
+    assert [(v.rule_id, v.line) for v in violations] == [("SIM008", 2)]
 
 
 def test_wrong_rule_id_does_not_suppress():
-    source = "import time\na = time.time()  # simlint: disable=SIM002\n"
+    source = "import time\na = time.time()  # simlint: disable=SIM003\n"
     violations = Analyzer().analyze_source(
         source, Path("<unit>"), module="repro.sim.fake"
     )
-    assert [(v.rule_id, v.line) for v in violations] == [("SIM001", 2)]
+    assert [(v.rule_id, v.line) for v in violations] == [("SIM008", 2)]
