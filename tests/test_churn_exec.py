@@ -4,6 +4,8 @@ Timelines are part of the cell's cache key: two stories differing in a
 *single* event's time or kind must hash to different keys, otherwise
 the result cache would replay the wrong simulation.  And churn cells,
 like every other cell, must be serial/parallel/cache equivalent.
+The adaptation metrics a churn cell derives from the AQL decision log
+are pinned per event for two short stories.
 """
 
 from dataclasses import replace as dc_replace
@@ -24,6 +26,7 @@ from repro.experiments.churn import (
     PhaseChange,
     VmBoot,
     VmShutdown,
+    make_stories,
     run_churn_cell,
 )
 from repro.sim.units import MS
@@ -160,3 +163,41 @@ class TestChurnCellEquivalence:
         assert warm.cache.stats.hits == 4
         for ours, theirs in zip(first, second):
             assert ours == theirs
+
+
+class TestAdaptationRecordPins:
+    """``build_records`` output for AQL over two fast scripted stories:
+    (event, detection_ms, convergence_periods, stable, migrations)."""
+
+    EXPECTED = {
+        "arrivals": [
+            ("boot dyn0 (io)", 80.0, 1, True, 2),
+            ("boot dyn1 (llco)", 40.0, 4, False, 2),
+            ("shutdown mem0", None, 0, True, 2),
+        ],
+        "phases": [
+            ("phase cpu1 -> io", 200.0, 2, True, 2),
+            ("spike io0 x4", None, 0, True, 0),
+            ("phase cpu1 -> llcf", 120.0, 1, True, 2),
+        ],
+    }
+
+    def test_aql_records_match_pins(self):
+        stories = {story.name: story for story in make_stories(fast=True)}
+        for name, expected in self.EXPECTED.items():
+            story = stories[name]
+            run = run_churn_cell(
+                story, "aql", 600 * MS,
+                story.timeline.duration_ns + 400 * MS, seed=0,
+            )
+            observed = [
+                (
+                    record.event,
+                    record.detection_ms,
+                    record.convergence_periods,
+                    record.stable,
+                    record.migrations,
+                )
+                for record in run.records
+            ]
+            assert observed == expected, name

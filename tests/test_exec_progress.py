@@ -1,4 +1,9 @@
-"""EtaTracker contract: no div-by-zero, no negative ETA, ever.
+"""Progress contracts: the per-cell line format and the ETA arithmetic.
+
+:class:`repro.exec.progress.ProgressPrinter` writes one stderr line per
+finished cell; ``TestProgressPrinterLines`` pins its exact shape
+(width padding, the ``[stage]`` prefix, every outcome) with wall
+seconds replaced by a fake so the lines are deterministic.
 
 The old inline ETA math in the progress printer divided by the number
 of finished cells — zero until the first completion — and could go
@@ -9,11 +14,68 @@ the clamps these tests pin.
 
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.exec import Engine, ProgressPrinter, ResultCache, SweepRunner
 from repro.exec.progress import EtaTracker
+
+from tests.engine_cells import make_cells
+
+
+@pytest.fixture
+def fake_seconds(monkeypatch):
+    """Executed cells report ``n + 0.5`` seconds instead of wall time."""
+
+    def fake_profiled_call(fn, kwargs):
+        return fn(**kwargs), kwargs["n"] + 0.5, {}
+
+    monkeypatch.setattr(
+        "repro.exec.engine.profiled_call", fake_profiled_call
+    )
+
+
+class TestProgressPrinterLines:
+    def test_flat_sweep_pads_the_index_to_the_total_width(
+        self, fake_seconds
+    ):
+        stream = io.StringIO()
+        SweepRunner(jobs=1, progress=ProgressPrinter(stream)).run(
+            make_cells(12)
+        )
+        assert stream.getvalue().splitlines() == [
+            f"[{i + 1:2d}/12] ran arith:{i} ({i + 0.5:.2f}s)"
+            for i in range(12)
+        ]
+
+    def test_stage_sweep_prefixes_every_outcome(
+        self, fake_seconds, tmp_path
+    ):
+        cells = make_cells(3)
+        # cell 0 journalled in a run directory, cell 1 in the cache
+        first = Engine(jobs=1, run_root=tmp_path / "runs")
+        first.run(cells[:1])
+        run_id = first.run_dir.run_id
+        first.close()
+        SweepRunner(jobs=1, cache=ResultCache(root=tmp_path / "cache")).run(
+            cells[1:2]
+        )
+        stream = io.StringIO()
+        SweepRunner(
+            jobs=1,
+            cache=ResultCache(root=tmp_path / "cache"),
+            progress=ProgressPrinter(stream),
+            run_root=tmp_path / "runs",
+            run_id=run_id,
+        ).run(cells, stage="epoch 1/2")
+        assert stream.getvalue().splitlines() == [
+            "[epoch 1/2] [1/3] resumed arith:0 (0.00s)",
+            "[epoch 1/2] [2/3] hit arith:1 (0.00s)",
+            "[epoch 1/2] [3/3] ran arith:2 (2.50s)",
+        ]
 
 
 class TestEtaTracker:
