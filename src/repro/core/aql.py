@@ -14,7 +14,6 @@ penalty the LLC model already charges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro.core.calibration import PAPER_BEST_QUANTA
@@ -44,24 +43,6 @@ def _plan_signature(plan: PoolPlan) -> tuple:
             )
         )
     return tuple(sorted(entries))
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One :meth:`AqlScheduler.decide` outcome, kept for adaptation metrics.
-
-    ``types`` is the sorted ``(vcpu_id, type-name)`` snapshot the
-    decision acted on — empty while the initial delay is still sitting
-    out.  The dynamics layer reads these to measure detection latency
-    (first decision whose typing reflects a churn event) and
-    convergence (last decision in a window that changed the plan).
-    """
-
-    time_ns: int
-    decision_index: int
-    changed: bool
-    migrations_total: int
-    types: tuple[tuple[int, str], ...]
 
 
 class AqlScheduler:
@@ -111,9 +92,10 @@ class AqlScheduler:
         self.decisions = 0
         self.reconfigurations = 0
         self.last_types: dict[int, VCpuType] = {}
-        #: every decision ever taken, in order (adaptation metrics
-        #: slice this around churn events)
-        self.decision_log: list[DecisionRecord] = []
+        #: every decision ever taken, in order, skipped cold-start ones
+        #: included (adaptation metrics slice this around churn events;
+        #: with telemetry on, the audit holds these same instances)
+        self.decision_log: list[ClusterDecision] = []
         self._last_signature: Optional[tuple] = None
         self._attached = False
 
@@ -152,28 +134,19 @@ class AqlScheduler:
         self.decisions += 1
         telemetry = self.machine.telemetry
         if self.decisions <= self.initial_delay_windows:
-            self.decision_log.append(
-                DecisionRecord(
+            # cold-start transient: counters not yet meaningful
+            self._record(
+                ClusterDecision(
                     time_ns=self.machine.sim.now,
                     decision_index=self.decisions,
+                    input_types=(),
                     changed=False,
-                    migrations_total=self.machine.migrations_total,
-                    types=(),
-                )
+                    pools=(),
+                    spills=(),
+                    skipped=True,
+                ),
             )
-            if telemetry.enabled:
-                telemetry.audit.record_decision(
-                    ClusterDecision(
-                        time_ns=self.machine.sim.now,
-                        decision_index=self.decisions,
-                        input_types=(),
-                        changed=False,
-                        pools=(),
-                        spills=(),
-                        skipped=True,
-                    )
-                )
-            return  # cold-start transient: counters not yet meaningful
+            return
         span = None
         if telemetry.enabled:
             span = telemetry.tracer.begin(
@@ -213,35 +186,21 @@ class AqlScheduler:
             self.machine.apply_pool_plan(plan)
             self._last_signature = signature
             self.reconfigurations += 1
-        self.decision_log.append(
-            DecisionRecord(
+        self._record(
+            ClusterDecision(
                 time_ns=self.machine.sim.now,
                 decision_index=self.decisions,
-                changed=changed,
-                migrations_total=self.machine.migrations_total,
-                types=tuple(
+                input_types=tuple(
                     sorted(
                         (vid, t.name) for vid, t in self.last_types.items()
                     )
                 ),
-            )
+                changed=changed,
+                pools=plan.describe(),
+                spills=tuple(sorted(plan.spills)),
+            ),
         )
         if telemetry.enabled:
-            telemetry.audit.record_decision(
-                ClusterDecision(
-                    time_ns=self.machine.sim.now,
-                    decision_index=self.decisions,
-                    input_types=tuple(
-                        sorted(
-                            (vid, t.name)
-                            for vid, t in self.last_types.items()
-                        )
-                    ),
-                    changed=changed,
-                    pools=plan.describe(),
-                    spills=tuple(sorted(plan.spills)),
-                )
-            )
             telemetry.registry.counter("aql_decisions").inc()
             if changed:
                 telemetry.registry.counter("aql_reconfigurations").inc()
@@ -250,6 +209,12 @@ class AqlScheduler:
                     self.machine.sim.now, span, changed=changed
                 )
 
+    def _record(self, decision: ClusterDecision) -> None:
+        """Keep one record per decision; the audit shares the instance."""
+        self.decision_log.append(decision)
+        if self.machine.telemetry.enabled:
+            self.machine.telemetry.audit.record_decision(decision)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<AqlScheduler decisions={self.decisions} "
@@ -257,4 +222,4 @@ class AqlScheduler:
         )
 
 
-__all__ = ["AqlScheduler", "DecisionRecord"]
+__all__ = ["AqlScheduler"]

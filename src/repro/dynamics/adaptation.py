@@ -173,10 +173,10 @@ def build_records(tracker: AdaptationTracker) -> list[AdaptationRecord]:
             ]
             baseline: tuple = ()
             for d in log:
-                if d.time_ns <= lo.time_ns and d.types:
-                    baseline = d.types
+                if d.time_ns <= lo.time_ns and d.input_types:
+                    baseline = d.input_types
             for d in in_window:
-                if d.types and d.types != baseline:
+                if d.input_types and d.input_types != baseline:
                     detection_ms = (d.time_ns - lo.time_ns) / 1e6
                     break
             changed = [i for i, d in enumerate(in_window) if d.changed]

@@ -49,17 +49,11 @@ from repro.exec.events import (
     Interrupted,
     JsonlSink,
     PhaseStarted,
-    TTYSink,
     read_event_log,
     validate_events,
 )
 from repro.exec.hashing import canonical, code_salt, fingerprint
-from repro.exec.progress import (
-    CellReport,
-    EtaTracker,
-    ProgressHook,
-    ProgressPrinter,
-)
+from repro.exec.progress import EtaTracker, ProgressPrinter
 from repro.exec.queue import (
     WorkerCrash,
     WorkerHealth,
@@ -76,7 +70,6 @@ from repro.exec.runner import (
 __all__ = [
     "Cell",
     "CellFinished",
-    "CellReport",
     "CellScheduled",
     "CacheEntry",
     "CacheStats",
@@ -93,14 +86,12 @@ __all__ = [
     "Interrupted",
     "JsonlSink",
     "PhaseStarted",
-    "ProgressHook",
     "ProgressPrinter",
     "ResultCache",
     "RunDir",
     "RunDirError",
     "RunManifest",
     "SweepRunner",
-    "TTYSink",
     "WorkStealingPool",
     "WorkerCrash",
     "WorkerHealth",

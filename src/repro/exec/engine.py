@@ -21,8 +21,12 @@ epoch, one fuzz batch) is planned into four explicit phases:
     ``Finished`` event.
 
 The engine *narrates* all of this as a typed event stream
-(:mod:`repro.exec.events`) consumed by pluggable sinks — TTY progress,
-a JSONL event log, telemetry counters.  A killed run resumes from its
+(:mod:`repro.exec.events`) consumed by pluggable sinks — per-cell
+progress lines, a JSONL event log, engine metrics.  The engine keeps
+no tallies of its own: :attr:`Engine.status` (a
+:class:`~repro.ops.status.RunStatus`) folds every event at the source,
+and its ``ran``/``hit``/``resumed``/``sweeps_finished`` counts are the
+run's totals, live even mid-sweep.  A killed run resumes from its
 journal with only unfinished cells re-executed; because run ids are
 content-addressed, re-running the same sweep against the same run root
 resumes automatically, and ``--resume <run-id>`` pins a directory
@@ -58,10 +62,8 @@ from repro.exec.events import (
     Interrupted,
     JsonlSink,
     PhaseStarted,
-    TTYSink,
 )
 from repro.exec.hashing import code_salt, fingerprint
-from repro.exec.progress import ProgressHook
 from repro.exec.queue import (
     Profile,
     Task,
@@ -153,8 +155,6 @@ class Engine:
         self._journal_keys: set[str] = set()
         self._seq = 0
         self._completed = 0
-        #: cumulative outcome tallies over the engine lifetime
-        self.stats = {"ran": 0, "hit": 0, "resumed": 0, "sweeps": 0}
         self.last_results: list[Any] = []
         #: worker liveness ledger fed by queue heartbeats (read by the
         #: ops plane, never by the engine's own control flow)
@@ -167,9 +167,10 @@ class Engine:
         #: cells already journalled when the run directory attached
         #: (the resume lineage /status reports)
         self.resumed_at_open = 0
-        # Live status fold for /status, <run-dir>/status.json and the
-        # flight recorder.  Imported lazily: repro.exec must keep no
-        # import-time dependency on the ops layer above it.
+        # Live status fold for /status, <run-dir>/status.json, the
+        # flight recorder and the CLI's engine tallies.  Imported
+        # lazily: repro.exec must keep no import-time dependency on the
+        # ops layer above it.
         from repro.ops.status import RunStatus
 
         self.status = RunStatus(engine=self)
@@ -413,9 +414,6 @@ class Engine:
             PhaseStarted, phase="fold", stage=stage, cells=total
         )
         self.last_results = results
-        for outcome, count in counts.items():
-            self.stats[outcome] += count
-        self.stats["sweeps"] += 1
         yield self._event(
             Finished,
             cells=total,
@@ -426,16 +424,10 @@ class Engine:
         )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        cells: Sequence[Cell],
-        stage: str = "",
-        progress: Optional[ProgressHook] = None,
-    ) -> list[Any]:
+    def run(self, cells: Sequence[Cell], stage: str = "") -> list[Any]:
         """Execute a sweep, dispatching events to every sink."""
-        extra: list[EventSink] = [TTYSink(progress)] if progress else []
         for event in self.stream(cells, stage=stage):
-            for sink in (*self._sinks, *extra):
+            for sink in self._sinks:
                 sink(event)
         return self.last_results
 

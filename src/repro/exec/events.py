@@ -8,16 +8,15 @@ serialises to one JSON object with a **stable field order** (``kind``
 first, then ``seq``, then declared fields), so an event log is both
 grep-able and byte-stable for golden snapshots.
 
-Consumers are *sinks*: any callable taking one event.  Two sinks live
-here:
-
-* :class:`TTYSink` — adapts ``CellFinished`` events onto the existing
-  :class:`~repro.exec.progress.ProgressHook` per-cell lines;
-* :class:`JsonlSink` — appends one JSON line per event (the run
-  directory's ``events.jsonl``, or ``--events-out``).
-
-Engine metrics for exposition are folded from the same stream by
-:class:`repro.ops.metrics.EngineMetricsSink`.
+Consumers are *sinks*: any callable taking one event.
+:class:`JsonlSink` lives here and appends one JSON line per event (the
+run directory's ``events.jsonl``, or ``--events-out``).  The others
+read the same stream: :class:`repro.exec.progress.ProgressPrinter`
+prints one line per ``CellFinished``,
+:class:`repro.ops.status.RunStatus` folds every event into the live
+status and the run tallies (the engine calls it at the source, before
+any sink), and :class:`repro.ops.metrics.EngineMetricsSink` folds the
+engine metrics for exposition.
 
 :func:`validate_events` is the executable contract: tests and the CI
 ``engine-smoke`` job both call it to assert a log is a well-formed,
@@ -41,8 +40,6 @@ from typing import (
     Sequence,
     Union,
 )
-
-from repro.exec.progress import CellReport, ProgressHook
 
 #: phases one engine sweep always runs, in order (DESIGN.md §14)
 PHASE_ORDER = ("plan", "probe", "execute", "fold")
@@ -229,26 +226,6 @@ class JsonlSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-class TTYSink:
-    """Adapt ``CellFinished`` events onto a per-cell progress hook."""
-
-    def __init__(self, hook: ProgressHook) -> None:
-        self.hook = hook
-
-    def __call__(self, event: Event) -> None:
-        if not isinstance(event, CellFinished):
-            return
-        self.hook(CellReport(
-            index=event.index,
-            total=event.total,
-            label=event.label,
-            outcome=event.outcome,
-            seconds=event.seconds,
-            key=event.key,
-            stage=event.stage,
-        ))
 
 
 # ----------------------------------------------------------------------
@@ -525,7 +502,6 @@ __all__ = [
     "JsonlSink",
     "PHASE_ORDER",
     "PhaseStarted",
-    "TTYSink",
     "event_from_json",
     "main",
     "normalize_events",

@@ -1,19 +1,28 @@
 """Per-cell progress reporting for long sweeps.
 
-Flat sweeps (one list of cells) report ``[i/total]`` lines.  Nested
-sweeps — the fleet simulator runs *epochs*, each of which shards a
-fleet of hosts over the pool — pass ``stage=`` to
+:class:`ProgressPrinter` is an ordinary event sink: install it with
+``sinks=[ProgressPrinter()]`` on an
+:class:`~repro.exec.engine.Engine` or
+:class:`~repro.exec.runner.SweepRunner` and it prints one line per
+``CellFinished`` event, ignoring the rest of the stream.  Flat sweeps
+(one list of cells) report ``[i/total]`` lines.  Nested sweeps — the
+fleet simulator runs *epochs*, each of which shards a fleet of hosts
+over the pool — pass ``stage=`` to
 :meth:`~repro.exec.runner.SweepRunner.run`; the engine stamps it on
 every ``CellFinished`` event, so each line carries the enclosing stage
 (``[weekday:aql_aware epoch 2/3] [12/64] ran host07``) instead of a
 meaningless flat cell count that resets every epoch.
+
+:class:`EtaTracker` is the remaining-time arithmetic the live status
+fold (:class:`repro.ops.status.RunStatus`) uses.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
+
+from repro.exec.events import CellFinished, Event
 
 
 class EtaTracker:
@@ -64,51 +73,32 @@ class EtaTracker:
         return max(0.0, per_cell * remaining)
 
 
-@dataclass(frozen=True)
-class CellReport:
-    """Emitted once per cell, as soon as its result is known."""
-
-    index: int  # position in the sweep (0-based)
-    total: int
-    label: str
-    outcome: str  # "hit" | "ran"
-    seconds: float  # compute time (0.0 for cache hits)
-    key: Optional[str] = None  # cache key, when caching is active
-    #: enclosing stage for nested work (e.g. ``"epoch 2/3"``); empty
-    #: for flat sweeps
-    stage: str = ""
-
-
-#: signature of a progress hook
-ProgressHook = Callable[[CellReport], None]
-
-
 class ProgressPrinter:
-    """Default hook: one line per cell, timings included.
+    """Event sink: one line per ``CellFinished``, timings included.
 
-    Writes to stderr by default so experiment tables on stdout stay
-    machine-comparable (parallel and serial runs print identical
-    stdout).
+    Every other event is ignored.  Writes to stderr by default so
+    experiment tables on stdout stay machine-comparable (parallel and
+    serial runs print identical stdout).
     """
 
     def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = stream if stream is not None else sys.stderr
 
-    def __call__(self, report: CellReport) -> None:
-        width = len(str(report.total))
-        prefix = f"[{report.stage}] " if report.stage else ""
+    def __call__(self, event: Event) -> None:
+        if not isinstance(event, CellFinished):
+            return
+        width = len(str(event.total))
+        prefix = f"[{event.stage}] " if event.stage else ""
         print(
-            f"{prefix}[{report.index + 1:{width}d}/{report.total}] "
-            f"{report.outcome:<3s} {report.label} "
-            f"({report.seconds:.2f}s)",
+            f"{prefix}[{event.index + 1:{width}d}/{event.total}] "
+            f"{event.outcome:<3s} {event.label} "
+            f"({event.seconds:.2f}s)",
             file=self.stream,
             flush=True,
         )
 
 
 __all__ = [
-    "CellReport",
     "EtaTracker",
-    "ProgressHook",
     "ProgressPrinter",
 ]

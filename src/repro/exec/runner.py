@@ -2,14 +2,16 @@
 
 :class:`SweepRunner` keeps the API every experiment family programs
 against (``run(cells)`` → results in cell order, ``jobs``/``cache``/
-``progress``/``salt``) while delegating execution to the phased
+``salt``) while delegating execution to the phased
 :class:`~repro.exec.engine.Engine`: cells fan out through the
 work-stealing queue, completions journal to the run directory when one
-is configured, and the engine's event stream feeds the progress hook
-plus any extra sinks.  Because every simulation is seeded and
-deterministic (DESIGN.md §5/§7), serial, parallel, cache-replayed and
-*resumed* execution produce identical results — the equivalence tests
-in ``tests/test_exec_equivalence.py`` enforce all four legs.
+is configured, and the engine's event stream feeds the ``sinks`` —
+per-cell progress lines are one of them
+(:class:`~repro.exec.progress.ProgressPrinter`).  Because every
+simulation is seeded and deterministic (DESIGN.md §5/§7), serial,
+parallel, cache-replayed and *resumed* execution produce identical
+results — the equivalence tests in ``tests/test_exec_equivalence.py``
+enforce all four legs.
 
 Worker-count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).  ``jobs=1`` and
@@ -27,7 +29,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.cells import Cell
 from repro.exec.engine import ENV_JOBS, ENV_KILL_AFTER, Engine, resolve_jobs
 from repro.exec.events import EventSink
-from repro.exec.progress import ProgressHook
 
 __all__ = [
     "SweepRunner",
@@ -73,7 +74,6 @@ class SweepRunner:
         self,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        progress: Optional[ProgressHook] = None,
         salt: Optional[str] = None,
         run_root: Union[str, Path, None] = None,
         run_id: Optional[str] = None,
@@ -87,9 +87,6 @@ class SweepRunner:
             run_id=run_id,
             sinks=sinks,
         )
-        #: per-cell progress hook; nested sweeps label their lines by
-        #: passing ``stage=`` to :meth:`run`, not by wrapping the hook
-        self.progress = progress
 
     # -- the facade surface the experiment families program against ----
     @property
@@ -105,8 +102,11 @@ class SweepRunner:
         return self.engine.salt
 
     def run(self, cells: Sequence[Cell], stage: str = "") -> list[Any]:
-        """Execute every cell; results come back in cell order."""
-        return self.engine.run(cells, stage=stage, progress=self.progress)
+        """Execute every cell; results come back in cell order.
+
+        ``stage`` labels nested sweeps (a fleet epoch) in every event.
+        """
+        return self.engine.run(cells, stage=stage)
 
     def run_one(self, cell: Cell) -> Any:
         return self.run([cell])[0]

@@ -25,7 +25,9 @@ streams the engine's typed event narration as JSONL.  ``--serve
 live ``/metrics``, ``/status`` and ``/events`` over HTTP, a flight
 recorder that dumps the last events into the run directory when the
 run dies, and a slowest-cells table after checkpointed runs.  Per-cell
-progress, the cache hit/miss summary and the engine tallies go to
+progress (a :class:`~repro.exec.ProgressPrinter` sink, off with
+``--quiet``), the cache hit/miss summary and the engine tallies (read
+from the engine's live :class:`~repro.ops.status.RunStatus`) go to
 stderr; stdout carries only the experiment tables, so serial,
 parallel, cached and resumed runs print byte-identical results.
 """
@@ -38,6 +40,7 @@ import time
 from typing import Callable, Optional
 
 from repro.exec import (
+    EventSink,
     JsonlSink,
     ProgressPrinter,
     ResultCache,
@@ -277,14 +280,12 @@ def build_runner(args: argparse.Namespace) -> SweepRunner:
             ResultCache(root=args.cache_dir) if args.cache_dir
             else ResultCache()
         )
-    progress = None if args.quiet else ProgressPrinter()
-    sinks = (
-        [JsonlSink(args.events_out)] if args.events_out is not None else []
-    )
+    sinks: list[EventSink] = [] if args.quiet else [ProgressPrinter()]
+    if args.events_out is not None:
+        sinks.append(JsonlSink(args.events_out))
     return SweepRunner(
         jobs=args.jobs,
         cache=cache,
-        progress=progress,
         run_root=args.run_dir,
         run_id=args.resume,
         sinks=sinks,
@@ -366,6 +367,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:10s} {description}")
         return 0
 
+    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    # fail fast — before spending minutes running the experiments, and
+    # before the runner opens files or the ops plane starts a server
+    if args.telemetry_out is not None and (
+        len(names) != 1 or names[0] not in TELEMETRY_FAMILIES
+    ):
+        parser.error(
+            "--telemetry-out requires a single telemetry-carrying "
+            f"experiment ({', '.join(TELEMETRY_FAMILIES)})"
+        )
+    if args.trace_out is not None and len(names) != 1:
+        parser.error("--trace-out requires a single experiment")
+
     try:
         runner = build_runner(args)
     except ValueError as exc:  # bad --jobs / REPRO_JOBS
@@ -385,17 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         if plane.server is not None:
             # stderr: stdout stays byte-identical with/without --serve
             print(f"[ops] serving at {plane.server.url}", file=sys.stderr)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    # fail fast — before spending minutes running the experiments
-    if args.telemetry_out is not None and (
-        len(names) != 1 or names[0] not in TELEMETRY_FAMILIES
-    ):
-        parser.error(
-            "--telemetry-out requires a single telemetry-carrying "
-            f"experiment ({', '.join(TELEMETRY_FAMILIES)})"
-        )
-    if args.trace_out is not None and len(names) != 1:
-        parser.error("--trace-out requires a single experiment")
 
     def run_experiments() -> None:
         for name in names:
@@ -423,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         engine = runner.engine
         if engine.run_dir is not None:
             print(
-                f"\n[engine] interrupted after {engine.stats['ran']} "
+                f"\n[engine] interrupted after {engine.status.ran} "
                 f"cell(s); resume with --run-dir {engine.run_root} "
                 f"--resume {engine.run_dir.run_id}",
                 file=sys.stderr,
@@ -490,14 +493,15 @@ def main(argv: list[str] | None = None) -> int:
     if runner.cache is not None:
         print(f"[cache] {runner.cache.stats.as_line()}", file=sys.stderr)
     engine = runner.engine
-    if engine.stats["sweeps"]:
+    status = engine.status
+    if status.sweeps_finished:
         run_id = (
             engine.run_dir.run_id if engine.run_dir is not None else "-"
         )
         print(
-            f"[engine] sweeps={engine.stats['sweeps']} "
-            f"ran={engine.stats['ran']} hits={engine.stats['hit']} "
-            f"resumed={engine.stats['resumed']} run={run_id}",
+            f"[engine] sweeps={status.sweeps_finished} "
+            f"ran={status.ran} hits={status.hit} "
+            f"resumed={status.resumed} run={run_id}",
             file=sys.stderr,
         )
     if engine.run_dir is not None:

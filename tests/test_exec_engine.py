@@ -71,7 +71,7 @@ class TestPhases:
         first_len = len(events)
         engine.run(make_cells(2))
         assert events[first_len].seq == events[first_len - 1].seq + 1
-        assert engine.stats["sweeps"] == 2
+        assert engine.status.sweeps_finished == 2
 
     def test_cache_hits_skip_execute(self, tmp_path):
         cache = ResultCache(root=tmp_path)
@@ -79,9 +79,10 @@ class TestPhases:
         events = []
         engine = Engine(jobs=1, cache=cache, sinks=[events.append])
         engine.run(make_cells(3))
-        assert engine.stats == {
-            "ran": 0, "hit": 3, "resumed": 0, "sweeps": 1
-        }
+        status = engine.status
+        assert (
+            status.ran, status.hit, status.resumed, status.sweeps_finished
+        ) == (0, 3, 0, 1)
         finished = [e for e in events if isinstance(e, Finished)]
         assert finished[0].hits == 3 and finished[0].ran == 0
 

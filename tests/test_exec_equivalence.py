@@ -16,7 +16,14 @@ import pytest
 
 from repro.baselines import AqlPolicy, XenCredit
 from repro.dynamics.events import ChurnTimeline
-from repro.exec import Cell, Engine, ResultCache, SweepRunner, resolve_jobs
+from repro.exec import (
+    Cell,
+    CellFinished,
+    Engine,
+    ResultCache,
+    SweepRunner,
+    resolve_jobs,
+)
 from repro.exec.queue import fork_available
 from repro.exec.runner import aggregate_telemetry
 from repro.experiments.churn import make_stories, run_churn_cell
@@ -76,8 +83,9 @@ class TestParallelSerialEquivalence:
             assert ours.pool_layout == theirs.pool_layout
 
     def test_progress_reports_every_cell(self):
-        reports = []
-        SweepRunner(jobs=4, progress=reports.append).run(grid_cells())
+        events = []
+        SweepRunner(jobs=4, sinks=[events.append]).run(grid_cells())
+        reports = [e for e in events if isinstance(e, CellFinished)]
         assert sorted(r.index for r in reports) == [0, 1, 2, 3]
         assert {r.outcome for r in reports} == {"ran"}
         assert all(r.total == 4 for r in reports)
@@ -126,11 +134,12 @@ class TestCacheReplay:
     def test_hit_outcomes_reported(self, tmp_path):
         cells = grid_cells()[:2]
         SweepRunner(jobs=1, cache=ResultCache(root=tmp_path)).run(cells)
-        reports = []
+        events = []
         SweepRunner(
             jobs=1, cache=ResultCache(root=tmp_path),
-            progress=reports.append,
+            sinks=[events.append],
         ).run(cells)
+        reports = [e for e in events if isinstance(e, CellFinished)]
         assert [r.outcome for r in reports] == ["hit", "hit"]
         assert all(r.key is not None for r in reports)
 
@@ -290,6 +299,17 @@ def family_cells() -> dict[str, Cell]:
     }
 
 
+def tallies(engine):
+    """The engine's lifetime outcome counts, from its status fold."""
+    status = engine.status
+    return {
+        "ran": status.ran,
+        "hit": status.hit,
+        "resumed": status.resumed,
+        "sweeps": status.sweeps_finished,
+    }
+
+
 @pytest.fixture(scope="module")
 def family_runs(tmp_path_factory):
     """Every execution path, once per family.
@@ -323,8 +343,8 @@ def family_runs(tmp_path_factory):
         first.run([cell], stage=f"{name}:checkpoint")
         second = Engine(jobs=1, run_root=base / "runs")
         [legs["resumed"]] = second.run([cell], stage=f"{name}:resume")
-        legs["stats"]["checkpoint"] = dict(first.stats)
-        legs["stats"]["resume"] = dict(second.stats)
+        legs["stats"]["checkpoint"] = tallies(first)
+        legs["stats"]["resume"] = tallies(second)
         first.close()
         second.close()
         runs[name] = legs

@@ -43,7 +43,7 @@ class TestProgressPrinterLines:
         self, fake_seconds
     ):
         stream = io.StringIO()
-        SweepRunner(jobs=1, progress=ProgressPrinter(stream)).run(
+        SweepRunner(jobs=1, sinks=[ProgressPrinter(stream)]).run(
             make_cells(12)
         )
         assert stream.getvalue().splitlines() == [
@@ -67,9 +67,9 @@ class TestProgressPrinterLines:
         SweepRunner(
             jobs=1,
             cache=ResultCache(root=tmp_path / "cache"),
-            progress=ProgressPrinter(stream),
             run_root=tmp_path / "runs",
             run_id=run_id,
+            sinks=[ProgressPrinter(stream)],
         ).run(cells, stage="epoch 1/2")
         assert stream.getvalue().splitlines() == [
             "[epoch 1/2] [1/3] resumed arith:0 (0.00s)",

@@ -1,7 +1,11 @@
 """Tests for the CLI experiment runner and the ablation module."""
 
+import signal
+import threading
+
 import pytest
 
+from repro.exec import Cell
 from repro.experiments.__main__ import EXPERIMENTS, main
 from repro.experiments.ablations import (
     render_boost_ablation,
@@ -32,6 +36,54 @@ class TestCli:
         assert main(["fig4", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "specweb2009" in out
+
+
+class TestCliEngineSummary:
+    def test_interrupt_message_counts_journalled_cells(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Ctrl-C on the 4th of 6 cells: the three cells already
+        journalled are reported, not the zero a fold-time tally saw."""
+        from tests import engine_cells
+
+        def interrupted_sweep(fast, runner):
+            cells = [
+                Cell(
+                    engine_cells.interrupting_cell,
+                    dict(n=n, interrupt_at=3),
+                    label=f"square:{n}",
+                )
+                for n in range(6)
+            ]
+            runner.run(cells)
+            return "unreachable"
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig3", ("interrupted sweep", interrupted_sweep)
+        )
+        code = main([
+            "fig3", "--no-cache", "--run-dir", str(tmp_path / "runs"),
+        ])
+        assert code == 130
+        assert "interrupted after 3 cell(s)" in capsys.readouterr().err
+
+    def test_artifact_flag_error_starts_no_ops_plane(self, tmp_path):
+        """A rejected --telemetry-out exits before the ops plane
+        starts: no HTTP thread left behind, SIGTERM handler intact."""
+        before = signal.getsignal(signal.SIGTERM)
+        threads = {t.ident for t in threading.enumerate()}
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fig3", "--serve", "127.0.0.1:0",
+                "--telemetry-out", str(tmp_path / "t.jsonl"),
+            ])
+        assert exc.value.code == 2
+        leaked = [
+            t for t in threading.enumerate()
+            if t.name == "repro-ops-http" and t.ident not in threads
+        ]
+        assert leaked == []
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestAblationModules:

@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.exec import SweepRunner, fingerprint
-from repro.exec.progress import CellReport
+from repro.exec import CellFinished, SweepRunner, fingerprint
 from repro.fleet import (
     DiurnalStory,
     FleetSimulation,
@@ -133,9 +132,10 @@ class TestRunShape:
 
 class TestEpochStageLabels:
     def test_cells_report_with_epoch_stage(self):
-        reports: list[CellReport] = []
-        runner = SweepRunner(jobs=1, progress=reports.append)
+        events: list = []
+        runner = SweepRunner(jobs=1, sinks=[events.append])
         _run(runner=runner)
+        reports = [e for e in events if isinstance(e, CellFinished)]
         assert reports, "no progress reports seen"
         stages = {report.stage for report in reports}
         assert "mini:aql_aware epoch 1/2" in stages

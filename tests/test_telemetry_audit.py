@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines import AqlPolicy
+from repro.experiments.scenarios import SCENARIOS, build_scenario
 from repro.experiments.telemetry_report import (
     render_telemetry_report,
     report_jsonable,
@@ -14,7 +16,13 @@ from repro.experiments.telemetry_report import (
 )
 from repro.fuzz.invariants import rederive_flip
 from repro.sim.units import MS
-from repro.telemetry import ClusterDecision, DecisionAudit, PoolChange, TypeFlip
+from repro.telemetry import (
+    ClusterDecision,
+    DecisionAudit,
+    PoolChange,
+    Telemetry,
+    TypeFlip,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "telemetry_report.json"
 
@@ -112,6 +120,32 @@ class TestDecisionsAndLedger:
             "audit_pool_ledger": 1.0,
         }
         assert len(audit) == 3
+
+
+def _aql_run(telemetry_enabled: bool):
+    """S2 under AQL for the unit-test windows; (manager, telemetry)."""
+    telemetry = Telemetry(enabled=telemetry_enabled)
+    built = build_scenario(SCENARIOS["S2"], seed=1, telemetry=telemetry)
+    policy = AqlPolicy()
+    policy.setup(built.machine, built.ctx)
+    built.machine.run(WARMUP_NS + MEASURE_NS)
+    return policy.manager, telemetry
+
+
+class TestOneDecisionRecord:
+    """AQL keeps one record per decide(); the audit shares it."""
+
+    def test_audit_holds_the_decision_log_instances(self):
+        manager, telemetry = _aql_run(telemetry_enabled=True)
+        log = manager.decision_log
+        audit = telemetry.audit.decisions
+        assert len(log) == len(audit) == manager.decisions
+        assert any(d.skipped for d in log) and any(d.changed for d in log)
+        assert all(ours is theirs for ours, theirs in zip(log, audit))
+
+        quiet, off = _aql_run(telemetry_enabled=False)
+        assert off.audit.decisions == []
+        assert quiet.decision_log == log
 
 
 class TestGoldenReport:
