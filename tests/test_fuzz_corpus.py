@@ -1,11 +1,14 @@
 """Corpus campaigns and the CLI: clean runs, artifacts, exit codes."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro.fuzz import CoverageMap, run_campaign
+from repro.exec import SweepRunner
+from repro.fuzz import CoverageMap, generate_scenario, run_campaign
 from repro.fuzz.cli import main
+from repro.fuzz.corpus import run_fuzz_case
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,49 @@ class TestCampaign:
         assert a.counts == {"event:vm_boot": 3, "ledger:plan": 4}
         assert a.runs == 3
         assert a.novelty(["event:vm_boot", "alg2:spill"]) == 1
+
+
+def scenario_keys(scenario):
+    """The ``policy:``/``mode:``/``event:`` counts a scenario implies
+    if every timeline event fires before the horizon."""
+    keys = Counter({f"policy:{scenario.policy}": 1})
+    keys.update(f"mode:{mode}" for _, mode in scenario.base)
+    for event in scenario.timeline.events:
+        keys[f"event:{event.kind}"] += 1
+        mode = getattr(event, "mode", None)
+        if mode is not None:
+            keys[f"mode:{mode}"] += 1
+    return dict(keys)
+
+
+class TestCampaignContract:
+    def test_engine_corpus_opens_unsteered(self):
+        """The first eight cases generate with no coverage map, so the
+        8-case ``fuzz_corpus`` benchmark keeps its pinned digests."""
+        runner = SweepRunner(jobs=1)
+        campaign = run_campaign(
+            8, seed=0, shrink_failures=False, runner=runner
+        )
+        runner.engine.close()
+        assert [case.scenario for case in campaign.cases] == [
+            generate_scenario(i) for i in range(8)
+        ]
+
+    def test_steering_keys_follow_from_the_scenario(self):
+        """Every timeline event fires, so a scenario alone fixes its
+        steering keys: the parent can steer without running it."""
+        kinds = set()
+        # five cases that between them apply every churn event kind
+        for seed in (1, 2, 3, 9, 10):
+            summary = run_fuzz_case(case_seed=seed, max_events=4)
+            kinds.update(e.kind for e in summary.scenario.timeline.events)
+            steering = {
+                key: count
+                for key, count in summary.coverage_counts.items()
+                if key.split(":")[0] in ("policy", "mode", "event")
+            }
+            assert steering == scenario_keys(summary.scenario)
+        assert len(kinds) == 6
 
 
 class TestCli:
