@@ -188,10 +188,9 @@ class Engine:
     def expect_cells(self, total: Optional[int]) -> None:
         """Hint the whole-run cell total for /status ETAs.
 
-        Multi-sweep drivers (the fleet's epoch loop, a fuzz campaign)
-        know roughly how many cells the *entire* run will take; without
-        the hint the ops plane can only project over the cells planned
-        so far.  Observability metadata only — nothing in execution
+        Multi-sweep drivers (the fleet's epoch loop) know roughly how
+        many cells the *entire* run will take; without the hint the ops
+        plane can only project over the cells planned so far.  Observability metadata only — nothing in execution
         reads it.
         """
         self.cells_hint = total

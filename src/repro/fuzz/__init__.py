@@ -10,12 +10,13 @@ re-derivation, span nesting and monotone virtual time; failures shrink
 (:mod:`repro.fuzz.shrink`) to a minimal scenario replayable with
 ``python -m repro.fuzz replay <case>.json``.  A decision-space
 coverage map (:mod:`repro.fuzz.coverage`) derived from the telemetry
-audit trail steers generation toward scheduler behaviour the corpus
-has not exercised.  DESIGN.md §12 documents the architecture.
+audit trail reports what a corpus exercised; its policy, mode and
+event keys steer generation toward the choices drawn least so far.
+DESIGN.md §12 documents the architecture.
 """
 
 from repro.fuzz.corpus import CampaignResult, CaseResult, run_campaign
-from repro.fuzz.coverage import CoverageMap, outcome_keys
+from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.generator import generate_scenario
 from repro.fuzz.inject import INJECTIONS, apply_injection
 from repro.fuzz.invariants import (
@@ -48,7 +49,6 @@ __all__ = [
     "check_invariants",
     "failure_signature",
     "generate_scenario",
-    "outcome_keys",
     "rederive_flip",
     "run_campaign",
     "run_scenario_fuzz",

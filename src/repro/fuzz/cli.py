@@ -3,9 +3,12 @@
 Subcommands:
 
 * ``run`` — a fixed-seed corpus campaign with coverage report and
-  shrunken repro files; the CI gate flags (``--require-invariant``,
-  ``--min-alg-branches``, ``--expect-caught``, ``--max-shrunk-events``)
-  turn the campaign into an executable acceptance test;
+  shrunken repro files, run as one engine sweep (``--jobs``,
+  ``--run-dir`` and ``--serve`` pick workers, journal and ops plane;
+  the corpus is the same for every choice); the CI gate flags
+  (``--require-invariant``, ``--min-alg-branches``, ``--expect-caught``,
+  ``--max-shrunk-events``) turn the campaign into an executable
+  acceptance test;
 * ``replay <case.json>`` — re-run one saved scenario and re-check the
   invariant library (exit 1 on violation, unless the case carries an
   injection, where violations are the expected outcome);
@@ -20,8 +23,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.exec import SweepRunner
 from repro.fuzz.corpus import run_campaign
 from repro.fuzz.generator import generate_scenario
+from repro.fuzz.inject import INJECTIONS
 from repro.fuzz.invariants import INVARIANTS, check_invariants
 from repro.fuzz.runner import run_scenario_fuzz
 from repro.fuzz.scenario import POLICY_NAMES, FuzzScenario
@@ -42,22 +47,22 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policies", nargs="+", default=list(POLICY_NAMES),
                      choices=list(POLICY_NAMES))
     run.add_argument("--max-events", type=int, default=4)
-    run.add_argument("--inject", default=None,
+    run.add_argument("--inject", default=None, choices=sorted(INJECTIONS),
                      help="apply a named bug injection to every case")
     run.add_argument("--no-shrink", action="store_true")
     run.add_argument("--quiet", action="store_true")
-    # engine mode: parallel, cached, resumable — unsteered generation
+    # execution: workers, journal and ops plane; never the corpus
     run.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="fan cases out over N engine workers "
-                          "(unsteered generation; default: sequential "
-                          "coverage-steered loop)")
+                     help="run cases on N engine workers; the corpus "
+                          "is the same for every N (default: "
+                          "$REPRO_JOBS, else 1)")
     run.add_argument("--run-dir", type=Path, default=None, metavar="DIR",
-                     help="with --jobs: journal completed cases under "
-                          "DIR so a killed campaign resumes")
+                     help="journal completed cases under DIR so a "
+                          "killed campaign resumes")
     run.add_argument("--serve", default=None, metavar="[HOST:]PORT",
                      help="serve live /metrics, /status and /events "
-                          "for the campaign over HTTP (implies engine "
-                          "mode, like --jobs; default: $REPRO_SERVE)")
+                          "for the campaign over HTTP (default: "
+                          "$REPRO_SERVE)")
     # gate flags (CI)
     run.add_argument("--min-alg-branches", type=int, default=0,
                      help="fail unless this many Algorithm 1/2 branches "
@@ -82,40 +87,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> int:
     from repro.ops import attach_ops, resolve_serve_spec
 
-    serve_spec = resolve_serve_spec(args.serve)
-    runner = None
-    plane = None
-    if (
-        args.jobs is not None
-        or args.run_dir is not None
-        or serve_spec is not None
-    ):
-        from repro.exec import SweepRunner
-
+    # a gate over no cases would pass having checked nothing
+    if args.cases < 1:
+        parser.error("--cases must be at least 1")
+    try:  # bad --serve/REPRO_SERVE or --jobs/REPRO_JOBS
+        serve_spec = resolve_serve_spec(args.serve)
         runner = SweepRunner(jobs=args.jobs, run_root=args.run_dir)
+    except ValueError as exc:
+        parser.error(str(exc))
+    # the ops plane attaches when there is something to observe: a live
+    # HTTP endpoint, or a run directory the flight recorder dumps into
+    plane = None
+    if serve_spec is not None or args.run_dir is not None:
         plane = attach_ops(runner.engine, spec=serve_spec)
-        # one cell per case: lets /status project an ETA over the
-        # whole campaign instead of only the cells planned so far
-        runner.engine.expect_cells(args.cases)
         if plane.server is not None:
             print(f"[ops] serving at {plane.server.url}", file=sys.stderr)
-    campaign = run_campaign(
-        args.cases,
-        seed=args.seed,
-        out_dir=args.out_dir,
-        policies=args.policies,
-        max_events=args.max_events,
-        inject=args.inject,
-        shrink_failures=not args.no_shrink,
-        log=None if args.quiet else sys.stderr,
-        runner=runner,
-    )
-    if plane is not None:
-        plane.close()
-    if runner is not None:
+    try:
+        campaign = run_campaign(
+            args.cases,
+            seed=args.seed,
+            out_dir=args.out_dir,
+            policies=args.policies,
+            max_events=args.max_events,
+            inject=args.inject,
+            shrink_failures=not args.no_shrink,
+            log=None if args.quiet else sys.stderr,
+            runner=runner,
+        )
+    finally:
+        if plane is not None:
+            plane.close()
         runner.engine.close()
     print(campaign.coverage.render())
     failures = campaign.failures
@@ -208,10 +214,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            return _cmd_run(parser, args)
         if args.command == "replay":
             return _cmd_replay(args)
         return _cmd_gen(args)

@@ -2,24 +2,21 @@
 
 :func:`run_campaign` is the fuzzing loop the CLI and CI drive: a
 fixed-seed sequence of generated scenarios, each run to completion and
-checked against the invariant library, with the shared coverage map
-steering every subsequent generation.  Failures are shrunk and written
+checked against the invariant library.  Failures are shrunk and written
 out as runnable repro files (``python -m repro.fuzz replay <case>``);
 the merged coverage report lands next to them.
 
-Everything is deterministic in (seed, cases, generation knobs): case
-``i`` is generated from ``seed + i`` against the coverage accumulated
-by cases ``0..i-1``.
-
-Passing a :class:`~repro.exec.SweepRunner` switches the campaign onto
-the execution engine: every case becomes one picklable
-:func:`run_fuzz_case` cell, fanned out over worker processes, cached
-content-addressed, and — with a run directory — journalled so a killed
-campaign resumes.  The trade is *steering*: coverage-guided generation
-is inherently sequential (case ``i`` reads the coverage of ``0..i-1``),
-so engine-mode cases generate unsteered and coverage merges at the
-fold.  The default sequential path keeps steering; shrinking always
-happens in the parent either way.
+A campaign has one path.  The parent generates every case up front:
+case ``i`` is drawn from ``seed + i``, steered by the ``policy:``,
+``mode:`` and ``event:`` keys of the scenarios drawn for cases
+``0..i-1`` (:meth:`CoverageMap.observe_scenario`).  Those are the only
+keys generation weighs, and a scenario alone fixes them because every
+timeline event fires before the horizon, so steering needs no case to
+have run.  The corpus then runs as one engine sweep of picklable
+:func:`run_fuzz_case` cells: fanned out over worker processes, cached
+content-addressed and, with a run directory, journalled so a killed
+campaign resumes.  The corpus is the same for every worker count.
+Shrinking, repro files and the coverage report stay in the parent.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.exec import Cell, SweepRunner, engine_cell
-from repro.fuzz.coverage import CoverageMap, outcome_keys
+from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.generator import generate_scenario
 from repro.fuzz.invariants import Violation, check_invariants
 from repro.fuzz.runner import run_scenario_fuzz
@@ -68,105 +65,42 @@ class CampaignResult:
         return [case for case in self.cases if case.failed]
 
 
+#: Cases that generate with no coverage map before steering starts.
+#: The 8-case ``fuzz_corpus`` benchmark pins the digests of exactly
+#: such an unsteered corpus (``perfbench/pins.json``), so steering from
+#: case 1 has to wait for a re-pin of that benchmark.
+UNSTEERED_CASES = 8
+
+
 @dataclass(frozen=True)
 class FuzzCaseSummary:
-    """One engine-mode case, reduced to picklable facts.
+    """One case's run, reduced to picklable facts.
 
     Workers cannot ship the live :class:`~repro.fuzz.runner.FuzzOutcome`
-    object graph across the process boundary, so the cell distils it:
-    the generated scenario (replayable data), the violations (plain
-    dataclasses), the case's coverage counts, and the horizon.  The
-    parent re-runs a failing scenario deterministically when it needs
-    the live graph again (shrinking does exactly that).
+    object graph across the process boundary, so the cell distils it to
+    the violations (plain dataclasses) and the case's coverage counts.
+    The parent holds the scenario and re-runs a failing one when it
+    needs the live graph again (shrinking does exactly that).
     """
 
-    seed: int
-    scenario: FuzzScenario
     violations: tuple[Violation, ...]
     coverage_counts: dict[str, int]
-    end_ns: int
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.violations)
 
 
 @engine_cell
-def run_fuzz_case(
-    case_seed: int,
-    policies: Sequence[str] = POLICY_NAMES,
-    max_events: int = 4,
-    inject: Optional[str] = None,
-) -> FuzzCaseSummary:
-    """Generate (unsteered), run and check one corpus case.
+def run_fuzz_case(scenario: FuzzScenario) -> FuzzCaseSummary:
+    """Run and check one corpus case.
 
-    Module-level and pure in its arguments, so it pickles across the
-    fork and caches content-addressed: the cell for ``(seed, knobs)``
-    is the same cell in every campaign that plans it.
+    Module-level and pure in its argument, so it pickles across the
+    fork and caches content-addressed.
     """
-    scenario = generate_scenario(
-        case_seed,
-        coverage=None,
-        policies=tuple(policies),
-        max_events=max_events,
-        inject=inject,
-    )
     outcome = run_scenario_fuzz(scenario)
-    violations = tuple(check_invariants(outcome))
     probe = CoverageMap()
     probe.observe_outcome(outcome)
     return FuzzCaseSummary(
-        seed=case_seed,
-        scenario=scenario,
-        violations=violations,
+        violations=tuple(check_invariants(outcome)),
         coverage_counts=dict(probe.counts),
-        end_ns=outcome.end_ns,
     )
-
-
-def _finish_case(
-    case: CaseResult,
-    result: CampaignResult,
-    *,
-    cases: int,
-    out_dir: Optional[Path],
-    shrink_failures: bool,
-    max_shrink_evaluations: int,
-    log: Optional[object],
-) -> None:
-    """Shared tail of both campaign modes: shrink, save, log, append."""
-    if case.failed:
-        if shrink_failures:
-            case.shrunk = shrink(
-                case.scenario,
-                case.violations,
-                max_evaluations=max_shrink_evaluations,
-            )
-        if out_dir is not None:
-            minimal = (
-                case.shrunk.scenario
-                if case.shrunk is not None
-                else case.scenario
-            )
-            case.repro_path = minimal.save(
-                Path(out_dir) / f"case_{case.seed}.json"
-            )
-    if log is not None:
-        status = (
-            "FAIL " + ",".join(sorted({
-                v.invariant for v in case.violations
-            }))
-            if case.failed
-            else "ok"
-        )
-        print(
-            f"[{case.index + 1}/{cases}] seed={case.seed} "
-            f"policy={case.scenario.policy} "
-            f"events={len(case.scenario.timeline)} "
-            f"new-coverage={case.new_coverage} {status}",
-            file=log,
-        )
-    result.cases.append(case)
 
 
 def run_campaign(
@@ -179,76 +113,84 @@ def run_campaign(
     inject: Optional[str] = None,
     shrink_failures: bool = True,
     max_shrink_evaluations: int = 60,
-    coverage: Optional[CoverageMap] = None,
     log: Optional[object] = None,
     runner: Optional[SweepRunner] = None,
 ) -> CampaignResult:
     """Run a fixed-seed corpus; returns every case plus merged coverage.
 
-    With ``runner`` the campaign goes through the execution engine
-    (parallel, cached, resumable — see the module docstring for the
-    steering trade); without it, the classic sequential
-    coverage-steered loop runs unchanged.
+    ``runner`` only picks workers, run directory and sinks (default:
+    a serial :class:`~repro.exec.SweepRunner`); the corpus is the same
+    whichever runs it.
     """
-    result = CampaignResult(
-        coverage=coverage if coverage is not None else CoverageMap()
-    )
-    finish = dict(
-        cases=cases,
-        out_dir=out_dir,
-        shrink_failures=shrink_failures,
-        max_shrink_evaluations=max_shrink_evaluations,
-        log=log,
-    )
-
-    if runner is not None:
-        cells = [
+    steering = CoverageMap()
+    scenarios = []
+    for index in range(cases):
+        scenario = generate_scenario(
+            seed + index,
+            coverage=steering if index >= UNSTEERED_CASES else None,
+            policies=policies,
+            max_events=max_events,
+            inject=inject,
+        )
+        steering.observe_scenario(scenario)
+        scenarios.append(scenario)
+    if runner is None:
+        runner = SweepRunner(jobs=1)
+    summaries = runner.run(
+        [
             Cell(
                 run_fuzz_case,
-                dict(
-                    case_seed=seed + index,
-                    policies=tuple(policies),
-                    max_events=max_events,
-                    inject=inject,
-                ),
-                label=f"fuzz:seed{seed + index}",
+                dict(scenario=scenario),
+                label=f"fuzz:seed{scenario.seed}",
             )
-            for index in range(cases)
-        ]
-        summaries = runner.run(cells, stage="fuzz-corpus")
-        for index, summary in enumerate(summaries):
-            case = CaseResult(
-                index=index, seed=summary.seed, scenario=summary.scenario
+            for scenario in scenarios
+        ],
+        stage="fuzz-corpus",
+    )
+
+    result = CampaignResult()
+    for index, (scenario, summary) in enumerate(zip(scenarios, summaries)):
+        case = CaseResult(
+            index=index,
+            seed=scenario.seed,
+            scenario=scenario,
+            violations=list(summary.violations),
+            new_coverage=result.coverage.novelty(summary.coverage_counts),
+        )
+        result.coverage.runs += 1
+        for key, count in summary.coverage_counts.items():
+            result.coverage.hit(key, count)
+        if case.failed:
+            if shrink_failures:
+                case.shrunk = shrink(
+                    scenario,
+                    case.violations,
+                    max_evaluations=max_shrink_evaluations,
+                )
+            if out_dir is not None:
+                minimal = (
+                    case.shrunk.scenario if case.shrunk is not None
+                    else scenario
+                )
+                case.repro_path = minimal.save(
+                    Path(out_dir) / f"case_{case.seed}.json"
+                )
+        if log is not None:
+            status = (
+                "FAIL " + ",".join(sorted({
+                    v.invariant for v in case.violations
+                }))
+                if case.failed
+                else "ok"
             )
-            case.violations = list(summary.violations)
-            case.new_coverage = result.coverage.novelty(
-                summary.coverage_counts
+            print(
+                f"[{index + 1}/{cases}] seed={case.seed} "
+                f"policy={scenario.policy} "
+                f"events={len(scenario.timeline)} "
+                f"new-coverage={case.new_coverage} {status}",
+                file=log,
             )
-            fold = CoverageMap()
-            fold.counts = dict(summary.coverage_counts)
-            fold.runs = 1
-            result.coverage.merge(fold)
-            _finish_case(case, result, **finish)
-    else:
-        for index in range(cases):
-            case_seed = seed + index
-            scenario = generate_scenario(
-                case_seed,
-                coverage=result.coverage,
-                policies=policies,
-                max_events=max_events,
-                inject=inject,
-            )
-            outcome = run_scenario_fuzz(scenario)
-            case = CaseResult(
-                index=index, seed=case_seed, scenario=scenario
-            )
-            case.violations = check_invariants(outcome)
-            case.new_coverage = result.coverage.novelty(
-                outcome_keys(outcome)
-            )
-            result.coverage.observe_outcome(outcome)
-            _finish_case(case, result, **finish)
+        result.cases.append(case)
 
     if out_dir is not None:
         result.report_path = result.coverage.save(
@@ -261,6 +203,7 @@ __all__ = [
     "CampaignResult",
     "CaseResult",
     "FuzzCaseSummary",
+    "UNSTEERED_CASES",
     "run_campaign",
     "run_fuzz_case",
 ]

@@ -17,10 +17,12 @@ Keys are namespaced strings counted per run:
   spills, per-cluster quanta);
 * ``ledger:<kind>`` — pool-change ledger entries.
 
-The generator steers toward unvisited behaviour by weighting choices
-with :meth:`CoverageMap.weight` (1 / (1 + hits)); the CI gate asserts
-a floor on distinct ``alg`` branches so a corpus that stops exercising
-the clustering fails loudly.
+The generator weighs its policy, mode and event choices with
+:meth:`CoverageMap.weight` (1 / (1 + hits)) over the ``policy:``,
+``mode:`` and ``event:`` keys, which :meth:`CoverageMap.observe_scenario`
+derives from a scenario alone; the CI gate asserts a floor on distinct
+``alg`` branches so a corpus that stops exercising the clustering fails
+loudly.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fuzz.runner import FuzzOutcome
+    from repro.fuzz.scenario import FuzzScenario
 
 #: vTRS type names that feed Algorithm 1's trashing list
 _TRASHING_TYPES = {"LLCO", "IOINT", "CONSPIN"}
@@ -49,17 +52,23 @@ class CoverageMap:
     def hit(self, key: str, count: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + count
 
+    def observe_scenario(self, scenario: "FuzzScenario") -> None:
+        """Fold in the steering keys: the policy, every mode and every
+        churn event.  A scenario alone fixes them, since every timeline
+        event fires before the horizon."""
+        self.hit(f"policy:{scenario.policy}")
+        for _, mode in scenario.base:
+            self.hit(f"mode:{mode}")
+        for event in scenario.timeline.events:
+            self.hit(f"event:{event.kind}")
+            mode = getattr(event, "mode", None)
+            if mode is not None:
+                self.hit(f"mode:{mode}")
+
     def observe_outcome(self, outcome: "FuzzOutcome") -> None:
         """Fold one run's decision surface into the map."""
         self.runs += 1
-        self.hit(f"policy:{outcome.scenario.policy}")
-        for _, mode in outcome.scenario.base:
-            self.hit(f"mode:{mode}")
-        for applied in outcome.engine.applied:
-            self.hit(f"event:{applied.event.kind}")
-            mode = getattr(applied.event, "mode", None)
-            if mode is not None:
-                self.hit(f"mode:{mode}")
+        self.observe_scenario(outcome.scenario)
         audit = outcome.telemetry.audit
         for flip in audit.flips:
             old = flip.old_type if flip.old_type is not None else "∅"
@@ -163,11 +172,4 @@ class CoverageMap:
         return len(self.counts)
 
 
-def outcome_keys(outcome: "FuzzOutcome") -> list[str]:
-    """The keys one outcome would contribute (novelty ranking)."""
-    probe = CoverageMap()
-    probe.observe_outcome(outcome)
-    return sorted(probe.counts)
-
-
-__all__ = ["CoverageMap", "outcome_keys"]
+__all__ = ["CoverageMap"]

@@ -74,11 +74,15 @@ class FuzzOutcome:
     workloads: dict[str, SwitchableWorkload]
     engine: ChurnEngine
     telemetry: Telemetry
-    end_ns: int
     #: vcpu name -> lowest credit ever observed by the periodic probe
     credit_watermark: dict[str, float] = field(default_factory=dict)
     #: open spans force-closed at end of run (run finalisation)
     spans_closed: int = 0
+
+    @property
+    def end_ns(self) -> int:
+        """The horizon the run stopped at."""
+        return self.machine.sim.now
 
 
 def run_scenario_fuzz(scenario: FuzzScenario) -> FuzzOutcome:
@@ -117,7 +121,6 @@ def run_scenario_fuzz(scenario: FuzzScenario) -> FuzzOutcome:
         workloads=workloads,
         engine=None,  # type: ignore[arg-type]  # set below
         telemetry=telemetry,
-        end_ns=0,
     )
 
     def probe() -> None:
@@ -148,13 +151,7 @@ def run_scenario_fuzz(scenario: FuzzScenario) -> FuzzOutcome:
     # run finalisation: close control-plane spans still open at the
     # horizon so the span forest is complete for the nesting invariant
     outcome.spans_closed = telemetry.tracer.close_all(machine.sim.now)
-    outcome.end_ns = machine.sim.now
     return outcome
 
 
-def replay(scenario: FuzzScenario) -> FuzzOutcome:
-    """Alias with the CLI's vocabulary: replays are just runs."""
-    return run_scenario_fuzz(scenario)
-
-
-__all__ = ["MODE_TYPES", "FuzzOutcome", "replay", "run_scenario_fuzz"]
+__all__ = ["MODE_TYPES", "FuzzOutcome", "run_scenario_fuzz"]

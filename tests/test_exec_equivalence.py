@@ -32,6 +32,7 @@ from repro.experiments.scenarios import AppPlacement, Scenario
 from repro.fleet.catalog import HOST_CATALOG, VMSpec
 from repro.fleet.model import run_host_epoch
 from repro.fuzz.corpus import run_fuzz_case
+from repro.fuzz.generator import generate_scenario
 from repro.sim.units import MS
 
 #: a grid of small scenarios — one IO+CPU mix, one spin+CPU mix —
@@ -291,8 +292,9 @@ def family_cells() -> dict[str, Cell]:
         "fuzz": Cell(
             run_fuzz_case,
             dict(
-                case_seed=11, policies=("aql", "xen"), max_events=2,
-                inject=None,
+                scenario=generate_scenario(
+                    11, policies=("aql", "xen"), max_events=2
+                ),
             ),
             label="family:fuzz",
         ),

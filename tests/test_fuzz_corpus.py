@@ -1,11 +1,14 @@
 """Corpus campaigns and the CLI: clean runs, artifacts, exit codes."""
 
 import json
+import signal
+import threading
 from collections import Counter
 
 import pytest
 
 from repro.exec import SweepRunner
+from repro.exec.queue import fork_available
 from repro.fuzz import CoverageMap, generate_scenario, run_campaign
 from repro.fuzz.cli import main
 from repro.fuzz.corpus import run_fuzz_case
@@ -91,15 +94,37 @@ class TestCampaignContract:
         kinds = set()
         # five cases that between them apply every churn event kind
         for seed in (1, 2, 3, 9, 10):
-            summary = run_fuzz_case(case_seed=seed, max_events=4)
-            kinds.update(e.kind for e in summary.scenario.timeline.events)
+            scenario = generate_scenario(seed, max_events=4)
+            summary = run_fuzz_case(scenario=scenario)
+            kinds.update(e.kind for e in scenario.timeline.events)
             steering = {
                 key: count
                 for key, count in summary.coverage_counts.items()
                 if key.split(":")[0] in ("policy", "mode", "event")
             }
-            assert steering == scenario_keys(summary.scenario)
+            assert steering == scenario_keys(scenario)
         assert len(kinds) == 6
+
+    @pytest.mark.skipif(
+        not fork_available(),
+        reason="parallel leg needs the fork start method",
+    )
+    def test_corpus_does_not_depend_on_jobs(self):
+        """Ten cases cross the unsteered opening into steered
+        generation; worker count must not change a single case."""
+        def facts(campaign):
+            return [
+                (case.scenario, case.violations, case.new_coverage)
+                for case in campaign.cases
+            ], campaign.coverage.counts
+
+        runner = SweepRunner(jobs=2)
+        parallel = run_campaign(
+            10, seed=300, shrink_failures=False, runner=runner
+        )
+        runner.engine.close()
+        serial = run_campaign(10, seed=300, shrink_failures=False)
+        assert facts(parallel) == facts(serial)
 
 
 class TestCli:
@@ -132,6 +157,49 @@ class TestCli:
         ])
         assert status == 1
         assert "NOT caught" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, named", [
+        # a gate over zero cases would pass having checked nothing
+        (["--cases", "0"], "--cases"),
+        (["--cases", "-3"], "--cases"),
+        # rejected up front, not mid-campaign
+        (["--inject", "no_such_bug"], "no_such_bug"),
+        (["--jobs", "0"], "jobs"),
+        (["--serve", "bogus:x"], "bogus:x"),
+    ])
+    def test_bad_run_arguments_are_usage_errors(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--cases", "1", "--quiet",
+                "--require-invariant", "credit_fairness", *argv,
+            ])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_campaign_error_closes_the_ops_plane(self, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("campaign died")
+
+        monkeypatch.setattr("repro.fuzz.cli.run_campaign", crash)
+        handlers = {
+            sig: signal.getsignal(sig)
+            for sig in (signal.SIGTERM, signal.SIGUSR1)
+        }
+        threads = {t.ident for t in threading.enumerate()}
+        try:
+            with pytest.raises(RuntimeError, match="campaign died"):
+                main([
+                    "run", "--cases", "1", "--quiet",
+                    "--serve", "127.0.0.1:0",
+                ])
+        finally:
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
+        leaked = [
+            t for t in threading.enumerate()
+            if t.name == "repro-ops-http" and t.ident not in threads
+        ]
+        assert leaked == []
 
     def test_gen_then_replay_round_trip(self, tmp_path, capsys):
         case = tmp_path / "case.json"
