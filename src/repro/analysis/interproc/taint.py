@@ -66,9 +66,9 @@ RULE_ID = "SIM008"
 #:     the simulated work it drives stays on the virtual clock.
 #: ``repro.exec.queue``
 #:     The engine's work-stealing pool stamps each cell with its wall
-#:     duration (``timed_call``), its CPU/RSS resource profile
-#:     (``profiled_call``: ``os.times`` / ``resource.getrusage``) and
-#:     worker heartbeat timestamps — progress reporting, event-stream
+#:     duration and CPU/RSS resource profile (``profiled_call``:
+#:     ``perf_counter``, ``os.times`` / ``resource.getrusage``), and
+#:     worker heartbeats with a timestamp — progress reporting, event-stream
 #:     metadata and the ops plane's liveness ledger.  None of it ever
 #:     feeds back into any result; the event-stream golden test
 #:     normalises all of it to zero because it is presentation-only.

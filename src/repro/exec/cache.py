@@ -15,15 +15,19 @@ expiry logic; ``clear()`` (or ``make clean-cache``) drops everything.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
 _MAGIC = b"REPROCACHE1\n"
 _DIGEST_BYTES = 32
+#: temp-file numbers shared by every cache in the process, so two
+#: instances on one root never race for the same ``.tmp-<pid>-<n>``
+_TMP_SEQ = itertools.count()
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 
 @dataclass
@@ -66,6 +70,9 @@ class ResultCache:
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
+        # put() runs once per executed cell; plain strings keep
+        # pathlib out of it
+        self._root_str = os.fspath(self.root)
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -103,12 +110,10 @@ class ResultCache:
         """Store ``value``; returns the pickled payload bytes."""
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).digest()
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        shard = os.path.join(self._root_str, key[:2])
+        path = os.path.join(shard, key + ".pkl")
         # atomic publish: a crashed writer never leaves a short file
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".pkl"
-        )
+        fd, tmp_name = _open_temp(shard)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(_MAGIC)
@@ -174,6 +179,23 @@ class ResultCache:
             except OSError:
                 pass
         return removed
+
+
+def _open_temp(shard: str) -> tuple[int, str]:
+    """Create a fresh ``.tmp-<pid>-<n>.pkl`` in ``shard`` for writing.
+
+    The shard directory is made on first use only; a name left by an
+    earlier process with the same pid is skipped, not reused.
+    """
+    pid = os.getpid()
+    while True:
+        name = os.path.join(shard, f".tmp-{pid}-{next(_TMP_SEQ)}.pkl")
+        try:
+            return os.open(name, _TMP_FLAGS, 0o600), name
+        except FileExistsError:
+            continue
+        except FileNotFoundError:
+            os.makedirs(shard, exist_ok=True)
 
 
 __all__ = ["CacheStats", "CacheEntry", "ResultCache"]

@@ -222,9 +222,11 @@ class Engine:
         # the run directory keeps its own event log, appended across
         # resumes so the full history of the run reads in one file
         self._sinks.append(JsonlSink(self.run_dir.events_path, append=True))
-        # ... and a live status.json, rewritten atomically on every
-        # checkpoint so a detached run stays inspectable without the
-        # HTTP ops plane (lazy import: exec stays below repro.ops)
+        # ... and a live status.json (one compact JSON line that
+        # `python -m repro.ops attach RUN_DIR` renders), rewritten
+        # atomically on every checkpoint so a detached run stays
+        # inspectable without the HTTP ops plane (lazy import: exec
+        # stays below repro.ops)
         from repro.ops.status import StatusWriter
 
         self._sinks.append(
@@ -330,8 +332,9 @@ class Engine:
             picked = [
                 i for i in self.schedule if 0 <= i < len(pending)
             ]
+            picked_set = set(picked)
             rest = [
-                i for i in range(len(pending)) if i not in set(picked)
+                i for i in range(len(pending)) if i not in picked_set
             ]
             queue_order = [pending[i] for i in dict.fromkeys(picked)]
             queue_order.extend(pending[i] for i in rest)

@@ -43,10 +43,6 @@ Task = tuple[int, Callable[..., Any], dict[str, Any]]
 #: and ops-plane metadata, never an input to any result
 Profile = dict[str, float]
 
-#: callback fired in the parent as each result arrives (completion
-#: order, not index order): (index, value, seconds)
-ResultCallback = Callable[[int, Any, float], None]
-
 
 class WorkerCrash(RuntimeError):
     """A pool worker died without delivering its result."""
@@ -56,25 +52,15 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def timed_call(
+def profiled_call(
     fn: Callable[..., Any], kwargs: Mapping[str, Any]
-) -> tuple[Any, float]:
-    """Run one cell on a private copy of its kwargs, timing it.
+) -> tuple[Any, float, Profile]:
+    """Run one cell on a private copy of its kwargs, timing and profiling it.
 
     The deepcopy mirrors the isolation a forked worker gets for free:
     a policy object mutated by ``setup()`` never leaks back into the
     caller's cell, whose pristine state the cache key was computed
     from.  Module-level so it pickles across the fork.
-    """
-    start = time.perf_counter()
-    value = fn(**copy.deepcopy(dict(kwargs)))
-    return value, time.perf_counter() - start
-
-
-def profiled_call(
-    fn: Callable[..., Any], kwargs: Mapping[str, Any]
-) -> tuple[Any, float, Profile]:
-    """:func:`timed_call` plus a per-cell resource profile.
 
     utime/stime come from ``os.times()`` deltas around the call and
     peak RSS from ``resource.getrusage`` — observability metadata for
@@ -105,9 +91,10 @@ class WorkerHealth:
     exists so the ops plane (``/metrics`` worker gauges, ``/status``)
     can report which workers are alive, what each is chewing on, and
     when it was last heard from.  Heartbeats ride the existing result
-    queue (one at task pickup, one after each completion), so there is
-    no extra channel and no polling thread.  Thread-safe because the
-    engine thread writes while ops HTTP threads snapshot.
+    queue (a message at task pickup, and the worker stamp on each
+    result tuple), so there is no extra channel and no polling thread.
+    Thread-safe because the engine thread writes while ops HTTP threads
+    snapshot.
     """
 
     __slots__ = ("_lock", "_workers")
@@ -182,12 +169,17 @@ def _worker(
 ) -> None:
     """Worker loop: steal, execute, report; ``None`` is the stop token.
 
-    Besides ``("ok"|"error", index, payload, seconds, profile)`` result
-    tuples, the worker emits ``("hb", worker_id, pid, wall_ts, index)``
-    heartbeats — one when it picks a task up (``index`` set) and one
-    after it reports the result (``index=None`` — idle).  The parent
-    folds those into :class:`WorkerHealth` without counting them
-    against outstanding work.
+    Messages on the result queue:
+
+    * ``("hb", worker_id, pid, wall_ts, index)`` when the worker picks
+      a task up — the busy heartbeat;
+    * ``("ok", index, value, seconds, profile, worker_id, pid, wall_ts)``
+      when the cell finished — the result and the idle heartbeat in one
+      message, so the last beat of a sweep cannot be left unread;
+    * ``("error", index, payload)`` when the cell raised.
+
+    The parent folds the heartbeats into :class:`WorkerHealth`; only
+    results count against outstanding work.
     """
     pid = os.getpid()
     while True:
@@ -213,12 +205,13 @@ def _worker(
             # any failure must degrade to the repr, never propagate
             except Exception:  # simlint: disable=SIM006
                 payload = repr(exc)  # unpicklable: degrade to its repr
-            result_queue.put(("error", index, payload, 0.0, None))
+            result_queue.put(("error", index, payload))
             if isinstance(exc, KeyboardInterrupt):
                 return  # a real Ctrl-C is process-wide: stop stealing
             continue
-        result_queue.put(("ok", index, value, seconds, profile))
-        result_queue.put(("hb", worker_id, pid, time.time(), None))
+        result_queue.put(
+            ("ok", index, value, seconds, profile, worker_id, pid, time.time())
+        )
 
 
 class WorkStealingPool:
@@ -248,8 +241,9 @@ class WorkStealingPool:
         the pool down and re-raises in the parent; a
         ``KeyboardInterrupt`` (or an abandoned generator) terminates
         the workers before propagating, so Ctrl-C never leaves orphan
-        processes behind.  Heartbeat tuples are folded into
-        :attr:`health` as they drain and never count as completions.
+        processes behind.  Heartbeats — pickup messages and the worker
+        stamp on each result — are folded into :attr:`health` as they
+        drain; a result's idle beat is folded before it is yielded.
         """
         context = multiprocessing.get_context("fork")
         task_queue: Any = context.Queue()
@@ -297,18 +291,22 @@ class WorkStealingPool:
                         ) from None
                     continue
                 status = item[0]
-                if status == "hb":
+                if status == "ok":
+                    (_, index, value, seconds, profile,
+                     worker_id, pid, wall_ts) = item
+                    outstanding -= 1
+                    if self.health is not None:
+                        self.health.beat(worker_id, pid, wall_ts, None)
+                    yield index, value, seconds, profile
+                elif status == "hb":
                     _, worker_id, pid, wall_ts, busy_index = item
                     if self.health is not None:
                         self.health.beat(worker_id, pid, wall_ts, busy_index)
-                    continue
-                _, index, value, seconds, profile = item
-                outstanding -= 1
-                if status == "error":
-                    if isinstance(value, BaseException):
-                        raise value
-                    raise WorkerCrash(f"cell {index} failed: {value}")
-                yield index, value, seconds, profile
+                else:
+                    _, index, payload = item
+                    if isinstance(payload, BaseException):
+                        raise payload
+                    raise WorkerCrash(f"cell {index} failed: {payload}")
             clean = True
         finally:
             if not clean:
@@ -318,20 +316,13 @@ class WorkStealingPool:
             for process in processes:
                 process.join(timeout=2.0)
 
-    def run(self, tasks: Sequence[Task], on_result: ResultCallback) -> None:
-        """Callback flavour of :meth:`iter_results` (profile dropped)."""
-        for index, value, seconds, _profile in self.iter_results(tasks):
-            on_result(index, value, seconds)
-
 
 __all__ = [
     "Profile",
-    "ResultCallback",
     "Task",
     "WorkStealingPool",
     "WorkerCrash",
     "WorkerHealth",
     "fork_available",
     "profiled_call",
-    "timed_call",
 ]

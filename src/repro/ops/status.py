@@ -4,8 +4,9 @@
 
 * ``GET /status`` on the ops HTTP server;
 * ``<run-dir>/status.json``, rewritten atomically on every checkpoint
-  by :class:`StatusWriter` so a detached run stays inspectable with
-  nothing but ``cat``;
+  by :class:`StatusWriter` so a detached run stays inspectable without
+  the HTTP server — one compact JSON line, which
+  ``python -m repro.ops attach RUN_DIR`` renders;
 * the ``status`` block inside flight-recorder dump metadata.
 
 It observes every event **at the source** — the engine calls
@@ -187,7 +188,9 @@ class StatusWriter:
     cache-hit storms don't turn into fsync storms.  The write is
     tmp-then-:func:`os.replace`, so a reader never observes a torn
     document and a SIGKILL mid-write strands at most one
-    ``status.json.tmp`` (removed on the next attach).
+    ``status.json.tmp`` (removed on the next attach).  The document is
+    one compact line: indenting would push :func:`json.dumps` off its C
+    encoder, and this rewrite runs once per journalled cell.
     """
 
     #: event kinds that trigger a rewrite
@@ -212,7 +215,7 @@ class StatusWriter:
 
     def write(self) -> None:
         doc = self.status.document()
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, sort_keys=True) + "\n"
         self._tmp.write_text(text, encoding="utf-8")
         os.replace(self._tmp, self.path)
 

@@ -186,6 +186,78 @@ class TestResultCache:
         assert cache.clear() == 3
         assert not cache.get("00" * 32).hit
 
+    def test_two_caches_on_one_root_share_a_shard(self, tmp_path):
+        import os
+
+        from repro.exec import cache as cache_module
+
+        first = ResultCache(root=tmp_path)
+        second = ResultCache(root=tmp_path)
+        # temps stranded by an earlier process with this pid sit on the
+        # next names the counter hands out; puts must step past them
+        (tmp_path / "aa").mkdir()
+        upcoming = next(cache_module._TMP_SEQ)
+        stale = [
+            tmp_path / "aa" / f".tmp-{os.getpid()}-{n}.pkl"
+            for n in range(upcoming + 1, upcoming + 4)
+        ]
+        for path in stale:
+            path.write_bytes(b"stale")
+        # every key lands in shard "aa": 50 puts from each instance
+        keys = [f"aa{i:062x}" for i in range(100)]
+        for i, key in enumerate(keys):
+            (first if i % 2 else second).put(key, {"i": i})
+        assert first.stats.stores == second.stats.stores == 50
+        assert sorted(tmp_path.rglob(".tmp-*")) == sorted(stale)
+        assert all(path.read_bytes() == b"stale" for path in stale)
+        assert first.sweep_temps() == len(stale)
+        reader = ResultCache(root=tmp_path)
+        for i, key in enumerate(keys):
+            entry = reader.get(key)
+            assert entry.hit and entry.value == {"i": i}
+
+    def test_removed_shard_is_recreated(self, tmp_path):
+        import shutil
+
+        cache = ResultCache(root=tmp_path)
+        cache.put("bb" + "0" * 62, 1)
+        shutil.rmtree(tmp_path / "bb")
+        cache.put("bb" + "1" * 62, 2)
+        entry = cache.get("bb" + "1" * 62)
+        assert entry.hit and entry.value == 2
+        assert not cache.get("bb" + "0" * 62).hit
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import os
+
+        real_fdopen = os.fdopen
+
+        class FailingHandle:
+            def __init__(self, fd, mode):
+                self._handle = real_fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+                return False
+
+            def write(self, data):
+                raise OSError("disk full")
+
+        cache = ResultCache(root=tmp_path)
+        cache.put("cc" + "0" * 62, "kept")
+        monkeypatch.setattr(os, "fdopen", FailingHandle)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put("cc" + "1" * 62, "lost")
+        monkeypatch.undo()
+        assert not list(tmp_path.rglob(".tmp-*"))
+        assert cache.stats.stores == 1
+        assert not cache.get("cc" + "1" * 62).hit
+        entry = cache.get("cc" + "0" * 62)
+        assert entry.hit and entry.value == "kept"
+
     def test_scenario_run_payload_round_trips(self, tmp_path):
         from repro.experiments.scenarios import AppPlacement, Scenario
         from repro.sim.units import MS

@@ -24,6 +24,7 @@ from repro.exec.events import (
     read_event_log,
     validate_events,
 )
+from repro.exec.queue import fork_available
 from repro.ops import (
     EventRing,
     FanOutSink,
@@ -337,6 +338,31 @@ class TestObserverEffect:
         assert sum(
             entry["beats"] for entry in snapshot["workers"].values()
         ) >= 1
+
+
+# ----------------------------------------------------------------------
+# worker heartbeats
+# ----------------------------------------------------------------------
+class TestWorkerHeartbeats:
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_every_finished_cell_leaves_its_worker_idle(self, tmp_path):
+        """Two beats per cell (pickup, completion), and none lost at the
+        end of a sweep: after the last result every worker is idle, in
+        the ledger and in the status.json written at the fold."""
+        cells = 40
+        engine = Engine(jobs=2, run_root=tmp_path / "runs")
+        engine.run(make_cells(cells), stage="hb")
+        engine.close()
+        snapshot = engine.worker_health.snapshot()
+        workers = snapshot["workers"].values()
+        assert sum(entry["beats"] for entry in workers) == 2 * cells
+        assert all(entry["busy_index"] is None for entry in workers)
+        status = read_status(engine.run_dir.path / "status.json")
+        assert status is not None
+        assert all(
+            entry["busy_index"] is None
+            for entry in status["workers"]["workers"].values()
+        )
 
 
 # ----------------------------------------------------------------------
