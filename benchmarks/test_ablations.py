@@ -13,10 +13,15 @@ from repro.experiments.ablations import (
     run_lock_handoff_ablation,
     run_reuse_ablation,
 )
+from repro.experiments.registry import REGISTRY
+
+ABLATIONS = REGISTRY["ablations"].full
 
 
 def test_boost_ablation(once, sweep_runner):
-    result = once(lambda: run_boost_ablation(runner=sweep_runner))
+    result = once(
+        lambda: run_boost_ablation(runner=sweep_runner, **ABLATIONS)
+    )
     print()
     print(render_boost_ablation(result))
     # with BOOST, exclusive IO is quantum-agnostic...
@@ -29,7 +34,9 @@ def test_boost_ablation(once, sweep_runner):
 
 
 def test_lock_handoff_ablation(once, sweep_runner):
-    result = once(lambda: run_lock_handoff_ablation(runner=sweep_runner))
+    result = once(
+        lambda: run_lock_handoff_ablation(runner=sweep_runner, **ABLATIONS)
+    )
     print()
     print(render_lock_handoff_ablation(result))
     # FIFO (ticket) handoff loses at every quantum once consolidated —
@@ -56,7 +63,7 @@ def test_sync_primitives_ablation(once):
         run_sync_primitives,
     )
 
-    result = once(run_sync_primitives)
+    result = once(lambda: run_sync_primitives(**REGISTRY["sync"].full))
     print()
     print(render_sync_primitives(result))
     # §3.2: spinning degrades with the quantum, blocking barely does
@@ -66,7 +73,7 @@ def test_sync_primitives_ablation(once):
 
 
 def test_reuse_ablation(once):
-    result = once(run_reuse_ablation)
+    result = once(lambda: run_reuse_ablation(**ABLATIONS))
     print()
     print(render_reuse_ablation(result))
     # long quanta help LLCF under every reuse curve...

@@ -12,6 +12,9 @@ The quantitative claims behind the dynamics subsystem:
 """
 
 from repro.experiments.churn import make_stories, render_churn, run_churn
+from repro.experiments.registry import REGISTRY
+
+FULL = REGISTRY["churn"].full
 
 #: AQL decides every window(4) x period(30 ms) = 120 ms; three decide
 #: intervals is a generous "noticed promptly" bound
@@ -23,11 +26,11 @@ MIGRATION_BOUND = 8
 
 
 def test_churn_adaptation(once, sweep_runner):
-    result = once(lambda: run_churn(fast=False, runner=sweep_runner))
+    result = once(lambda: run_churn(runner=sweep_runner, **FULL))
     print()
     print(render_churn(result))
 
-    stories = {story.name: story for story in make_stories(fast=False)}
+    stories = {story.name: story for story in make_stories(**FULL)}
     for story_name, runs in result.items():
         timeline = stories[story_name].timeline
         xen, aql = runs["xen"], runs["aql"]

@@ -8,12 +8,12 @@ lock-duration inset, and the derived best quantum per type.
 from repro.core.calibration import PAPER_BEST_QUANTA
 from repro.core.types import VCpuType
 from repro.experiments.fig2_calibration import render_fig2, run_fig2
-from repro.sim.units import MS, SEC
+from repro.experiments.registry import REGISTRY
 
 
 def test_fig2_calibration(once, sweep_runner):
     result = once(lambda: run_fig2(
-        warmup_ns=1 * SEC, measure_ns=3 * SEC, runner=sweep_runner
+        runner=sweep_runner, **REGISTRY["fig2"].full
     ))
     print()
     print(render_fig2(result))

@@ -9,12 +9,12 @@ from repro.experiments.fig5_validation import (
     render_fig5,
     run_fig5,
 )
-from repro.sim.units import SEC
+from repro.experiments.registry import REGISTRY
 
 
 def test_fig5_validation(once):
     result = once(
-        lambda: run_fig5(warmup_ns=1 * SEC, measure_ns=2 * SEC)
+        lambda: run_fig5(**REGISTRY["fig5"].full)
     )
     print()
     print(render_fig5(result))

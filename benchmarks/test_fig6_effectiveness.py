@@ -10,10 +10,10 @@ from repro.experiments.fig6_effectiveness import (
     run_fig6_multi,
     run_fig6_single,
 )
-from repro.sim.units import SEC
+from repro.experiments.registry import REGISTRY
 from repro.workloads.suites import APP_CATALOG
 
-RUN = dict(warmup_ns=2 * SEC, measure_ns=4 * SEC, seed=1)
+RUN = REGISTRY["fig6"].full
 
 #: which placements are quantum-sensitive (must not regress under AQL)
 SENSITIVE = {"IOInt", "ConSpin"}

@@ -6,15 +6,12 @@ customisation helped that class.
 """
 
 from repro.experiments.fig7_customization import render_fig7, run_fig7
-from repro.sim.units import SEC
+from repro.experiments.registry import REGISTRY
 
 
 def test_fig7_customization(once, sweep_runner):
     result = once(
-        lambda: run_fig7(
-            warmup_ns=2 * SEC, measure_ns=4 * SEC, seed=1,
-            runner=sweep_runner,
-        )
+        lambda: run_fig7(runner=sweep_runner, **REGISTRY["fig7"].full)
     )
     print()
     print(render_fig7(result))

@@ -5,15 +5,12 @@ matches the best comparator on every application type.
 """
 
 from repro.experiments.fig8_comparison import render_fig8, run_fig8
-from repro.sim.units import SEC
+from repro.experiments.registry import REGISTRY
 
 
 def test_fig8_comparison(once, sweep_runner):
     result = once(
-        lambda: run_fig8(
-            warmup_ns=2 * SEC, measure_ns=4 * SEC, seed=1,
-            runner=sweep_runner,
-        )
+        lambda: run_fig8(runner=sweep_runner, **REGISTRY["fig8"].full)
     )
     print()
     print(render_fig8(result))

@@ -5,12 +5,12 @@ from repro.experiments.overhead import (
     render_table6,
     run_overhead,
 )
-from repro.sim.units import SEC
+from repro.experiments.registry import REGISTRY
 
 
 def test_overhead(once):
     result = once(
-        lambda: run_overhead(warmup_ns=2 * SEC, measure_ns=4 * SEC, seed=1)
+        lambda: run_overhead(**REGISTRY["overhead"].full)
     )
     print()
     print(render_overhead(result))

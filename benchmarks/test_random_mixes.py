@@ -5,10 +5,13 @@ from repro.experiments.random_mixes import (
     render_random_mixes,
     run_random_mixes,
 )
+from repro.experiments.registry import REGISTRY
 
 
 def test_random_mixes(once, sweep_runner):
-    result = once(lambda: run_random_mixes(mixes=5, runner=sweep_runner))
+    result = once(lambda: run_random_mixes(
+        runner=sweep_runner, **REGISTRY["random"].full
+    ))
     print()
     print(render_random_mixes(result))
 

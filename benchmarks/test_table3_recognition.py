@@ -1,11 +1,11 @@
 """Bench: Table 3 — vTRS type recognition across the full catalog."""
 
+from repro.experiments.registry import REGISTRY
 from repro.experiments.table3_recognition import render_table3, run_table3
-from repro.sim.units import SEC
 
 
 def test_table3_recognition(once):
-    result = once(lambda: run_table3(duration_ns=2 * SEC))
+    result = once(lambda: run_table3(**REGISTRY["table3"].full))
     print()
     print(render_table3(result))
     # the paper's Table 3 has every program correctly classified;

@@ -4,10 +4,13 @@ from repro.experiments.window_sensitivity import (
     render_window_sensitivity,
     run_window_sensitivity,
 )
+from repro.experiments.registry import REGISTRY
 
 
 def test_window_sensitivity(once, sweep_runner):
-    result = once(lambda: run_window_sensitivity(runner=sweep_runner))
+    result = once(lambda: run_window_sensitivity(
+        runner=sweep_runner, **REGISTRY["window"].full
+    ))
     print()
     print(render_window_sensitivity(result))
 

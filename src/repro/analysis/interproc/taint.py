@@ -72,10 +72,6 @@ RULE_ID = "SIM008"
 #:     metadata and the ops plane's liveness ledger.  None of it ever
 #:     feeds back into any result; the event-stream golden test
 #:     normalises all of it to zero because it is presentation-only.
-#: ``repro.experiments.overhead``
-#:     Reproduces the paper's overhead table, whose whole point is
-#:     comparing *real* recognition cost against the oracle — the one
-#:     experiment where wall time is the measured quantity.
 #: ``repro.experiments.__main__``
 #:     CLI progress output ("[fig5 took 12.3s]"); presentation only.
 #: ``repro.telemetry.exposition``
@@ -91,7 +87,6 @@ WALL_CLOCK_ALLOWLIST: tuple[str, ...] = (
     "repro.perf",
     "benchmarks",
     "repro.exec.queue",
-    "repro.experiments.overhead",
     "repro.experiments.__main__",
     "repro.telemetry.exposition",
 )

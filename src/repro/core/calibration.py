@@ -19,12 +19,12 @@ AQL_Sched can run without re-calibrating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.core.types import VCpuType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
+    from repro.exec import Cell, SweepRunner
 from repro.hardware.specs import MachineSpec, i7_3770
 from repro.hypervisor.machine import Machine
 from repro.sim.units import MS, SEC
@@ -235,32 +235,20 @@ def measure_calibration_cell(
     return baseline.result().value
 
 
-def run_calibration(
+def plan_calibration(
     spec: Optional[MachineSpec] = None,
     quanta_ms: tuple[int, ...] = CALIBRATION_QUANTA_MS,
     consolidations: tuple[int, ...] = (2, 4),
     kinds: tuple[str, ...] = CALIBRATION_KINDS,
-    warmup_ns: int = 1 * SEC,
-    measure_ns: int = 3 * SEC,
-    seed: int = 0,
-    agnostic_threshold: float = 0.25,
-    runner: Optional["SweepRunner"] = None,
-) -> CalibrationResult:
-    """Run the full §3.4 calibration sweep on the simulator."""
-    from repro.exec import Cell, SweepRunner
+    warmup_ns: int = 1 * SEC, measure_ns: int = 3 * SEC, seed: int = 0,
+) -> list["Cell"]:
+    """The §3.4 calibration sweep as engine cells: one per (kind,
+    consolidation, quantum), then the lock-duration inset cells."""
+    from repro.exec import Cell
 
     spec = spec or i7_3770()
     if DEFAULT_QUANTUM_MS not in quanta_ms:
         raise ValueError("the sweep must include the 30 ms reference")
-    runner = runner or SweepRunner()
-    result = CalibrationResult()
-
-    grid = [
-        (kind, k, quantum_ms)
-        for kind in kinds
-        for k in consolidations
-        for quantum_ms in quanta_ms
-    ]
     cells = [
         Cell(
             measure_calibration_cell,
@@ -271,7 +259,7 @@ def run_calibration(
             ),
             label=f"fig2:{kind}:{quantum_ms}ms:x{k}",
         )
-        for kind, k, quantum_ms in grid
+        for kind, k, quantum_ms in _grid(kinds, consolidations, quanta_ms)
     ]
     lock_quanta = list(quanta_ms) if "conspin" in kinds else []
     cells.extend(
@@ -285,8 +273,24 @@ def run_calibration(
         )
         for quantum_ms in lock_quanta
     )
-    values = runner.run(cells)
+    return cells
 
+
+def _grid(kinds, consolidations, quanta_ms) -> list[tuple[str, int, int]]:
+    return [(kind, k, q) for kind in kinds for k in consolidations
+            for q in quanta_ms]
+
+
+def fold_calibration(
+    values: Sequence[float],
+    quanta_ms: tuple[int, ...] = CALIBRATION_QUANTA_MS,
+    consolidations: tuple[int, ...] = (2, 4),
+    kinds: tuple[str, ...] = CALIBRATION_KINDS,
+    agnostic_threshold: float = 0.25, **_params: Any,
+) -> CalibrationResult:
+    """The calibration result from :func:`plan_calibration`'s cells."""
+    result = CalibrationResult()
+    grid = _grid(kinds, consolidations, quanta_ms)
     for (kind, k, quantum_ms), value in zip(grid, values):
         result.raw[(kind, quantum_ms, k)] = value
     for kind in kinds:
@@ -296,6 +300,7 @@ def run_calibration(
                 result.normalized[(kind, quantum_ms, k)] = (
                     result.raw[(kind, quantum_ms, k)] / reference
                 )
+    lock_quanta = list(quanta_ms) if "conspin" in kinds else []
     for quantum_ms, value in zip(lock_quanta, values[len(grid):]):
         result.lock_duration_ns[quantum_ms] = value
 
@@ -308,14 +313,30 @@ def run_calibration(
         series = {
             q: result.raw[(kind, q, k_ref)] for q in quanta_ms
         }
-        values = list(series.values())
-        spread = (max(values) - min(values)) / min(values)
+        raw = list(series.values())
+        spread = (max(raw) - min(raw)) / min(raw)
         if spread < agnostic_threshold:
             result.best_quanta[vtype] = None
         else:
             best_ms = min(series, key=series.get)
             result.best_quanta[vtype] = best_ms * MS
     return result
+
+
+def run_calibration(
+    runner: Optional["SweepRunner"] = None,
+    agnostic_threshold: float = 0.25,
+    **params: Any,
+) -> CalibrationResult:
+    """Run the full §3.4 calibration sweep on the simulator (``params``
+    are :func:`plan_calibration`'s)."""
+    from repro.exec import SweepRunner
+
+    runner = runner if runner is not None else SweepRunner()
+    return fold_calibration(
+        runner.run(plan_calibration(**params)),
+        agnostic_threshold=agnostic_threshold, **params,
+    )
 
 
 __all__ = [
@@ -325,6 +346,8 @@ __all__ = [
     "KIND_FOR_TYPE",
     "PAPER_BEST_QUANTA",
     "CalibrationResult",
+    "fold_calibration",
     "measure_calibration_cell",
+    "plan_calibration",
     "run_calibration",
 ]

@@ -4,13 +4,9 @@
   S1-S5, the Fig. 3 multi-socket population and generic builders;
 * :mod:`repro.experiments.runner` — run a scenario under a policy and
   collect per-app results;
-* ``fig2_calibration`` .. ``fig8_comparison``, ``table3_recognition``,
-  ``overhead`` — the per-figure experiments, each with a ``run_*``
-  function returning structured data and a ``render_*`` helper that
-  prints the same rows/series the paper reports;
-* ``ablations``, ``sync_primitives``, ``window_sensitivity``,
-  ``random_mixes`` — studies beyond the paper isolating the mechanisms
-  the reproduction is built on.
+* :mod:`repro.experiments.registry` — one record per family (its
+  parameters, cell planner, fold and renderer); the figure, table and
+  ablation modules hold those functions and a one-call ``run_*``.
 
 Run any of them from the command line::
 

@@ -5,9 +5,14 @@ Regenerate any table/figure of the paper without the benchmark harness:
     python -m repro.experiments list
     python -m repro.experiments fig2 [--fast]
     python -m repro.experiments all [--fast] --jobs 4
+    python -m repro.experiments plan fig5 [--fast]
 
-``--fast`` cuts simulation durations (~4x) for a quick look; the
-default durations match the benchmark suite.
+Every family is one record in :mod:`repro.experiments.registry`.  The
+default parameters are the record's ``full`` ones — the parameters
+the benchmark suite runs and EXPERIMENTS.md quotes; ``--fast`` takes
+the record's ``fast`` ones (~4x shorter simulations) for a quick
+look.  ``plan <family>`` prints the family's cell labels, one per
+line, without simulating.
 
 Sweep execution goes through the :mod:`repro.exec` engine: ``--jobs
 N`` (or the ``REPRO_JOBS`` environment variable) fans independent
@@ -28,8 +33,9 @@ run dies, and a slowest-cells table after checkpointed runs.  Per-cell
 progress (a :class:`~repro.exec.ProgressPrinter` sink, off with
 ``--quiet``), the cache hit/miss summary and the engine tallies (read
 from the engine's live :class:`~repro.ops.status.RunStatus`) go to
-stderr; stdout carries only the experiment tables, so serial,
-parallel, cached and resumed runs print byte-identical results.
+stderr, as does each family's ``[<name> took X.Ys]`` timing line;
+stdout carries only the experiment tables, so serial, parallel,
+cached and resumed runs print byte-identical results.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Optional
+from typing import Any
 
 from repro.exec import (
     EventSink,
@@ -47,229 +53,7 @@ from repro.exec import (
     RunDirError,
     SweepRunner,
 )
-from repro.sim.units import MS, SEC
-
-
-def _fig2(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.fig2_calibration import render_fig2, run_fig2
-
-    measure = 1 * SEC if fast else 3 * SEC
-    return render_fig2(
-        run_fig2(warmup_ns=500 * MS, measure_ns=measure, runner=runner)
-    )
-
-
-def _fig3(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.fig3_clustering import render_fig3, run_fig3
-
-    return render_fig3(run_fig3())
-
-
-def _fig4(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.fig4_vtrs import render_fig4, run_fig4
-
-    return render_fig4(run_fig4(periods=20 if fast else 50))
-
-
-def _fig5(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.fig5_validation import (
-        FIG5_APPS,
-        render_fig5,
-        run_fig5,
-    )
-
-    apps = FIG5_APPS[:6] if fast else FIG5_APPS
-    measure = 1 * SEC if fast else 2 * SEC
-    return render_fig5(
-        run_fig5(
-            apps=apps, warmup_ns=500 * MS, measure_ns=measure, runner=runner
-        )
-    )
-
-
-def _fig6(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.fig6_effectiveness import render_fig6, run_fig6
-
-    warmup = 1 * SEC if fast else 2 * SEC
-    measure = 2 * SEC if fast else 4 * SEC
-    return render_fig6(
-        run_fig6(warmup_ns=warmup, measure_ns=measure, runner=runner)
-    )
-
-
-def _fig7(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.fig7_customization import render_fig7, run_fig7
-
-    warmup = 1 * SEC if fast else 2 * SEC
-    measure = 2 * SEC if fast else 4 * SEC
-    return render_fig7(
-        run_fig7(warmup_ns=warmup, measure_ns=measure, runner=runner)
-    )
-
-
-def _fig8(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.fig8_comparison import render_fig8, run_fig8
-
-    warmup = 1 * SEC if fast else 2 * SEC
-    measure = 2 * SEC if fast else 4 * SEC
-    return render_fig8(
-        run_fig8(warmup_ns=warmup, measure_ns=measure, runner=runner)
-    )
-
-
-def _table3(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.table3_recognition import (
-        render_table3,
-        run_table3,
-    )
-    from repro.workloads.suites import APP_CATALOG
-
-    apps = sorted(APP_CATALOG)[:8] if fast else None
-    duration = 1 * SEC if fast else 2 * SEC
-    return render_table3(run_table3(apps=apps, duration_ns=duration))
-
-
-def _overhead(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.overhead import (
-        render_overhead,
-        render_table6,
-        run_overhead,
-    )
-
-    warmup = 1 * SEC if fast else 2 * SEC
-    measure = 2 * SEC if fast else 4 * SEC
-    text = render_overhead(run_overhead(warmup_ns=warmup, measure_ns=measure))
-    return text + "\n\n" + render_table6()
-
-
-def _sync(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.sync_primitives import (
-        render_sync_primitives,
-        run_sync_primitives,
-    )
-
-    measure = 1 * SEC if fast else 2 * SEC
-    return render_sync_primitives(run_sync_primitives(measure_ns=measure))
-
-
-def _window(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.window_sensitivity import (
-        render_window_sensitivity,
-        run_window_sensitivity,
-    )
-
-    warmup = 1 * SEC if fast else 2 * SEC
-    measure = 2 * SEC if fast else 4 * SEC
-    return render_window_sensitivity(
-        run_window_sensitivity(
-            warmup_ns=warmup, measure_ns=measure, runner=runner
-        )
-    )
-
-
-def _random(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.random_mixes import (
-        render_random_mixes,
-        run_random_mixes,
-    )
-
-    mixes = 3 if fast else 5
-    measure = 2 * SEC if fast else 3 * SEC
-    return render_random_mixes(
-        run_random_mixes(mixes=mixes, measure_ns=measure, runner=runner)
-    )
-
-
-def _ablations(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.ablations import (
-        render_boost_ablation,
-        render_lock_handoff_ablation,
-        render_reuse_ablation,
-        run_boost_ablation,
-        run_lock_handoff_ablation,
-        run_reuse_ablation,
-    )
-
-    measure = 1 * SEC if fast else 2 * SEC
-    parts = [
-        render_boost_ablation(
-            run_boost_ablation(measure_ns=measure, runner=runner)
-        ),
-        render_lock_handoff_ablation(
-            run_lock_handoff_ablation(measure_ns=measure, runner=runner)
-        ),
-        render_reuse_ablation(
-            run_reuse_ablation(measure_ns=measure, runner=runner)
-        ),
-    ]
-    return "\n\n".join(parts)
-
-
-def _churn(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.churn import render_churn, run_churn
-
-    return render_churn(run_churn(fast=fast, runner=runner))
-
-
-#: the last telemetry-carrying run, kept for the artifact flags
-#: (``--telemetry-out`` / ``--trace-out`` export from the same
-#: simulation the report printed); set by the ``telemetry`` and
-#: ``fleet`` families
-LAST_TELEMETRY_REPORT = None
-
-#: families whose report carries an exportable telemetry record
-TELEMETRY_FAMILIES = ("telemetry", "fleet")
-
-
-def _fleet(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.fleet import render_fleet, run_fleet
-
-    global LAST_TELEMETRY_REPORT
-    report = run_fleet(fast=fast, runner=runner)
-    LAST_TELEMETRY_REPORT = report
-    return render_fleet(report)
-
-
-def _telemetry(fast: bool, runner: Optional[SweepRunner]) -> str:
-    from repro.experiments.telemetry_report import (
-        render_telemetry_report,
-        run_telemetry_report,
-    )
-
-    global LAST_TELEMETRY_REPORT
-    warmup = 500 * MS if fast else 1 * SEC
-    measure = 1 * SEC if fast else 2 * SEC
-    report = run_telemetry_report(
-        warmup_ns=warmup, measure_ns=measure, with_trace=True
-    )
-    LAST_TELEMETRY_REPORT = report
-    return render_telemetry_report(report)
-
-
-EXPERIMENTS: dict[
-    str, tuple[str, Callable[[bool, Optional[SweepRunner]], str]]
-] = {
-    "fig2": ("Fig. 2 — quantum calibration panels + lock inset", _fig2),
-    "fig3": ("Fig. 3 — two-level clustering worked example", _fig3),
-    "fig4": ("Fig. 4 — online vTRS in action", _fig4),
-    "fig5": ("Fig. 5 — per-application robustness", _fig5),
-    "fig6": ("Fig. 6 + Table 5 — AQL vs Xen (single & multi socket)", _fig6),
-    "fig7": ("Fig. 7 — quantum-customisation ablation", _fig7),
-    "fig8": ("Fig. 8 — vs vTurbo/vSlicer/Microsliced", _fig8),
-    "table3": ("Table 3 — vTRS recognition over the catalog", _table3),
-    "overhead": ("§4.3 + Table 6 — overhead & feature matrix", _overhead),
-    "ablations": ("extra ablations: BOOST, lock handoff, reuse curve",
-                  _ablations),
-    "sync": ("§3.2 ablation: spin locks vs blocking semaphores", _sync),
-    "window": ("§3.3.1: vTRS window-size sensitivity", _window),
-    "random": ("generalisation: AQL on random colocation mixes", _random),
-    "churn": ("dynamics: VM churn, phase changes & faults, AQL vs Xen",
-              _churn),
-    "fleet": ("datacenter fleet: AQL-aware placement vs bin packing "
-              "under diurnal traffic", _fleet),
-    "telemetry": ("decision audit: per-vCPU type-flip 'why' table + "
-                  "pool-change ledger", _telemetry),
-}
+from repro.experiments.registry import REGISTRY, run
 
 
 def build_runner(args: argparse.Namespace) -> SweepRunner:
@@ -299,8 +83,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["list", "all"],
-        help="which experiment to run ('list' to enumerate, 'all' for every one)",
+        choices=sorted(REGISTRY) + ["list", "all", "plan"],
+        help="which experiment to run ('list' to enumerate, 'all' for "
+             "every one, 'plan FAMILY' to list a family's cells)",
+    )
+    parser.add_argument(
+        "family", nargs="?", choices=sorted(REGISTRY),
+        help="with 'plan': the family whose cells to list",
     )
     parser.add_argument(
         "--fast", action="store_true", help="shorter simulations (~4x faster)"
@@ -362,23 +151,30 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if (args.experiment == "plan") != (args.family is not None):
+        parser.error("a family name goes with 'plan', and only with it")
     if args.experiment == "list":
-        for name, (description, _) in EXPERIMENTS.items():
-            print(f"{name:10s} {description}")
+        for name, exp in REGISTRY.items():
+            print(f"{name:10s} {exp.description}")
+        return 0
+    if args.experiment == "plan":
+        exp = REGISTRY[args.family]
+        for cell in exp.plan(**(exp.fast if args.fast else exp.full)):
+            print(cell.display)
         return 0
 
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    # fail fast — before spending minutes running the experiments, and
-    # before the runner opens files or the ops plane starts a server
-    if args.telemetry_out is not None and (
-        len(names) != 1 or names[0] not in TELEMETRY_FAMILIES
+    names = sorted(REGISTRY) if args.experiment == "all" else [args.experiment]
+    # fail fast, from the registry — before spending minutes running
+    # the experiments, and before the runner opens files or the ops
+    # plane starts a server
+    single = REGISTRY[names[0]] if len(names) == 1 else None
+    for path, flag, field in (
+        (args.telemetry_out, "--telemetry-out", "telemetry"),
+        (args.trace_out, "--trace-out", "traced"),
     ):
-        parser.error(
-            "--telemetry-out requires a single telemetry-carrying "
-            f"experiment ({', '.join(TELEMETRY_FAMILIES)})"
-        )
-    if args.trace_out is not None and len(names) != 1:
-        parser.error("--trace-out requires a single experiment")
+        if path is not None and not getattr(single, field, None):
+            able = [name for name, exp in REGISTRY.items() if getattr(exp, field)]
+            parser.error(f"{flag} requires a single one of: {', '.join(able)}")
 
     try:
         runner = build_runner(args)
@@ -400,13 +196,22 @@ def main(argv: list[str] | None = None) -> int:
             # stderr: stdout stays byte-identical with/without --serve
             print(f"[ops] serving at {plane.server.url}", file=sys.stderr)
 
+    results: dict[str, Any] = {}  # the artifact flags export from these
+
     def run_experiments() -> None:
         for name in names:
-            description, experiment = EXPERIMENTS[name]
-            print(f"\n=== {name}: {description} ===")
+            exp = REGISTRY[name]
+            print(f"\n=== {name}: {exp.description} ===")
             start = time.perf_counter()
-            print(experiment(args.fast, runner))
-            print(f"[{name} took {time.perf_counter() - start:.1f}s]")
+            results[name] = run(
+                exp, exp.fast if args.fast else exp.full, runner
+            )
+            print(exp.render(results[name]))
+            # stderr: stdout stays byte-identical from run to run
+            print(
+                f"[{name} took {time.perf_counter() - start:.1f}s]",
+                file=sys.stderr,
+            )
 
     try:
         if args.profile is not None:
@@ -456,8 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry_out is not None:
         from repro.telemetry import write_jsonl
 
-        report = LAST_TELEMETRY_REPORT
-        assert report is not None  # guaranteed: a TELEMETRY_FAMILIES run
+        report = results[names[0]]
         count = write_jsonl(
             args.telemetry_out, report.telemetry,
             end_time_ns=report.end_time_ns,
@@ -468,23 +272,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     if args.trace_out is not None:
-        if names[0] == "telemetry":
-            # export the report's own run: its trace recorder is live
-            from repro.metrics.chrome_trace import write_chrome_trace
-
-            report = LAST_TELEMETRY_REPORT
-            assert report is not None and report.trace is not None
-            count = write_chrome_trace(
-                args.trace_out, report.trace,
-                end_time=report.end_time_ns,
-                telemetry=report.telemetry.tracer,
-            )
-        else:
-            from repro.experiments.tracing import export_experiment_trace
-
-            count = export_experiment_trace(
-                names[0], args.trace_out, fast=args.fast
-            )
+        traced = REGISTRY[names[0]].traced
+        assert traced is not None  # checked before the run
+        count = traced(args.trace_out, fast=args.fast)
         # stderr: stdout must stay byte-identical with/without the flag
         print(
             f"[trace] wrote {count} events to {args.trace_out}",

@@ -21,20 +21,19 @@ Three studies beyond the paper's own ablation (Fig. 7):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
 from repro.core.calibration import _build_calibration_machine
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.hardware.specs import MachineSpec, i7_3770
 from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 from repro.workloads.cpu import CpuBurnWorkload
 from repro.workloads.io_workload import IoWorkload
 from repro.workloads.profiles import llcf_profile, llco_profile
 from repro.workloads.spin import SpinWorkload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
 
 
 # ----------------------------------------------------------------------
@@ -74,39 +73,6 @@ def _boost_cell(
     workload.begin_measurement()
     machine.run(measure_ns)
     return workload.result().value
-
-
-def run_boost_ablation(
-    quanta_ms: tuple[int, ...] = (1, 30, 90),
-    warmup_ns: int = 500 * MS,
-    measure_ns: int = 2 * SEC,
-    seed: int = 3,
-    runner: Optional["SweepRunner"] = None,
-) -> BoostAblation:
-    from repro.exec import Cell, SweepRunner
-
-    runner = runner or SweepRunner()
-    spec = i7_3770()
-    grid = [
-        (boost, quantum_ms)
-        for boost in (True, False)
-        for quantum_ms in quanta_ms
-    ]
-    values = runner.run([
-        Cell(
-            _boost_cell,
-            dict(
-                boost=boost, quantum_ms=quantum_ms, spec=spec,
-                warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-            ),
-            label=f"ablation:boost={boost}:{quantum_ms}ms",
-        )
-        for boost, quantum_ms in grid
-    ])
-    result = BoostAblation()
-    for cell_id, value in zip(grid, values):
-        result.latency[cell_id] = value
-    return result
 
 
 def render_boost_ablation(result: BoostAblation) -> str:
@@ -172,40 +138,6 @@ def _lock_handoff_cell(
     return perf.value, dict(perf.details)["mean_lock_duration_ns"]
 
 
-def run_lock_handoff_ablation(
-    quanta_ms: tuple[int, ...] = (1, 30, 90),
-    warmup_ns: int = 500 * MS,
-    measure_ns: int = 2 * SEC,
-    seed: int = 3,
-    runner: Optional["SweepRunner"] = None,
-) -> LockHandoffAblation:
-    from repro.exec import Cell, SweepRunner
-
-    runner = runner or SweepRunner()
-    spec = i7_3770()
-    grid = [
-        (handoff, quantum_ms)
-        for handoff in ("hybrid", "fifo")
-        for quantum_ms in quanta_ms
-    ]
-    outcomes = runner.run([
-        Cell(
-            _lock_handoff_cell,
-            dict(
-                handoff=handoff, quantum_ms=quantum_ms, spec=spec,
-                warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-            ),
-            label=f"ablation:lock-{handoff}:{quantum_ms}ms",
-        )
-        for handoff, quantum_ms in grid
-    ])
-    result = LockHandoffAblation()
-    for cell_id, (ns_per_job, lock_duration) in zip(grid, outcomes):
-        result.ns_per_job[cell_id] = ns_per_job
-        result.lock_duration[cell_id] = lock_duration
-    return result
-
-
 def render_lock_handoff_ablation(result: LockHandoffAblation) -> str:
     quanta = sorted({q for _, q in result.ns_per_job})
     table = ResultTable(
@@ -253,42 +185,6 @@ def _llcf_cell(
     return baseline.result().value
 
 
-def run_reuse_ablation(
-    exponents: tuple[float, ...] = (0.3, 0.5, 1.0),
-    warmup_ns: int = 500 * MS,
-    measure_ns: int = 2 * SEC,
-    seed: int = 3,
-    runner: Optional["SweepRunner"] = None,
-) -> ReuseAblation:
-    from repro.exec import Cell, SweepRunner
-
-    runner = runner or SweepRunner()
-    spec = i7_3770()
-    grid = [
-        (exponent, quantum_ms)
-        for exponent in exponents
-        for quantum_ms in (1, 90)
-    ]
-    values = runner.run([
-        Cell(
-            _llcf_cell,
-            dict(
-                spec=spec, exponent=exponent, quantum_ms=quantum_ms,
-                warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-            ),
-            label=f"ablation:reuse={exponent}:{quantum_ms}ms",
-        )
-        for exponent, quantum_ms in grid
-    ])
-    raw = dict(zip(grid, values))
-    result = ReuseAblation()
-    for exponent in exponents:
-        result.quantum_sensitivity[exponent] = (
-            raw[(exponent, 1)] / raw[(exponent, 90)]
-        )
-    return result
-
-
 def render_reuse_ablation(result: ReuseAblation) -> str:
     table = ResultTable(
         "Cache reuse-curve ablation — LLCF quantum sensitivity"
@@ -298,6 +194,121 @@ def render_reuse_ablation(result: ReuseAblation) -> str:
     for exponent, ratio in sorted(result.quantum_sensitivity.items()):
         table.add_row(f"{exponent:.1f}", ratio)
     return table.render()
+
+
+# ----------------------------------------------------------------------
+# the family: any subset of the three studies as one sweep
+# ----------------------------------------------------------------------
+ABLATION_PARTS = ("boost", "lock", "reuse")
+QUANTA_MS = (1, 30, 90)
+EXPONENTS = (0.3, 0.5, 1.0)
+#: study -> (cell function, its grid axis, cell label format)
+_STUDIES = {
+    "boost": (_boost_cell, "boost", "ablation:boost={}:{}ms"),
+    "lock": (_lock_handoff_cell, "handoff", "ablation:lock-{}:{}ms"),
+    "reuse": (_llcf_cell, "exponent", "ablation:reuse={}:{}ms"),
+}
+
+
+def _grid(
+    part: str, quanta_ms: tuple[int, ...], exponents: tuple[float, ...]
+) -> list[tuple]:
+    """The (axis value, quantum_ms) points of one study."""
+    if part == "boost":
+        return [(b, q) for b in (True, False) for q in quanta_ms]
+    if part == "lock":
+        return [(h, q) for h in ("hybrid", "fifo") for q in quanta_ms]
+    return [(e, q) for e in exponents for q in (1, 90)]
+
+
+@dataclass
+class Ablations:
+    """The studies a run planned (the others stay None)."""
+
+    boost: Optional[BoostAblation] = None
+    lock: Optional[LockHandoffAblation] = None
+    reuse: Optional[ReuseAblation] = None
+
+
+def plan_ablations(
+    measure_ns: int, warmup_ns: int = 500 * MS, seed: int = 3,
+    quanta_ms: tuple[int, ...] = QUANTA_MS,
+    exponents: tuple[float, ...] = EXPONENTS,
+    parts: tuple[str, ...] = ABLATION_PARTS,
+) -> list[Cell]:
+    spec = i7_3770()
+    return [
+        Cell(fn, {axis: value, "quantum_ms": quantum_ms, "spec": spec,
+                  "warmup_ns": warmup_ns, "measure_ns": measure_ns,
+                  "seed": seed}, label=label.format(value, quantum_ms))
+        for part in parts
+        for fn, axis, label in [_STUDIES[part]]
+        for value, quantum_ms in _grid(part, quanta_ms, exponents)
+    ]
+
+
+def fold_ablations(
+    results: list,
+    quanta_ms: tuple[int, ...] = QUANTA_MS,
+    exponents: tuple[float, ...] = EXPONENTS,
+    parts: tuple[str, ...] = ABLATION_PARTS, **_params: Any,
+) -> Ablations:
+    values = iter(results)
+    raw = {
+        part: {point: next(values) for point in _grid(part, quanta_ms, exponents)}
+        for part in parts
+    }
+    result = Ablations()
+    if "boost" in raw:
+        result.boost = BoostAblation(latency=raw["boost"])
+    if "lock" in raw:
+        result.lock = LockHandoffAblation(
+            ns_per_job={k: v[0] for k, v in raw["lock"].items()},
+            lock_duration={k: v[1] for k, v in raw["lock"].items()},
+        )
+    if "reuse" in raw:
+        reuse = raw["reuse"]
+        result.reuse = ReuseAblation(
+            {e: reuse[(e, 1)] / reuse[(e, 90)] for e in exponents}
+        )
+    return result
+
+
+def render_ablations(result: Ablations) -> str:
+    return "\n\n".join(
+        render(part)
+        for render, part in (
+            (render_boost_ablation, result.boost),
+            (render_lock_handoff_ablation, result.lock),
+            (render_reuse_ablation, result.reuse),
+        )
+        if part is not None
+    )
+
+
+def _run_part(part: str, runner: Optional[SweepRunner], params: dict) -> Any:
+    """One study alone; ``params`` override the ``ablations`` record's."""
+    params = {**params, "parts": (part,)}
+    result = registry.run(registry.REGISTRY["ablations"], params, runner)
+    return getattr(result, part)
+
+
+def run_boost_ablation(
+    runner: Optional[SweepRunner] = None, **params: Any
+) -> BoostAblation:
+    return _run_part("boost", runner, params)
+
+
+def run_lock_handoff_ablation(
+    runner: Optional[SweepRunner] = None, **params: Any
+) -> LockHandoffAblation:
+    return _run_part("lock", runner, params)
+
+
+def run_reuse_ablation(
+    runner: Optional[SweepRunner] = None, **params: Any
+) -> ReuseAblation:
+    return _run_part("reuse", runner, params)
 
 
 __all__ = [

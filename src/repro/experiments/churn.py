@@ -22,7 +22,7 @@ like the static figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.baselines import AqlPolicy, XenCredit
 from repro.baselines.base import PolicyContext
@@ -41,13 +41,14 @@ from repro.dynamics import (
     build_records,
     random_timeline,
 )
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.hypervisor.hostspec import HostSpec
 from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable
 from repro.sim.units import MS, SEC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
     from repro.sim.tracing import TraceRecorder
     from repro.telemetry import Telemetry
 
@@ -240,48 +241,36 @@ def _durations(fast: bool) -> tuple[int, int]:
     return warmup, tail
 
 
-def churn_cells(stories, warmup_ns, tail_ns, seed):
-    from repro.exec import Cell
+def plan_churn(fast: bool, seed: int = 0) -> list[Cell]:
+    """Every story under both policies, interleaved per story."""
+    warmup, tail = _durations(fast)
+    return [
+        Cell(run_churn_cell, dict(
+            story=story, policy_name=policy_name, warmup_ns=warmup,
+            measure_ns=story.timeline.duration_ns + tail, seed=seed,
+        ), label=f"churn:{story.name}:{policy_name}")
+        for story in make_stories(fast)
+        for policy_name in POLICIES
+    ]
 
-    cells = []
-    for story in stories:
-        measure = story.timeline.duration_ns + tail_ns
-        for policy_name in POLICIES:
-            cells.append(
-                Cell(
-                    run_churn_cell,
-                    dict(
-                        story=story,
-                        policy_name=policy_name,
-                        warmup_ns=warmup_ns,
-                        measure_ns=measure,
-                        seed=seed,
-                    ),
-                    label=f"churn:{story.name}:{policy_name}",
-                )
-            )
-    return cells
+
+def fold_churn(
+    results: list[ChurnRun], fast: bool, **_: Any
+) -> dict[str, dict[str, ChurnRun]]:
+    """story -> policy -> ChurnRun."""
+    return {
+        story.name: {
+            POLICIES[0]: results[2 * i],
+            POLICIES[1]: results[2 * i + 1],
+        }
+        for i, story in enumerate(make_stories(fast))
+    }
 
 
 def run_churn(
-    fast: bool = False,
-    seed: int = 0,
-    runner: Optional["SweepRunner"] = None,
+    runner: Optional[SweepRunner] = None, **params: Any
 ) -> dict[str, dict[str, ChurnRun]]:
-    """All stories under both policies: story -> policy -> ChurnRun."""
-    from repro.exec import SweepRunner
-
-    runner = runner or SweepRunner()
-    stories = make_stories(fast)
-    warmup, tail = _durations(fast)
-    runs = runner.run(churn_cells(stories, warmup, tail, seed))
-    return {
-        story.name: {
-            POLICIES[0]: runs[2 * i],
-            POLICIES[1]: runs[2 * i + 1],
-        }
-        for i, story in enumerate(stories)
-    }
+    return registry.run(registry.REGISTRY["churn"], params, runner)
 
 
 def _opt(value, fmt: str = "{:.1f}") -> str:
@@ -393,7 +382,6 @@ __all__ = [
     "ChurnRun",
     "ChurnSpec",
     "ChurnStory",
-    "churn_cells",
     "export_churn_trace",
     "make_stories",
     "render_churn",

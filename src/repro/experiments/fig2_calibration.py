@@ -12,19 +12,18 @@ duration monotonically increasing with the quantum.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
 from repro.core.calibration import (
     CALIBRATION_QUANTA_MS,
     CalibrationResult,
-    run_calibration,
+    fold_calibration,
+    plan_calibration,
 )
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.hardware.specs import MachineSpec
 from repro.metrics.tables import ResultTable, format_quantum
-from repro.sim.units import SEC
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
 
 PANELS = (
     ("io_exclusive", "(a) Excl. IOInt"),
@@ -36,17 +35,20 @@ PANELS = (
 )
 
 
-def run_fig2(
-    spec: Optional[MachineSpec] = None,
-    warmup_ns: int = 1 * SEC,
-    measure_ns: int = 3 * SEC,
+def plan_fig2(
+    warmup_ns: int, measure_ns: int, spec: Optional[MachineSpec] = None,
     seed: int = 3,
-    runner: Optional["SweepRunner"] = None,
-) -> CalibrationResult:
-    return run_calibration(
-        spec=spec, warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-        runner=runner,
+) -> list[Cell]:
+    return plan_calibration(
+        spec=spec, warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed
     )
+
+
+fold_fig2 = fold_calibration
+
+
+def run_fig2(runner: Optional[SweepRunner] = None, **params: Any) -> CalibrationResult:
+    return registry.run(registry.REGISTRY["fig2"], params, runner)
 
 
 def render_fig2(result: CalibrationResult) -> str:

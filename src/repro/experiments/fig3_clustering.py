@@ -16,24 +16,26 @@ algorithm is deterministic), which is exactly the paper's Fig. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.core.calibration import PAPER_BEST_QUANTA
 from repro.core.clustering import TypedVCpu, build_pool_plan
 from repro.core.types import VCpuType
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.experiments.scenarios import FIG3_POPULATION, build_scenario
-from repro.hypervisor.pools import PoolPlan
 from repro.metrics.tables import ResultTable
 from repro.sim.units import MS
 
 
 @dataclass
 class Fig3Result:
-    plan: PoolPlan
     #: (pool label, quantum_ms, #pcpus, type -> count)
     clusters: list[tuple[str, int, int, dict[str, int]]]
 
 
-def run_fig3(seed: int = 0) -> Fig3Result:
+def fig3_clusters(seed: int) -> list[tuple[str, int, int, dict[str, int]]]:
+    """The engine cell: cluster the population, summarise the plan."""
     built = build_scenario(FIG3_POPULATION, seed=seed)
     machine = built.machine
     typed = []
@@ -65,7 +67,19 @@ def run_fig3(seed: int = 0) -> Fig3Result:
             label = type_by_vcpu[vcpu].value
             counts[label] = counts.get(label, 0) + 1
         clusters.append((name, quantum_ns // MS, len(pcpus), counts))
-    return Fig3Result(plan=plan, clusters=clusters)
+    return clusters
+
+
+def plan_fig3(seed: int = 0) -> list[Cell]:
+    return [Cell(fig3_clusters, dict(seed=seed), label="fig3:clusters")]
+
+
+def fold_fig3(results: list, **_params: Any) -> Fig3Result:
+    return Fig3Result(clusters=results[0])
+
+
+def run_fig3(runner: Optional[SweepRunner] = None, **params: Any) -> Fig3Result:
+    return registry.run(registry.REGISTRY["fig3"], params, runner)
 
 
 def render_fig3(result: Fig3Result) -> str:

@@ -2,25 +2,25 @@
 
 Five representative applications (one per type: SPECweb2009 -> IOInt,
 astar -> LLCF, libquantum -> LLCO, gobmk -> LoLCF, fluidanimate ->
-ConSpin) run consolidated at 4 vCPUs/pCPU while the vTRS records 50
-monitoring periods of cursor values.  The paper's claim: each
-application's own cursor sits above the others most of the time.
+ConSpin) run consolidated at 4 vCPUs/pCPU (the Table 3 setup) while
+the vTRS records 50 monitoring periods of cursor values.  The paper's
+claim: each application's own cursor sits above the others most of
+the time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.core.types import VCpuType
-from repro.core.vtrs import VTRS
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
+from repro.experiments.table3_recognition import observe_app
 from repro.hardware.specs import MachineSpec, i7_3770
-from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable
 from repro.sim.units import MS
-from repro.workloads.cpu import CpuBurnWorkload
-from repro.workloads.profiles import lolcf_profile
-from repro.workloads.suites import APP_CATALOG, make_app
+from repro.workloads.suites import APP_CATALOG
 
 #: the paper's five representative programs
 REPRESENTATIVES = (
@@ -34,6 +34,8 @@ REPRESENTATIVES = (
 
 @dataclass
 class Fig4Result:
+    #: monitoring periods each application ran for
+    periods: int
     #: app -> list of (time, cursors dict) samples
     histories: dict[str, list] = field(default_factory=dict)
     #: app -> final detected type
@@ -42,55 +44,59 @@ class Fig4Result:
     dominance: dict[str, float] = field(default_factory=dict)
 
 
-def _run_one(name: str, spec: MachineSpec, periods: int, seed: int):
-    app_spec = APP_CATALOG[name]
-    machine = Machine(spec, seed=seed)
-    nv = 4 if app_spec.expected_type == VCpuType.CONSPIN else 1
-    pcpus = machine.topology.pcpus[:max(1, nv)]
-    pool = machine.create_pool("fig4", pcpus, 30 * MS)
-    vm = machine.new_vm(name, nv, weight=256 * nv)
-    for vcpu in vm.vcpus:
-        machine.default_pool.remove_vcpu(vcpu)
-        pool.add_vcpu(vcpu)
-    make_app(name, spec, vcpus=nv).install(machine, vm)
-    for i in range(4 * len(pcpus) - nv):
-        dvm = machine.new_vm(f"d{i}", 1)
-        machine.default_pool.remove_vcpu(dvm.vcpus[0])
-        pool.add_vcpu(dvm.vcpus[0])
-        CpuBurnWorkload(f"d{i}", lolcf_profile(spec)).install(machine, dvm)
-    vtrs = VTRS(machine, record_history=True).attach()
+def fig4_app(
+    name: str, spec: MachineSpec, periods: int, seed: int
+) -> tuple[list, Optional[VCpuType], float]:
+    """The engine cell: (history, detected type, dominance) of ``name``."""
+    machine, vtrs, vm = observe_app(
+        name, spec, seed, "fig4", record_history=True
+    )
     machine.run(periods * vtrs.period_ns + 10 * MS)
-    return machine, vtrs, vm
+    expected = APP_CATALOG[name].expected_type
+    vcpu = vm.vcpus[0]
+    history = vtrs.history_of(vcpu)
+    dominance = 0.0
+    if history:
+        wins = sum(
+            1
+            for _, cursors in history
+            if max(cursors, key=lambda t: cursors[t]) == expected
+            or cursors[expected] >= max(cursors.values())
+        )
+        dominance = wins / len(history)
+    return history, vtrs.type_of(vcpu), dominance
 
 
-def run_fig4(
-    spec: Optional[MachineSpec] = None, periods: int = 50, seed: int = 5
-) -> Fig4Result:
+def plan_fig4(
+    periods: int, spec: Optional[MachineSpec] = None, seed: int = 5
+) -> list[Cell]:
     spec = spec or i7_3770()
-    result = Fig4Result()
-    for name in REPRESENTATIVES:
-        expected = APP_CATALOG[name].expected_type
-        machine, vtrs, vm = _run_one(name, spec, periods, seed)
-        vcpu = vm.vcpus[0]
-        history = vtrs.history_of(vcpu)
+    return [
+        Cell(
+            fig4_app,
+            dict(name=name, spec=spec, periods=periods, seed=seed),
+            label=f"fig4:{name}",
+        )
+        for name in REPRESENTATIVES
+    ]
+
+
+def fold_fig4(results: list, periods: int, **_params: Any) -> Fig4Result:
+    result = Fig4Result(periods=periods)
+    for name, (history, detected, dominance) in zip(REPRESENTATIVES, results):
         result.histories[name] = history
-        result.detected[name] = vtrs.type_of(vcpu)
-        if history:
-            wins = sum(
-                1
-                for _, cursors in history
-                if max(cursors, key=lambda t: cursors[t]) == expected
-                or cursors[expected] >= max(cursors.values())
-            )
-            result.dominance[name] = wins / len(history)
-        else:
-            result.dominance[name] = 0.0
+        result.detected[name] = detected
+        result.dominance[name] = dominance
     return result
+
+
+def run_fig4(runner: Optional[SweepRunner] = None, **params: Any) -> Fig4Result:
+    return registry.run(registry.REGISTRY["fig4"], params, runner)
 
 
 def render_fig4(result: Fig4Result) -> str:
     table = ResultTable(
-        "Fig. 4 — online vTRS over 50 monitoring periods",
+        f"Fig. 4 — online vTRS over {result.periods} monitoring periods",
         ["application", "expected", "detected", "cursor dominance"],
     )
     for name in REPRESENTATIVES:

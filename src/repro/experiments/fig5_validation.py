@@ -10,17 +10,16 @@ best performance at the quantum calibrated for its vTRS type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
+from typing import Any, Optional, Sequence
 
 from repro.core.calibration import PAPER_BEST_QUANTA
 from repro.core.types import VCpuType
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.hardware.specs import MachineSpec, i7_3770
 from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable, format_quantum
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 from repro.workloads.cpu import CpuBurnWorkload
 from repro.workloads.profiles import llco_profile, lolcf_profile
 from repro.workloads.suites import APP_CATALOG, make_app
@@ -111,20 +110,13 @@ def _measure_app(
     return workload.result().value
 
 
-def run_fig5(
-    spec: Optional[MachineSpec] = None,
-    apps: Sequence[str] = FIG5_APPS,
-    warmup_ns: int = 1 * SEC,
-    measure_ns: int = 3 * SEC,
-    seed: int = 7,
-    runner: Optional["SweepRunner"] = None,
-) -> Fig5Result:
-    from repro.exec import Cell, SweepRunner
-
+def plan_fig5(
+    apps: Optional[Sequence[str]], warmup_ns: int, measure_ns: int,
+    spec: Optional[MachineSpec] = None, seed: int = 7,
+) -> list[Cell]:
+    """One cell per (app, quantum); ``apps=None`` runs all of FIG5_APPS."""
     spec = spec or i7_3770()
-    runner = runner or SweepRunner()
-    grid = [(app, quantum_ms) for app in apps for quantum_ms in QUANTA_MS]
-    values = runner.run([
+    return [
         Cell(
             _measure_app,
             dict(
@@ -133,10 +125,17 @@ def run_fig5(
             ),
             label=f"fig5:{app}:{quantum_ms}ms",
         )
-        for app, quantum_ms in grid
-    ])
+        for app in apps or FIG5_APPS
+        for quantum_ms in QUANTA_MS
+    ]
+
+
+def fold_fig5(
+    results: list[float], apps: Optional[Sequence[str]], **_params: Any
+) -> Fig5Result:
+    grid = [(app, q) for app in apps or FIG5_APPS for q in QUANTA_MS]
     raw_by_app: dict[str, dict[int, float]] = {}
-    for (app, quantum_ms), value in zip(grid, values):
+    for (app, quantum_ms), value in zip(grid, results):
         raw_by_app.setdefault(app, {})[quantum_ms] = value
     result = Fig5Result()
     for app, raw in raw_by_app.items():
@@ -145,6 +144,10 @@ def run_fig5(
             result.normalized[(app, quantum_ms)] = value / reference
         result.best[app] = min(raw, key=raw.get)
     return result
+
+
+def run_fig5(runner: Optional[SweepRunner] = None, **params: Any) -> Fig5Result:
+    return registry.run(registry.REGISTRY["fig5"], params, runner)
 
 
 def render_fig5(result: Fig5Result) -> str:

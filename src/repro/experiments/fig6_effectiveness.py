@@ -13,9 +13,11 @@ of LLCF performance is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional, Sequence
 
 from repro.baselines import AqlPolicy, XenCredit
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.experiments.runner import (
     ScenarioRun,
     _placement_key,
@@ -23,10 +25,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import FIG3_POPULATION, SCENARIOS, Scenario
 from repro.metrics.tables import ResultTable
-from repro.sim.units import MS, SEC
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
+from repro.sim.units import MS
 
 
 @dataclass
@@ -63,89 +62,67 @@ def _comparison_from_runs(
     return comparison
 
 
-def _scenario_cells(scenarios, warmup_ns, measure_ns, seed):
+#: the five Table 4 colocations on the single-socket machine
+SINGLE_SOCKET: tuple[Scenario, ...] = tuple(
+    SCENARIOS[name] for name in ("S1", "S2", "S3", "S4", "S5")
+)
+#: both panels: the single-socket scenarios, then the Fig. 3 population
+FIG6_SCENARIOS = SINGLE_SOCKET + (FIG3_POPULATION,)
+
+
+def plan_fig6(
+    warmup_ns: int, measure_ns: int, seed: int = 1,
+    scenarios: Sequence[Scenario] = FIG6_SCENARIOS,
+) -> list[Cell]:
     """Xen + AQL cells for each scenario, interleaved per scenario."""
-    from repro.exec import Cell
-
-    cells = []
-    for scenario in scenarios:
-        for policy in (XenCredit(), AqlPolicy()):
-            cells.append(Cell(
-                run_scenario,
-                dict(
-                    scenario=scenario, policy=policy, warmup_ns=warmup_ns,
-                    measure_ns=measure_ns, seed=seed,
-                ),
-                label=f"fig6:{scenario.name}:{policy.name}",
-            ))
-    return cells
+    timing = dict(warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed)
+    return [
+        Cell(run_scenario, dict(scenario=scenario, policy=policy, **timing),
+             label=f"fig6:{scenario.name}:{policy.name}")
+        for scenario in scenarios
+        for policy in (XenCredit(), AqlPolicy())
+    ]
 
 
-def _compare_all(
-    scenarios: list[Scenario],
-    warmup_ns: int,
-    measure_ns: int,
-    seed: int,
-    runner: Optional["SweepRunner"],
-) -> dict[str, ScenarioComparison]:
-    from repro.exec import SweepRunner
-
-    runner = runner or SweepRunner()
-    runs = runner.run(_scenario_cells(scenarios, warmup_ns, measure_ns, seed))
-    return {
+def fold_fig6(
+    results: list[ScenarioRun], scenarios: Sequence[Scenario] = FIG6_SCENARIOS,
+    **_params: Any,
+) -> Fig6Result:
+    """Per-scenario comparisons; the Fig. 3 population is the right panel."""
+    comparisons = {
         scenario.name: _comparison_from_runs(
-            scenario, runs[2 * i], runs[2 * i + 1]
+            scenario, results[2 * i], results[2 * i + 1]
         )
         for i, scenario in enumerate(scenarios)
     }
+    multi = comparisons.pop(FIG3_POPULATION.name, None)
+    return Fig6Result(single_socket=comparisons, multi_socket=multi)
+
+
+def run_fig6(runner: Optional[SweepRunner] = None, **params: Any) -> Fig6Result:
+    return registry.run(registry.REGISTRY["fig6"], params, runner)
 
 
 def compare_scenario(
-    scenario: Scenario,
-    warmup_ns: int = 2 * SEC,
-    measure_ns: int = 4 * SEC,
-    seed: int = 1,
-    runner: Optional["SweepRunner"] = None,
+    scenario: Scenario, runner: Optional[SweepRunner] = None, **params: Any
 ) -> ScenarioComparison:
-    return _compare_all(
-        [scenario], warmup_ns, measure_ns, seed, runner
-    )[scenario.name]
+    result = run_fig6(runner, scenarios=(scenario,), **params)
+    if scenario.name == FIG3_POPULATION.name:
+        assert result.multi_socket is not None
+        return result.multi_socket
+    return result.single_socket[scenario.name]
 
 
 def run_fig6_single(
-    warmup_ns: int = 2 * SEC, measure_ns: int = 4 * SEC, seed: int = 1,
-    runner: Optional["SweepRunner"] = None,
+    runner: Optional[SweepRunner] = None, **params: Any
 ) -> dict[str, ScenarioComparison]:
-    scenarios = [SCENARIOS[name] for name in ("S1", "S2", "S3", "S4", "S5")]
-    return _compare_all(scenarios, warmup_ns, measure_ns, seed, runner)
+    return run_fig6(runner, scenarios=SINGLE_SOCKET, **params).single_socket
 
 
 def run_fig6_multi(
-    warmup_ns: int = 2 * SEC, measure_ns: int = 4 * SEC, seed: int = 1,
-    runner: Optional["SweepRunner"] = None,
+    runner: Optional[SweepRunner] = None, **params: Any
 ) -> ScenarioComparison:
-    return compare_scenario(
-        FIG3_POPULATION, warmup_ns=warmup_ns, measure_ns=measure_ns,
-        seed=seed, runner=runner,
-    )
-
-
-def run_fig6(
-    warmup_ns: int = 2 * SEC, measure_ns: int = 4 * SEC, seed: int = 1,
-    runner: Optional["SweepRunner"] = None,
-) -> Fig6Result:
-    # one sweep over all 12 runs (5 single-socket + the multi-socket
-    # population, each under Xen and AQL) so a parallel runner can
-    # overlap everything
-    from repro.exec import SweepRunner
-
-    runner = runner or SweepRunner()
-    scenarios = [
-        SCENARIOS[name] for name in ("S1", "S2", "S3", "S4", "S5")
-    ] + [FIG3_POPULATION]
-    comparisons = _compare_all(scenarios, warmup_ns, measure_ns, seed, runner)
-    multi = comparisons.pop(FIG3_POPULATION.name)
-    return Fig6Result(single_socket=comparisons, multi_socket=multi)
+    return compare_scenario(FIG3_POPULATION, runner, **params)
 
 
 def render_fig6(result: Fig6Result) -> str:

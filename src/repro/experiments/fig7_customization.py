@@ -12,16 +12,15 @@ comes close except for LLCF).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
 from repro.baselines import AqlPolicy
-from repro.experiments.runner import run_scenario
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
+from repro.experiments.runner import ScenarioRun, run_scenario
 from repro.experiments.scenarios import FIG3_POPULATION
 from repro.metrics.tables import ResultTable
-from repro.sim.units import MS, SEC
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
+from repro.sim.units import MS
 
 UNIFORM_QUANTA_MS = {"small": 1, "medium": 30, "large": 90}
 
@@ -32,38 +31,33 @@ class Fig7Result:
     normalized: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-def run_fig7(
-    warmup_ns: int = 2 * SEC, measure_ns: int = 4 * SEC, seed: int = 1,
-    runner: Optional["SweepRunner"] = None,
-) -> Fig7Result:
-    from repro.exec import Cell, SweepRunner
-
-    runner = runner or SweepRunner()
-    scenario = FIG3_POPULATION
-    labels = list(UNIFORM_QUANTA_MS)
+def plan_fig7(warmup_ns: int, measure_ns: int, seed: int = 1) -> list[Cell]:
+    """Full AQL, then AQL forced to each uniform quantum."""
     policies = [AqlPolicy()] + [
-        AqlPolicy(uniform_quantum_ns=UNIFORM_QUANTA_MS[label] * MS)
-        for label in labels
+        AqlPolicy(uniform_quantum_ns=quantum_ms * MS)
+        for quantum_ms in UNIFORM_QUANTA_MS.values()
     ]
-    runs = runner.run([
-        Cell(
-            run_scenario,
-            dict(
-                scenario=scenario, policy=policy, warmup_ns=warmup_ns,
-                measure_ns=measure_ns, seed=seed,
-            ),
-            label=f"fig7:{policy.name}",
-        )
+    timing = dict(warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed)
+    return [
+        Cell(run_scenario, dict(scenario=FIG3_POPULATION, policy=policy,
+                                **timing), label=f"fig7:{policy.name}")
         for policy in policies
-    ])
-    full, uniforms = runs[0], runs[1:]
+    ]
+
+
+def fold_fig7(results: list[ScenarioRun], **_params: Any) -> Fig7Result:
+    full, uniforms = results[0], results[1:]
     result = Fig7Result()
-    for label, uniform in zip(labels, uniforms):
+    for label, uniform in zip(UNIFORM_QUANTA_MS, uniforms):
         result.normalized[label] = {
             key: uniform.by_placement[key] / full.by_placement[key]
             for key in full.by_placement
         }
     return result
+
+
+def run_fig7(runner: Optional[SweepRunner] = None, **params: Any) -> Fig7Result:
+    return registry.run(registry.REGISTRY["fig7"], params, runner)
 
 
 def render_fig7(result: Fig7Result) -> str:

@@ -9,16 +9,14 @@ comparator on every application type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
 from repro.baselines import AqlPolicy, Microsliced, VSlicer, VTurbo, XenCredit
-from repro.experiments.runner import run_scenario
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
+from repro.experiments.runner import ScenarioRun, run_scenario
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
-from repro.sim.units import SEC
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
 
 
 @dataclass
@@ -27,34 +25,33 @@ class Fig8Result:
     normalized: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-def run_fig8(
-    warmup_ns: int = 2 * SEC, measure_ns: int = 4 * SEC, seed: int = 1,
-    runner: Optional["SweepRunner"] = None,
-) -> Fig8Result:
-    from repro.exec import Cell, SweepRunner
+def _policies():
+    return [XenCredit(), VTurbo(), Microsliced(), VSlicer(), AqlPolicy()]
 
-    runner = runner or SweepRunner()
-    scenario = SCENARIOS["S5"]
-    policies = [XenCredit(), VTurbo(), Microsliced(), VSlicer(), AqlPolicy()]
-    runs = runner.run([
-        Cell(
-            run_scenario,
-            dict(
-                scenario=scenario, policy=policy, warmup_ns=warmup_ns,
-                measure_ns=measure_ns, seed=seed,
-            ),
-            label=f"fig8:{policy.name}",
-        )
-        for policy in policies
-    ])
-    xen, comparator_runs = runs[0], runs[1:]
+
+def plan_fig8(warmup_ns: int, measure_ns: int, seed: int = 1) -> list[Cell]:
+    """S5 under Xen, then under each comparator and AQL."""
+    timing = dict(warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed)
+    return [
+        Cell(run_scenario, dict(scenario=SCENARIOS["S5"], policy=policy,
+                                **timing), label=f"fig8:{policy.name}")
+        for policy in _policies()
+    ]
+
+
+def fold_fig8(results: list[ScenarioRun], **_params: Any) -> Fig8Result:
+    xen = results[0]
     result = Fig8Result()
-    for policy, run in zip(policies[1:], comparator_runs):
+    for policy, other in zip(_policies()[1:], results[1:]):
         result.normalized[policy.name] = {
-            key: run.by_placement[key] / xen.by_placement[key]
+            key: other.by_placement[key] / xen.by_placement[key]
             for key in xen.by_placement
         }
     return result
+
+
+def run_fig8(runner: Optional[SweepRunner] = None, **params: Any) -> Fig8Result:
+    return registry.run(registry.REGISTRY["fig8"], params, runner)
 
 
 def render_fig8(result: Fig8Result) -> str:

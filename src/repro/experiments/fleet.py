@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Iterator, Optional
 
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.fleet import (
     STORIES,
     FleetRun,
@@ -31,9 +33,6 @@ from repro.fleet import (
 from repro.metrics.tables import ResultTable
 from repro.sim.units import MS
 from repro.telemetry import Telemetry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
 
 #: placement policies the family compares, in report order
 FLEET_PLACERS = ("first_fit", "best_fit", "aql_aware")
@@ -78,17 +77,10 @@ class FleetReport:
     end_time_ns: int
 
 
-def run_fleet(
-    fast: bool = False,
-    seed: int = 0,
-    runner: Optional["SweepRunner"] = None,
-) -> FleetReport:
-    """Every (story, placer) pair on the family's fleet."""
-    from repro.exec import SweepRunner
-
-    runner = runner or SweepRunner()
-    spec = fleet_spec(fast)
-    telemetry = Telemetry(enabled=True)
+def _simulations(
+    fast: bool, seed: int, **kwargs: Any
+) -> Iterator[tuple[str, str, FleetSimulation]]:
+    """(story, placer, simulation) for every pair the family compares."""
     only = os.environ.get(ENV_STORY, "").strip()
     names = [n for n in sorted(STORIES) if not only or n == only]
     if not names:
@@ -96,23 +88,44 @@ def run_fleet(
             f"{ENV_STORY}={only!r} matches no story; "
             f"choose from {sorted(STORIES)}"
         )
-    runs: dict[str, dict[str, FleetRun]] = {}
+    spec = fleet_spec(fast)
     for story_name in names:
-        runs[story_name] = {}
         for placer_name in FLEET_PLACERS:
-            runs[story_name][placer_name] = FleetSimulation(
-                spec,
-                STORIES[story_name],
-                make_placer(placer_name),
-                seed=seed,
-                runner=runner,
-                telemetry=telemetry,
-            ).run()
+            yield story_name, placer_name, FleetSimulation(
+                spec, STORIES[story_name], make_placer(placer_name),
+                seed=seed, **kwargs,
+            )
+
+
+def plan_fleet(fast: bool, seed: int = 0) -> list[Cell]:
+    """The first epoch's host cells of every (story, placer) pair:
+    later epochs depend on where the placer put VMs and what their
+    hosts detected, so only the first barrier plans ahead."""
+    return [
+        cell
+        for *_, simulation in _simulations(fast, seed)
+        for cell in simulation.first_cells()
+    ]
+
+
+def steer_fleet(runner: SweepRunner, fast: bool, seed: int = 0) -> FleetReport:
+    """Every (story, placer) pair, one epoch sweep at a time."""
+    telemetry = Telemetry(enabled=True)
+    runs: dict[str, dict[str, FleetRun]] = {}
+    for story, placer, simulation in _simulations(
+        fast, seed, runner=runner, telemetry=telemetry
+    ):
+        runs.setdefault(story, {})[placer] = simulation.run()
+    spec = fleet_spec(fast)
     return FleetReport(
         runs=runs,
         telemetry=telemetry,
         end_time_ns=spec.epochs * (spec.warmup_ns + spec.epoch_ns),
     )
+
+
+def run_fleet(runner: Optional[SweepRunner] = None, **params: Any) -> FleetReport:
+    return registry.run(registry.REGISTRY["fleet"], params, runner)
 
 
 def render_fleet(report: FleetReport) -> str:

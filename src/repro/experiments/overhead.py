@@ -7,23 +7,22 @@ Overhead is measured two ways, mirroring the paper's argument:
   online machinery (monitoring, misclassification transients, extra
   migrations); the paper claims < 1 % degradation overall;
 * **mechanism accounting** — decisions taken, pool reconfigurations
-  applied and vCPU migrations performed, plus the host wall-clock time
-  spent inside the vTRS + clustering code per decision (the O(max(m,n))
-  argument of §4.3).
+  applied and vCPU migrations performed by the online run.
 
 Table 6's qualitative feature matrix is rendered verbatim.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from repro.baselines import AqlPolicy
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
-from repro.sim.units import SEC
 
 
 @dataclass
@@ -33,8 +32,6 @@ class OverheadResult:
     decisions: int = 0
     reconfigurations: int = 0
     total_migrations: int = 0
-    wall_seconds_online: float = 0.0
-    wall_seconds_oracle: float = 0.0
 
     @property
     def mean_overhead(self) -> float:
@@ -44,39 +41,49 @@ class OverheadResult:
         return sum(self.relative.values()) / len(self.relative) - 1.0
 
 
-def run_overhead(
-    warmup_ns: int = 2 * SEC, measure_ns: int = 4 * SEC, seed: int = 1
-) -> OverheadResult:
-    scenario = SCENARIOS["S5"]
-    start = time.perf_counter()
-    oracle = run_scenario(
-        scenario, AqlPolicy(oracle=True), warmup_ns=warmup_ns,
-        measure_ns=measure_ns, seed=seed,
-    )
-    wall_oracle = time.perf_counter() - start
-
-    online_policy = AqlPolicy()
-    start = time.perf_counter()
-    online = run_scenario(
-        scenario, online_policy, warmup_ns=warmup_ns,
+def overhead_cell(oracle: bool, warmup_ns: int, measure_ns: int, seed: int) -> dict:
+    """The engine cell: S5 under AQL (online or oracle-typed), reduced
+    to plain data — per-placement perf plus the mechanism counters."""
+    policy = AqlPolicy(oracle=oracle)
+    run = run_scenario(
+        SCENARIOS["S5"], policy, warmup_ns=warmup_ns,
         measure_ns=measure_ns, seed=seed, keep_built=True,
     )
-    wall_online = time.perf_counter() - start
+    assert policy.manager is not None and run.built is not None
+    return {
+        "by_placement": run.by_placement,
+        "decisions": policy.manager.decisions,
+        "reconfigurations": policy.manager.reconfigurations,
+        "migrations": sum(
+            vcpu.migrations for vcpu in run.built.machine.all_vcpus
+        ),
+    }
 
-    result = OverheadResult(
-        wall_seconds_online=wall_online, wall_seconds_oracle=wall_oracle
+
+def plan_overhead(warmup_ns: int, measure_ns: int, seed: int = 1) -> list[Cell]:
+    """The oracle run, then the online run."""
+    timing = dict(warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed)
+    return [
+        Cell(overhead_cell, dict(oracle=oracle, **timing), label=f"overhead:{kind}")
+        for oracle, kind in ((True, "oracle"), (False, "online"))
+    ]
+
+
+def fold_overhead(results: list[dict], **_params: Any) -> OverheadResult:
+    oracle, online = results
+    return OverheadResult(
+        relative={
+            key: online["by_placement"][key] / value
+            for key, value in oracle["by_placement"].items()
+        },
+        decisions=online["decisions"],
+        reconfigurations=online["reconfigurations"],
+        total_migrations=online["migrations"],
     )
-    for key, oracle_value in oracle.by_placement.items():
-        result.relative[key] = online.by_placement[key] / oracle_value
-    manager = online_policy.manager
-    assert manager is not None
-    result.decisions = manager.decisions
-    result.reconfigurations = manager.reconfigurations
-    if online.built is not None:
-        result.total_migrations = sum(
-            vcpu.migrations for vcpu in online.built.machine.all_vcpus
-        )
-    return result
+
+
+def run_overhead(runner: Optional[SweepRunner] = None, **params: Any) -> OverheadResult:
+    return registry.run(registry.REGISTRY["overhead"], params, runner)
 
 
 def render_overhead(result: OverheadResult) -> str:
@@ -134,6 +141,11 @@ def render_table6() -> str:
     for row in TABLE6_FEATURES:
         table.add_row(*row)
     return table.render()
+
+
+def render_overhead_and_table6(result: OverheadResult) -> str:
+    """The CLI family's output: the overhead tables, then Table 6."""
+    return render_overhead(result) + "\n\n" + render_table6()
 
 
 __all__ = [

@@ -12,16 +12,15 @@ latency/spin classes win wherever they appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
-
 from repro.baselines import AqlPolicy, XenCredit
 from repro.core.types import VCpuType
-from repro.experiments.runner import run_scenario
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
+from repro.experiments.runner import ScenarioRun, run_scenario
 from repro.experiments.scenarios import AppPlacement, Scenario
 from repro.metrics.tables import ResultTable
 from repro.sim.units import SEC
@@ -86,35 +85,33 @@ class RandomMixResult:
         return sum(values) / len(values)
 
 
-def run_random_mixes(
-    mixes: int = 5,
-    warmup_ns: int = 2 * SEC,
-    measure_ns: int = 3 * SEC,
-    seed: int = 17,
-    runner: Optional["SweepRunner"] = None,
-) -> RandomMixResult:
-    from repro.exec import Cell, SweepRunner
-
-    runner = runner or SweepRunner()
-    # drawing the mixes is cheap and sequential (each draw advances the
-    # rng); only the simulations fan out
+def _draw_mixes(mixes: int, seed: int) -> list[Scenario]:
+    # drawing is cheap and sequential (each draw advances the rng);
+    # only the simulations fan out
     rng = np.random.default_rng(seed)
-    scenarios = [draw_mix(rng) for _ in range(mixes)]
-    cells = []
-    for mix_index, scenario in enumerate(scenarios):
-        for policy in (XenCredit(), AqlPolicy()):
-            cells.append(Cell(
-                run_scenario,
-                dict(
-                    scenario=scenario, policy=policy, warmup_ns=warmup_ns,
-                    measure_ns=measure_ns, seed=seed + mix_index,
-                ),
-                label=f"random:mix{mix_index}:{policy.name}",
-            ))
-    runs = runner.run(cells)
+    return [draw_mix(rng) for _ in range(mixes)]
+
+
+def plan_random(
+    mixes: int, measure_ns: int, warmup_ns: int = 2 * SEC, seed: int = 17
+) -> list[Cell]:
+    """Xen + AQL cells for each drawn mix, interleaved per mix."""
+    return [
+        Cell(run_scenario, dict(
+            scenario=scenario, policy=policy, warmup_ns=warmup_ns,
+            measure_ns=measure_ns, seed=seed + mix_index,
+        ), label=f"random:mix{mix_index}:{policy.name}")
+        for mix_index, scenario in enumerate(_draw_mixes(mixes, seed))
+        for policy in (XenCredit(), AqlPolicy())
+    ]
+
+
+def fold_random(
+    results: list[ScenarioRun], mixes: int, seed: int = 17, **_params: Any
+) -> RandomMixResult:
     result = RandomMixResult()
-    for mix_index, scenario in enumerate(scenarios):
-        xen, aql = runs[2 * mix_index], runs[2 * mix_index + 1]
+    for mix_index, scenario in enumerate(_draw_mixes(mixes, seed)):
+        xen, aql = results[2 * mix_index], results[2 * mix_index + 1]
         normalized = {
             key: aql.by_placement[key] / xen.by_placement[key]
             for key in xen.by_placement
@@ -126,6 +123,12 @@ def run_random_mixes(
                 value
             )
     return result
+
+
+def run_random_mixes(
+    runner: Optional[SweepRunner] = None, **params: Any
+) -> RandomMixResult:
+    return registry.run(registry.REGISTRY["random"], params, runner)
 
 
 def render_random_mixes(result: RandomMixResult) -> str:

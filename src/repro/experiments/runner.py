@@ -15,6 +15,7 @@ from typing import Optional
 from repro.baselines.base import Policy
 from repro.core.types import VCpuType
 from repro.experiments.scenarios import BuiltScenario, Scenario, build_scenario
+from repro.sim.tracing import TraceRecorder
 from repro.sim.units import SEC
 from repro.telemetry import Telemetry
 from repro.workloads.base import PerfResult
@@ -63,6 +64,14 @@ def _placement_key(result_name: str) -> str:
     return result_name
 
 
+def placement_means(values: dict[str, float]) -> dict[str, float]:
+    """Per-workload values -> mean per placement key."""
+    groups: dict[str, list[float]] = {}
+    for name, value in values.items():
+        groups.setdefault(_placement_key(name), []).append(value)
+    return {key: sum(vs) / len(vs) for key, vs in groups.items()}
+
+
 def run_scenario(
     scenario: Scenario,
     policy: Policy,
@@ -71,6 +80,7 @@ def run_scenario(
     seed: int = 0,
     keep_built: bool = False,
     telemetry: bool = False,
+    trace: Optional[TraceRecorder] = None,
 ) -> ScenarioRun:
     """Build, configure, warm up, measure.
 
@@ -79,10 +89,13 @@ def run_scenario(
     ``ScenarioRun.telemetry_summary`` and the full recorder stays
     reachable via ``run.built.machine.telemetry`` when ``keep_built``.
     Telemetry is a pure function of the virtual clock, so enabling it
-    never changes results — only records them.
+    never changes results — only records them.  ``trace`` (a raw
+    scheduling-trace recorder) is handed to :func:`build_scenario`.
     """
     recorder = Telemetry(enabled=True) if telemetry else None
-    built = build_scenario(scenario, seed=seed, telemetry=recorder)
+    built = build_scenario(
+        scenario, seed=seed, telemetry=recorder, trace=trace
+    )
     policy.setup(built.machine, built.ctx)
     built.machine.run(warmup_ns)
     for workload in built.workloads.values():
@@ -94,12 +107,9 @@ def run_scenario(
     for name, workload in built.workloads.items():
         run.results[name] = workload.result()
 
-    groups: dict[str, list[float]] = {}
-    for name, result in run.results.items():
-        groups.setdefault(_placement_key(name), []).append(result.value)
-    run.by_placement = {
-        key: sum(values) / len(values) for key, values in groups.items()
-    }
+    run.by_placement = placement_means(
+        {name: result.value for name, result in run.results.items()}
+    )
 
     manager = getattr(policy, "manager", None)
     if manager is not None:

@@ -12,11 +12,14 @@ comparatively flat (its waiters never spin and BOOST covers wake-ups).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Optional
 
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.hardware.specs import i7_3770
 from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 from repro.workloads.blocking import BlockingSyncWorkload
 from repro.workloads.cpu import CpuBurnWorkload
 from repro.workloads.profiles import lolcf_profile
@@ -80,21 +83,39 @@ def _run_cell(
     return workload.result().value, stats()
 
 
-def run_sync_primitives(
-    quanta_ms: tuple[int, ...] = (1, 30, 90),
-    warmup_ns: int = 500 * MS,
-    measure_ns: int = 2 * SEC,
-    seed: int = 3,
+#: quantum lengths the ablation sweeps
+SYNC_QUANTA_MS = (1, 30, 90)
+PRIMITIVES = ("spin", "semaphore")
+
+
+def plan_sync(
+    measure_ns: int, quanta_ms: tuple[int, ...] = SYNC_QUANTA_MS,
+    warmup_ns: int = 500 * MS, seed: int = 3,
+) -> list[Cell]:
+    timing = dict(warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed)
+    return [
+        Cell(_run_cell, dict(primitive=p, quantum_ms=q, **timing),
+             label=f"sync:{p}:{q}ms")
+        for p in PRIMITIVES for q in quanta_ms
+    ]
+
+
+def fold_sync(
+    results: list[tuple[float, float]],
+    quanta_ms: tuple[int, ...] = SYNC_QUANTA_MS, **_params: Any,
 ) -> SyncPrimitiveResult:
     result = SyncPrimitiveResult()
-    for primitive in ("spin", "semaphore"):
-        for quantum_ms in quanta_ms:
-            value, duration = _run_cell(
-                primitive, quantum_ms, warmup_ns, measure_ns, seed
-            )
-            result.ns_per_job[(primitive, quantum_ms)] = value
-            result.duration_ns[(primitive, quantum_ms)] = duration
+    grid = [(p, q) for p in PRIMITIVES for q in quanta_ms]
+    for key, (value, duration) in zip(grid, results):
+        result.ns_per_job[key] = value
+        result.duration_ns[key] = duration
     return result
+
+
+def run_sync_primitives(
+    runner: Optional[SweepRunner] = None, **params: Any
+) -> SyncPrimitiveResult:
+    return registry.run(registry.REGISTRY["sync"], params, runner)
 
 
 def render_sync_primitives(result: SyncPrimitiveResult) -> str:

@@ -9,12 +9,15 @@ encodes as each program's expected type).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.types import VCpuType
 from repro.core.vtrs import VTRS
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.hardware.specs import MachineSpec, i7_3770
 from repro.hypervisor.machine import Machine
+from repro.hypervisor.vm import VM
 from repro.metrics.tables import ResultTable
 from repro.sim.units import MS, SEC
 from repro.workloads.cpu import CpuBurnWorkload
@@ -39,19 +42,16 @@ class Table3Result:
         return hits / len(self.detected)
 
 
-def recognize_app(
-    app: str,
-    spec: Optional[MachineSpec] = None,
-    duration_ns: int = 2 * SEC,
-    seed: int = 5,
-) -> Optional[VCpuType]:
-    """Run one program under vTRS observation; return the detected type."""
-    spec = spec or i7_3770()
-    app_spec = APP_CATALOG[app]
+def observe_app(
+    app: str, spec: MachineSpec, seed: int, pool_name: str,
+    record_history: bool = False,
+) -> tuple[Machine, VTRS, VM]:
+    """``app`` at 4 vCPUs/pCPU with quiet CPU-hog neighbours, watched
+    by a freshly attached vTRS (not yet run): (machine, vtrs, app VM)."""
     machine = Machine(spec, seed=seed)
-    nv = 4 if app_spec.expected_type == VCpuType.CONSPIN else 1
+    nv = 4 if APP_CATALOG[app].expected_type == VCpuType.CONSPIN else 1
     pcpus = machine.topology.pcpus[:max(1, nv)]
-    pool = machine.create_pool("t3", pcpus, 30 * MS)
+    pool = machine.create_pool(pool_name, pcpus, 30 * MS)
     vm = machine.new_vm(app, nv, weight=256 * nv)
     for vcpu in vm.vcpus:
         machine.default_pool.remove_vcpu(vcpu)
@@ -62,7 +62,17 @@ def recognize_app(
         machine.default_pool.remove_vcpu(dvm.vcpus[0])
         pool.add_vcpu(dvm.vcpus[0])
         CpuBurnWorkload(f"d{i}", lolcf_profile(spec)).install(machine, dvm)
-    vtrs = VTRS(machine).attach()
+    return machine, VTRS(machine, record_history=record_history).attach(), vm
+
+
+def recognize_app(
+    app: str,
+    spec: Optional[MachineSpec] = None,
+    duration_ns: int = 2 * SEC,
+    seed: int = 5,
+) -> Optional[VCpuType]:
+    """Run one program under vTRS observation; return the detected type."""
+    machine, vtrs, vm = observe_app(app, spec or i7_3770(), seed, "t3")
     machine.run(duration_ns)
     types = {vtrs.type_of(vcpu) for vcpu in vm.vcpus}
     if len(types) == 1:
@@ -75,19 +85,34 @@ def recognize_app(
     return max(votes, key=votes.get)
 
 
-def run_table3(
-    apps: Optional[Sequence[str]] = None,
-    spec: Optional[MachineSpec] = None,
-    duration_ns: int = 2 * SEC,
-    seed: int = 5,
+def plan_table3(
+    apps: Optional[Sequence[str]], duration_ns: int,
+    spec: Optional[MachineSpec] = None, seed: int = 5,
+) -> list[Cell]:
+    """One recognition cell per program; ``apps=None`` is the catalog."""
+    return [
+        Cell(
+            recognize_app,
+            dict(app=app, spec=spec, duration_ns=duration_ns, seed=seed),
+            label=f"table3:{app}",
+        )
+        for app in apps or sorted(APP_CATALOG)
+    ]
+
+
+def fold_table3(
+    results: list[Optional[VCpuType]], apps: Optional[Sequence[str]],
+    **_params: Any,
 ) -> Table3Result:
     result = Table3Result()
-    for app in apps or sorted(APP_CATALOG):
+    for app, detected in zip(apps or sorted(APP_CATALOG), results):
         result.expected[app] = APP_CATALOG[app].expected_type
-        result.detected[app] = recognize_app(
-            app, spec=spec, duration_ns=duration_ns, seed=seed
-        )
+        result.detected[app] = detected
     return result
+
+
+def run_table3(runner: Optional[SweepRunner] = None, **params: Any) -> Table3Result:
+    return registry.run(registry.REGISTRY["table3"], params, runner)
 
 
 def render_table3(result: Table3Result) -> str:

@@ -13,21 +13,23 @@ and renders the audit as operator-facing tables:
   migration cost;
 * the aggregate counter summary.
 
-The same run backs the CLI's ``--telemetry-out`` (JSONL exposition)
-and ``--trace-out`` (chrome trace with the span tracks), so one
-simulation yields the report and both artifacts.
+The same run backs the CLI's ``--telemetry-out`` (JSONL exposition);
+``--trace-out`` writes the family's traced run (S2 under AQL with the
+scheduling trace and the span tracks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.baselines import AqlPolicy
-from repro.experiments.scenarios import SCENARIOS, build_scenario
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
+from repro.experiments.runner import run_scenario
+from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
-from repro.sim.tracing import TraceRecorder
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 from repro.telemetry import Telemetry
 
 #: the fig6 cell the report runs (S2: IO server + CPU burners + LLC
@@ -49,56 +51,54 @@ SUMMARY_PREFIXES = (
 
 @dataclass
 class TelemetryReport:
-    """One instrumented scenario run plus its live recorders."""
+    """One instrumented scenario run: the full telemetry record (plain
+    data — it pickles through sweep workers and the result cache)."""
 
     scenario: str
     policy: str
     end_time_ns: int
     telemetry: Telemetry
-    trace: Optional[TraceRecorder] = None
     summary: dict[str, float] = field(default_factory=dict)
 
 
-def run_telemetry_report(
-    scenario_name: str = DEFAULT_SCENARIO,
-    warmup_ns: int = 1 * SEC,
-    measure_ns: int = 2 * SEC,
-    seed: int = 1,
-    with_trace: bool = False,
+def telemetry_cell(
+    scenario_name: str, warmup_ns: int, measure_ns: int, seed: int
 ) -> TelemetryReport:
-    """Run the fig6 cell with telemetry on; keep the recorders live.
-
-    Mirrors :func:`repro.experiments.runner.run_scenario`'s protocol
-    (same seed discipline, same warm-up/measure split) but holds on to
-    the recorder objects — the report needs the full audit records, not
-    just the flat summary a sweep result carries.
-    """
-    scenario = SCENARIOS[scenario_name]
-    telemetry = Telemetry(enabled=True)
-    trace = None
-    if with_trace:
-        from repro.metrics.chrome_trace import CHROME_KINDS
-
-        trace = TraceRecorder(enabled=True, kinds=set(CHROME_KINDS))
-    built = build_scenario(
-        scenario, seed=seed, telemetry=telemetry, trace=trace
-    )
+    """The engine cell: the fig6 cell under AQL with telemetry on, and
+    the whole recorder handed back (the report reads the full audit)."""
     policy = AqlPolicy()
-    policy.setup(built.machine, built.ctx)
-    built.machine.run(warmup_ns)
-    for workload in built.workloads.values():
-        workload.begin_measurement()
-    built.machine.run(measure_ns)
-    built.machine.sync()
-    telemetry.tracer.close_all(built.machine.sim.now)
-    return TelemetryReport(
-        scenario=scenario.name,
-        policy=policy.name,
-        end_time_ns=built.machine.sim.now,
-        telemetry=telemetry,
-        trace=trace,
-        summary=telemetry.summary(),
+    run = run_scenario(
+        SCENARIOS[scenario_name], policy, warmup_ns=warmup_ns,
+        measure_ns=measure_ns, seed=seed, keep_built=True, telemetry=True,
     )
+    assert run.built is not None
+    machine = run.built.machine
+    return TelemetryReport(
+        scenario=run.scenario,
+        policy=run.policy,
+        end_time_ns=machine.sim.now,
+        telemetry=machine.telemetry,
+        summary=run.telemetry_summary,
+    )
+
+
+def plan_telemetry(
+    warmup_ns: int, measure_ns: int, scenario_name: str = DEFAULT_SCENARIO,
+    seed: int = 1,
+) -> list[Cell]:
+    kwargs = dict(scenario_name=scenario_name, warmup_ns=warmup_ns,
+                  measure_ns=measure_ns, seed=seed)
+    return [Cell(telemetry_cell, kwargs, label=f"telemetry:{scenario_name}:aql")]
+
+
+def fold_telemetry(results: list[TelemetryReport], **_: Any) -> TelemetryReport:
+    return results[0]
+
+
+def run_telemetry_report(
+    runner: Optional[SweepRunner] = None, **params: Any
+) -> TelemetryReport:
+    return registry.run(registry.REGISTRY["telemetry"], params, runner)
 
 
 def _type_census(input_types) -> str:

@@ -16,15 +16,13 @@ at least as well as n = 1 while migrating far less.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
 from repro.baselines import AqlPolicy, Policy, XenCredit
+from repro.exec import Cell, SweepRunner
+from repro.experiments import registry
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
-from repro.sim.units import SEC
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec import SweepRunner
 
 WINDOWS = (1, 2, 4, 8)
 
@@ -51,7 +49,7 @@ def _window_cell(
     Returns plain data (perf + churn counters) so the cell can cross a
     process boundary and live in the result cache.
     """
-    from repro.experiments.runner import _placement_key
+    from repro.experiments.runner import placement_means
     from repro.experiments.scenarios import build_scenario
     from repro.workloads.phased import BehaviourPhase, PhasedWorkload
 
@@ -77,16 +75,11 @@ def _window_cell(
         workload.begin_measurement()
     machine.run(measure_ns)
     machine.sync()
-    groups: dict[str, list[float]] = {}
-    for name, workload in built.workloads.items():
-        groups.setdefault(_placement_key(name), []).append(
-            workload.result().value
-        )
     manager = getattr(policy, "manager", None)
     return {
-        "by_placement": {
-            key: sum(values) / len(values) for key, values in groups.items()
-        },
+        "by_placement": placement_means(
+            {name: w.result().value for name, w in built.workloads.items()}
+        ),
         "reconfigurations": (
             manager.reconfigurations if manager is not None else 0
         ),
@@ -96,34 +89,27 @@ def _window_cell(
     }
 
 
-def run_window_sensitivity(
-    windows: tuple[int, ...] = WINDOWS,
-    warmup_ns: int = 2 * SEC,
-    measure_ns: int = 4 * SEC,
+def plan_window(
+    warmup_ns: int, measure_ns: int, windows: tuple[int, ...] = WINDOWS,
     seed: int = 1,
-    runner: Optional["SweepRunner"] = None,
-) -> WindowSensitivityResult:
-    from repro.exec import Cell, SweepRunner
-
-    runner = runner or SweepRunner()
+) -> list[Cell]:
+    """Xen, then AQL at every window size ``n``."""
     policies: list[Policy] = [XenCredit()]
     policies += [AqlPolicy(window=n) for n in windows]
     labels = ["window:xen"] + [f"window:n={n}" for n in windows]
-    cells = [
-        Cell(
-            _window_cell,
-            dict(
-                policy=policy, warmup_ns=warmup_ns, measure_ns=measure_ns,
-                seed=seed,
-            ),
-            label=label,
-        )
+    timing = dict(warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed)
+    return [
+        Cell(_window_cell, dict(policy=policy, **timing), label=label)
         for policy, label in zip(policies, labels)
     ]
-    outcomes = runner.run(cells)
-    xen = outcomes[0]["by_placement"]
+
+
+def fold_window(
+    results: list[dict], windows: tuple[int, ...] = WINDOWS, **_params: Any
+) -> WindowSensitivityResult:
+    xen = results[0]["by_placement"]
     result = WindowSensitivityResult()
-    for n, outcome in zip(windows, outcomes[1:]):
+    for n, outcome in zip(windows, results[1:]):
         by_placement = outcome["by_placement"]
         result.normalized[n] = {
             key: by_placement[key] / xen[key] for key in xen
@@ -131,6 +117,12 @@ def run_window_sensitivity(
         result.reconfigurations[n] = outcome["reconfigurations"]
         result.migrations[n] = outcome["migrations"]
     return result
+
+
+def run_window_sensitivity(
+    runner: Optional[SweepRunner] = None, **params: Any
+) -> WindowSensitivityResult:
+    return registry.run(registry.REGISTRY["window"], params, runner)
 
 
 def render_window_sensitivity(result: WindowSensitivityResult) -> str:

@@ -32,7 +32,7 @@ only its unfinished hosts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.dynamics.events import (
     ChurnEvent,
@@ -132,7 +132,9 @@ class FleetSimulation:
         self.story = story
         self.placer = placer
         self.seed = seed
-        self.runner = runner if runner is not None else SweepRunner()
+        #: the sweep runner (a default serial one is built by ``run``,
+        #: so planning with :meth:`first_cells` starts no engine)
+        self.runner = runner
         #: fleet-level control-plane telemetry (the cells' per-host
         #: telemetry is separate and controlled by ``spec.telemetry``)
         self.telemetry = telemetry
@@ -194,12 +196,34 @@ class FleetSimulation:
     # the run
     # ------------------------------------------------------------------
     def run(self) -> FleetRun:
-        spec = self.spec
         # one simulation cell per host per epoch: hint the whole-run
         # total so the ops plane's /status ETA projects over the full
         # campaign instead of the epochs planned so far (observability
         # metadata only — execution never reads it)
-        self.runner.engine.expect_cells(spec.epochs * len(self.host_ids))
+        runner = self.runner if self.runner is not None else SweepRunner()
+        runner.engine.expect_cells(self.spec.epochs * len(self.host_ids))
+        epochs = self._epochs()
+        cells, stage = next(epochs)
+        while True:
+            # one engine sweep per epoch: the bulk-synchronous barrier
+            # is an engine phase boundary, and the stage label rides
+            # the event stream into progress lines and event logs
+            try:
+                cells, stage = epochs.send(runner.run(cells, stage=stage))
+            except StopIteration as done:
+                return done.value
+
+    def first_cells(self) -> list[Cell]:
+        """The first epoch's host cells: the part of the run that can
+        be planned before any cell has run (no simulation)."""
+        return next(self._epochs())[0]
+
+    def _epochs(
+        self,
+    ) -> Generator[tuple[list[Cell], str], list[HostEpochResult], FleetRun]:
+        """The epoch loop: yields each epoch's (cells, stage) and is sent
+        their results back."""
+        spec = self.spec
         traffic = TrafficGenerator(
             self.story, capacity=spec.capacity, seed=self.seed
         )
@@ -314,10 +338,7 @@ class FleetSimulation:
                 f"{self.story.name}:{self.placer.name} "
                 f"epoch {epoch + 1}/{spec.epochs}"
             )
-            # one engine sweep per epoch: the bulk-synchronous barrier
-            # is an engine phase boundary, and the stage label rides
-            # the event stream into progress lines and event logs
-            results = self.runner.run(cells, stage=stage)
+            results = yield cells, stage
             by_host = dict(zip(cell_hosts, results))
 
             # ---- apply the epoch's churn to the steady state -----------

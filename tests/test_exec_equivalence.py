@@ -392,3 +392,72 @@ class TestFamilyEquivalence:
             "repro.experiments.runner", "repro.experiments.churn",
             "repro.fleet.model", "repro.fuzz.corpus",
         }
+
+
+# ---------------------------------------------------------------------
+# Registry families that used to loop in-process: every execution path
+# renders the same tables
+# ---------------------------------------------------------------------
+
+#: the six families ported onto engine cells, at smoke-test sizes
+PORTED_FAMILIES = {
+    "fig3": {},
+    "fig4": dict(periods=20),
+    "table3": dict(
+        apps=("astar", "libquantum", "hmmer", "specweb2009"),
+        duration_ns=1500 * MS,
+    ),
+    "overhead": dict(warmup_ns=500 * MS, measure_ns=1000 * MS),
+    "sync": dict(quanta_ms=(1, 90), warmup_ns=300 * MS, measure_ns=1000 * MS),
+    "telemetry": dict(warmup_ns=400 * MS, measure_ns=600 * MS),
+}
+
+
+@pytest.fixture(scope="module")
+def ported_renders(tmp_path_factory):
+    """family -> leg -> (rendered tables, pickled result)."""
+    from repro.experiments.registry import REGISTRY, run
+
+    renders = {}
+    for name, params in PORTED_FAMILIES.items():
+        exp = REGISTRY[name]
+        base = tmp_path_factory.mktemp(f"ported-{name}")
+        legs = {}
+
+        def leg(runner):
+            result = run(exp, params, runner)
+            return exp.render(result), pickle.dumps(result)
+
+        legs["serial"] = leg(SweepRunner(jobs=1, cache=ResultCache(base)))
+        if fork_available():
+            legs["parallel"] = leg(SweepRunner(jobs=2))
+        legs["cached"] = leg(SweepRunner(jobs=1, cache=ResultCache(base)))
+        # journal the warm hits, then resume from the run dir alone
+        leg(SweepRunner(jobs=1, cache=ResultCache(base), run_root=base / "r"))
+        resumer = SweepRunner(jobs=1, run_root=base / "r")
+        legs["resumed"] = leg(resumer)
+        assert resumer.engine.status.ran == 0
+        assert resumer.engine.status.resumed > 0
+        renders[name] = legs
+    return renders
+
+
+@pytest.mark.parametrize("family", sorted(PORTED_FAMILIES))
+def test_ported_family_renders_identically_on_every_path(
+    family, ported_renders
+):
+    legs = ported_renders[family]
+    text, _ = legs["serial"]
+    assert text.strip()
+    for leg_name, (other, _) in legs.items():
+        assert other == text, f"{family}: {leg_name} leg differs"
+
+
+@pytest.mark.parametrize("family", sorted(PORTED_FAMILIES))
+def test_ported_family_result_is_plain_data(family, ported_renders):
+    """The folded result pickles (no live machine rides along) and
+    replays to the same tables."""
+    from repro.experiments.registry import REGISTRY
+
+    text, payload = ported_renders[family]["serial"]
+    assert REGISTRY[family].render(pickle.loads(payload)) == text

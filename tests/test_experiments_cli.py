@@ -1,12 +1,14 @@
 """Tests for the CLI experiment runner and the ablation module."""
 
+import dataclasses
 import signal
 import threading
 
 import pytest
 
 from repro.exec import Cell
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import main
+from repro.experiments.registry import REGISTRY
 from repro.experiments.ablations import (
     render_boost_ablation,
     render_reuse_ablation,
@@ -20,7 +22,7 @@ class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in REGISTRY:
             assert name in out
 
     def test_fig3_runs(self, capsys):
@@ -46,8 +48,8 @@ class TestCliEngineSummary:
         journalled are reported, not the zero a fold-time tally saw."""
         from tests import engine_cells
 
-        def interrupted_sweep(fast, runner):
-            cells = [
+        def interrupted_sweep(**_params):
+            return [
                 Cell(
                     engine_cells.interrupting_cell,
                     dict(n=n, interrupt_at=3),
@@ -55,11 +57,10 @@ class TestCliEngineSummary:
                 )
                 for n in range(6)
             ]
-            runner.run(cells)
-            return "unreachable"
 
         monkeypatch.setitem(
-            EXPERIMENTS, "fig3", ("interrupted sweep", interrupted_sweep)
+            REGISTRY, "fig3",
+            dataclasses.replace(REGISTRY["fig3"], plan=interrupted_sweep),
         )
         code = main([
             "fig3", "--no-cache", "--run-dir", str(tmp_path / "runs"),
@@ -84,6 +85,66 @@ class TestCliEngineSummary:
         ]
         assert leaked == []
         assert signal.getsignal(signal.SIGTERM) is before
+
+
+class TestArtifactFlagsFromRegistry:
+    """Artifact flags are validated from the registry, up front."""
+
+    def test_trace_out_without_traced_run_exits_2_before_running(
+        self, monkeypatch, tmp_path
+    ):
+        def never(**_params):
+            raise AssertionError("the family ran before validation")
+
+        monkeypatch.setitem(
+            REGISTRY, "fleet",
+            dataclasses.replace(REGISTRY["fleet"], steer=never, plan=never),
+        )
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fleet", "--fast", "--no-cache",
+                "--trace-out", str(tmp_path / "t.json"),
+            ])
+        assert exc.value.code == 2
+        assert not (tmp_path / "t.json").exists()
+
+    def test_telemetry_out_needs_a_telemetry_family(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig3", "--telemetry-out", str(tmp_path / "t.jsonl")])
+        assert exc.value.code == 2
+
+    def test_every_traced_family_accepts_trace_out(self):
+        traced = {name for name, exp in REGISTRY.items() if exp.traced}
+        assert traced == set(REGISTRY) - {"fleet"}
+        carriers = {name for name, exp in REGISTRY.items() if exp.telemetry}
+        assert carriers == {"telemetry", "fleet"}
+
+
+class TestPlanSubcommand:
+    def test_plan_prints_labels_without_simulating(self, capsys):
+        assert main(["plan", "fig5", "--fast"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        exp = REGISTRY["fig5"]
+        assert lines == [cell.display for cell in exp.plan(**exp.fast)]
+        assert lines[0] == "fig5:hmmer:1ms" and len(lines) == 30
+
+    def test_plan_builds_no_runner(self, monkeypatch, capsys):
+        """Planning reads no runner setting: a bad REPRO_JOBS only
+        matters once something runs (the fleet plans through its
+        simulations, which build their runner in ``run``)."""
+        monkeypatch.setenv("REPRO_JOBS", "banana")
+        assert main(["plan", "fleet", "--fast"]) == 0
+        assert capsys.readouterr().out.startswith("fleet:")
+
+    def test_plan_needs_a_family(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan"])
+        assert exc.value.code == 2
+
+    def test_family_only_goes_with_plan(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig3", "fig4"])
+        assert exc.value.code == 2
 
 
 class TestAblationModules:

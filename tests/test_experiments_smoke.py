@@ -73,6 +73,11 @@ class TestFig4:
         text = render_fig4(result)
         assert "specweb2009" in text
 
+    def test_title_names_the_periods_run(self):
+        result = run_fig4(periods=3)
+        assert result.periods == 3
+        assert "over 3 monitoring periods" in render_fig4(result)
+
 
 class TestFig5:
     def test_subset_of_apps(self):
