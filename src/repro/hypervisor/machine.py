@@ -316,6 +316,7 @@ class Machine:
         if self.trace.enabled:
             self.trace.emit(self.sim.now, "wake", vcpu=vcpu.name, boost=vcpu.priority == _BOOST)
         if self.telemetry.enabled:
+            vcpu.woke_ns = self.sim.now
             self.telemetry.registry.counter("wakes", vcpu=vcpu.name).inc()
             if vcpu.priority == _BOOST:
                 self.telemetry.registry.counter("boost_wakes").inc()
@@ -395,6 +396,9 @@ class Machine:
                 quantum_ns=quantum,
                 pool=ctx.pool.name,
             )
+            if vcpu.woke_ns is not None:
+                ctx.slice_span.args["woke_ns"] = vcpu.woke_ns
+                vcpu.woke_ns = None
         self._start_segment(vcpu)
 
     def _on_quantum_expire(self, ctx: PCpuContext, vcpu: VCpu) -> None:
@@ -1011,6 +1015,10 @@ class Machine:
             self._kick(target)
         self.trace.emit(self.sim.now, "pcpu-offline", pcpu=pcpu.cpu_id)
         if self.telemetry.enabled:
+            self.telemetry.tracer.instant(
+                self.sim.now, "pcpu-offline", track="machine",
+                pcpu=pcpu.cpu_id,
+            )
             self.telemetry.registry.counter("pcpu_offlines").inc()
             self._record_pool_change(
                 "offline", f"pcpu{pcpu.cpu_id} left {pool.name}"
@@ -1053,6 +1061,10 @@ class Machine:
             self._reschedule(ctx)  # work-steal from pool siblings now
         self.trace.emit(self.sim.now, "pcpu-online", pcpu=pcpu.cpu_id)
         if self.telemetry.enabled:
+            self.telemetry.tracer.instant(
+                self.sim.now, "pcpu-online", track="machine",
+                pcpu=pcpu.cpu_id,
+            )
             self.telemetry.registry.counter("pcpu_onlines").inc()
             self._record_pool_change(
                 "online", f"pcpu{pcpu.cpu_id} joined {target.name}"

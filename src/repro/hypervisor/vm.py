@@ -67,6 +67,7 @@ class VCpu:
         "dispatch_count",
         "migrations",
         "steals",
+        "woke_ns",
     )
 
     def __init__(self, vcpu_id: int, vm: "VM", index: int) -> None:
@@ -116,6 +117,9 @@ class VCpu:
         self.migrations = 0
         #: intra-pool work-stealing moves between sibling pCPUs
         self.steals = 0
+        #: when telemetry is on: the last wake not yet dispatched, put
+        #: on the next quantum-slice span as its ``woke_ns`` arg
+        self.woke_ns: Optional[int] = None
 
     @property
     def name(self) -> str:

@@ -25,7 +25,12 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.metrics.timeline import TIMELINE_KINDS, build_timeline
+from repro.metrics.timeline import (
+    TIMELINE_KINDS,
+    Timeline,
+    build_timeline,
+    span_timeline,
+)
 from repro.sim.tracing import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -52,7 +57,41 @@ def chrome_trace_events(
     trace: TraceRecorder, end_time: int
 ) -> list[dict]:
     """The ``traceEvents`` list for one recorded run."""
-    timeline = build_timeline(trace, end_time)
+    instants = []
+    for record in trace:
+        if record.kind not in INSTANT_KINDS:
+            continue
+        name = record.kind
+        if record.kind == "churn":
+            name = record.payload.get("detail", "churn")
+        instants.append((record.time, name, record.payload))
+    return _machine_events(build_timeline(trace, end_time), instants)
+
+
+#: span tracks whose zero-duration markers are machine milestones
+MILESTONE_TRACKS = ("machine", "churn")
+
+
+def machine_trace_events(tracer: "SpanTracer", end_time: int) -> list[dict]:
+    """The machine process (pid 0) of one run, from its telemetry spans:
+    pCPU occupancy from the quantum slices, global instants from the
+    ``machine`` and ``churn`` milestones (a churn marker is named by
+    its detail, as the churn tables print it)."""
+    instants = []
+    for span in tracer.spans():
+        if span.track not in MILESTONE_TRACKS or span.end_ns != span.start_ns:
+            continue
+        name, args = span.name, span.args
+        if span.track == "churn":
+            name = str(args["detail"])
+            args = {"event": span.name.partition(":")[2], "detail": name}
+        instants.append((span.start_ns, name, args))
+    return _machine_events(span_timeline(tracer, end_time), instants)
+
+
+def _machine_events(
+    timeline: Timeline, instants: list[tuple[int, str, dict]]
+) -> list[dict]:
     events: list[dict] = [
         {
             "name": "process_name",
@@ -84,20 +123,14 @@ def chrome_trace_events(
                 "tid": interval.pcpu,
             }
         )
-    for record in trace:
-        if record.kind not in INSTANT_KINDS:
-            continue
-        payload = dict(record.payload)
-        name = record.kind
-        if record.kind == "churn":
-            name = payload.get("detail", "churn")
+    for time, name, payload in instants:
         events.append(
             {
                 "name": name,
                 "cat": "churn",
                 "ph": "i",
                 "s": "g",  # global scope: a full-height marker line
-                "ts": record.time / 1000.0,
+                "ts": time / 1000.0,
                 "pid": 0,
                 "tid": 0,
                 "args": {k: _jsonable(v) for k, v in payload.items()},
@@ -190,6 +223,7 @@ __all__ = [
     "INSTANT_KINDS",
     "TELEMETRY_PID",
     "chrome_trace_events",
+    "machine_trace_events",
     "span_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",

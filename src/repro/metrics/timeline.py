@@ -12,9 +12,12 @@ pCPU when — invaluable when debugging scheduler changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.tracing import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.telemetry import SpanTracer
 
 #: the trace kinds the timeline needs (pass to TraceRecorder(kinds=...))
 TIMELINE_KINDS = {"dispatch", "desched", "preempt", "block", "wake"}
@@ -90,6 +93,31 @@ def build_timeline(trace: TraceRecorder, end_time: int) -> Timeline:
     return timeline
 
 
+def span_timeline(tracer: "SpanTracer", end_time: int) -> Timeline:
+    """Run intervals and wake latencies from the quantum-slice spans.
+
+    Every dispatch opens a ``quantum_slice`` span on track
+    ``pcpu<n>`` and every deschedule closes it; a slice still open at
+    ``end_time`` runs to it.  A slice that follows a wake carries the
+    wake time as its ``woke_ns`` arg.
+    """
+    timeline = Timeline(end_time=end_time)
+    for span in tracer.spans() + tracer.open_spans():
+        if span.category != "quantum_slice":
+            continue
+        end = end_time if span.end_ns is None else span.end_ns
+        timeline.intervals.append(
+            RunInterval(span.name, int(span.track[4:]), span.start_ns, end)
+        )
+        woke = span.args.get("woke_ns")
+        if isinstance(woke, int):
+            timeline.wake_to_dispatch.setdefault(span.name, []).append(
+                (woke, span.start_ns)
+            )
+    timeline.intervals.sort(key=lambda i: (i.start, i.pcpu))
+    return timeline
+
+
 def scheduling_delays(timeline: Timeline, vcpu: str) -> list[int]:
     """Wake-to-dispatch latencies for one vCPU (ns)."""
     return [
@@ -158,6 +186,7 @@ __all__ = [
     "RunInterval",
     "Timeline",
     "build_timeline",
+    "span_timeline",
     "scheduling_delays",
     "render_gantt",
 ]
