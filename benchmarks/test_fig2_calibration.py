@@ -6,7 +6,6 @@ lock-duration inset, and the derived best quantum per type.
 """
 
 from repro.core.calibration import PAPER_BEST_QUANTA
-from repro.core.types import VCpuType
 from repro.experiments.fig2_calibration import render_fig2, run_fig2
 from repro.experiments.registry import REGISTRY
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Visualise what the scheduler actually did: a terminal Gantt chart.
 
-Traces a small consolidated host for half a second under the default
-30 ms quantum and again under a 5 ms quantum, reconstructs each pCPU's
-schedule, and draws both — the quantum length is immediately visible
+Records a small consolidated host's telemetry spans for half a second
+under the default 30 ms quantum and again under a 5 ms quantum,
+rebuilds each pCPU's schedule from the quantum-slice spans, and draws
+both — the quantum length is immediately visible
 in the stripe widths, and the IO vCPU's BOOST preemptions show up as
 thin slivers inside the hogs' slots.
 
@@ -18,8 +19,8 @@ from repro.metrics.timeline import (
     render_gantt,
     scheduling_delays,
 )
-from repro.sim.tracing import TraceRecorder
 from repro.sim.units import MS
+from repro.telemetry import Telemetry
 from repro.workloads.profiles import llcf_profile, lolcf_profile
 
 
@@ -27,7 +28,7 @@ def run(quantum_ns: int) -> None:
     machine = Machine(
         seed=11,
         default_quantum_ns=quantum_ns,
-        trace=TraceRecorder(enabled=True),
+        telemetry=Telemetry(enabled=True),
     )
     pool = machine.create_pool("p", machine.topology.pcpus[:2], quantum_ns)
     spec = machine.spec
@@ -59,7 +60,7 @@ def run(quantum_ns: int) -> None:
     machine.sim.after(3 * MS, send)
     machine.run(500 * MS)
 
-    timeline = build_timeline(machine.trace, machine.sim.now)
+    timeline = build_timeline(machine.telemetry.tracer, machine.sim.now)
     print(f"\n--- quantum = {quantum_ns // MS} ms ---")
     print(render_gantt(timeline, start=100 * MS, end=400 * MS, width=100))
     delays = scheduling_delays(timeline, "io/v0")

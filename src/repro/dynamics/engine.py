@@ -102,12 +102,6 @@ class ChurnEngine:
         handler = getattr(self, f"_apply_{event.kind}")
         handler(event)
         self.applied.append(AppliedEvent(self.machine.sim.now, event))
-        self.machine.trace.emit(
-            self.machine.sim.now,
-            "churn",
-            event=event.kind,
-            detail=event.describe(),
-        )
         telemetry = self.machine.telemetry
         if telemetry.enabled:
             telemetry.registry.counter("churn_events", kind=event.kind).inc()

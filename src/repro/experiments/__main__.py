@@ -133,8 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="with a single experiment: also run that family's "
-             "representative traced cell (scheduling timeline + telemetry "
-             "spans) and write a chrome://tracing JSON to PATH",
+             "representative traced cell (telemetry spans: the pCPU "
+             "timeline and the control plane) and write a "
+             "chrome://tracing JSON to PATH",
     )
     parser.add_argument(
         "--telemetry-out", default=None, metavar="PATH",
@@ -274,10 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace_out is not None:
         traced = REGISTRY[names[0]].traced
         assert traced is not None  # checked before the run
-        count = traced(args.trace_out, fast=args.fast)
+        count, dropped = traced(args.trace_out, fast=args.fast)
         # stderr: stdout must stay byte-identical with/without the flag
         print(
-            f"[trace] wrote {count} events to {args.trace_out}",
+            f"[trace] wrote {count} events to {args.trace_out} "
+            f"({dropped} spans dropped)",
             file=sys.stderr,
         )
     if runner.cache is not None:

@@ -49,7 +49,6 @@ from repro.metrics.tables import ResultTable
 from repro.sim.units import MS, SEC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.tracing import TraceRecorder
     from repro.telemetry import Telemetry
 
 POLICIES = ("xen", "aql")
@@ -159,7 +158,6 @@ def _run_churn(
     warmup_ns: int,
     measure_ns: int,
     seed: int = 0,
-    trace: Optional["TraceRecorder"] = None,
     telemetry: Optional["Telemetry"] = None,
 ) -> tuple[ChurnRun, Machine]:
     """Build the base population, arm the timeline, run, measure."""
@@ -167,9 +165,7 @@ def _run_churn(
         raise ValueError(f"unknown policy {policy_name!r}")
     if measure_ns <= story.timeline.duration_ns:
         raise ValueError("measurement window ends before the last event")
-    machine = HostSpec(pcpus=story.pcpus).build(
-        seed=seed, trace=trace, telemetry=telemetry
-    )
+    machine = HostSpec(pcpus=story.pcpus).build(seed=seed, telemetry=telemetry)
     pool = machine.create_pool(
         "scenario", machine.topology.pcpus, 30 * MS
     )
@@ -344,22 +340,20 @@ def export_churn_trace(
     story_name: str = "phases",
     policy_name: str = "aql",
     seed: int = 0,
-) -> int:
-    """Run one traced churn story and write a chrome://tracing JSON.
+) -> tuple[int, int]:
+    """Run one churn story with telemetry on and write a
+    chrome://tracing JSON; returns (#events, #spans dropped).
 
-    The machine records both the raw scheduling trace (pCPU occupancy
-    tracks) and the telemetry span layer (quantum slices, vTRS periods,
-    AQL decisions, churn markers), so the exported document shows the
-    control plane above the timeline it reshaped.
+    The span layer records quantum slices (the pCPU occupancy tracks),
+    vTRS periods, AQL decisions and churn markers, so the exported
+    document shows the control plane above the timeline it reshaped.
     """
-    from repro.metrics.chrome_trace import CHROME_KINDS, write_chrome_trace
-    from repro.sim.tracing import TraceRecorder
+    from repro.metrics.chrome_trace import write_chrome_trace
     from repro.telemetry import Telemetry
 
     stories = {story.name: story for story in make_stories(fast)}
     story = stories[story_name]
     warmup, tail = _durations(fast)
-    trace = TraceRecorder(enabled=True, kinds=set(CHROME_KINDS))
     telemetry = Telemetry(enabled=True)
     _run, machine = _run_churn(
         story,
@@ -367,13 +361,12 @@ def export_churn_trace(
         warmup,
         story.timeline.duration_ns + tail,
         seed=seed,
-        trace=trace,
         telemetry=telemetry,
     )
-    telemetry.tracer.close_all(machine.sim.now)
-    return write_chrome_trace(
-        path, trace, end_time=machine.sim.now, telemetry=telemetry.tracer
-    )
+    tracer = telemetry.tracer
+    tracer.close_all(machine.sim.now)
+    count = write_chrome_trace(path, tracer, machine.sim.now, telemetry=True)
+    return count, tracer.dropped
 
 
 __all__ = [

@@ -34,36 +34,33 @@ def _lazy(module: str, name: str) -> Callable[..., Any]:
 @dataclass(frozen=True)
 class TracedRun:
     """A family's ``--trace-out`` run: one short scenario x policy run
-    with the scheduling trace and the telemetry spans both recorded,
-    separate from the family's sweep (stdout is unchanged by it)."""
+    with telemetry on, separate from the family's sweep (stdout is
+    unchanged by it)."""
 
     scenario: str  # SCENARIOS key, or "fig3" for the multi-socket pop.
     policy: str  # "xen" | "aql"
 
-    def __call__(self, path: str, fast: bool = False) -> int:
-        """Run the scenario with both recorders on, write the chrome
-        trace to ``path``; returns #events."""
+    def __call__(self, path: str, fast: bool = False) -> tuple[int, int]:
+        """Run the scenario, write its spans as a chrome trace to
+        ``path``; returns (#events, #spans dropped)."""
         from repro.baselines import AqlPolicy, XenCredit
         from repro.experiments.runner import run_scenario
         from repro.experiments.scenarios import FIG3_POPULATION, SCENARIOS
-        from repro.metrics.chrome_trace import CHROME_KINDS, write_chrome_trace
-        from repro.sim.tracing import TraceRecorder
+        from repro.metrics.chrome_trace import write_chrome_trace
 
-        trace = TraceRecorder(enabled=True, kinds=set(CHROME_KINDS))
         run = run_scenario(
             FIG3_POPULATION if self.scenario == "fig3"
             else SCENARIOS[self.scenario],
             XenCredit() if self.policy == "xen" else AqlPolicy(),
             warmup_ns=200 * MS if fast else 400 * MS,
             measure_ns=400 * MS if fast else 800 * MS,
-            keep_built=True, telemetry=True, trace=trace,
+            keep_built=True, telemetry=True,
         )
         assert run.built is not None
         machine = run.built.machine
-        return write_chrome_trace(
-            path, trace, end_time=machine.sim.now,
-            telemetry=machine.telemetry.tracer,
-        )
+        tracer = machine.telemetry.tracer
+        count = write_chrome_trace(path, tracer, machine.sim.now, telemetry=True)
+        return count, tracer.dropped
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,8 @@ class Experiment:
     plan: Callable[..., list["Cell"]]  # plan(**params) -> cells
     fold: Optional[Callable[..., Any]]  # fold(results, **params) -> result
     render: Callable[[Any], str]  # render(result) -> tables
-    traced: Optional[Callable[..., int]] = None  # traced(path, fast=...)
+    #: traced(path, fast=...) -> (#events, #spans dropped)
+    traced: Optional[Callable[..., tuple[int, int]]] = None
     telemetry: bool = False  # result has ``telemetry``, ``end_time_ns``
     #: steer(runner, **params) -> result replaces plan/fold for a family
     #: whose later cells depend on earlier results (the fleet's epochs)
@@ -103,7 +101,8 @@ def run(
 def _family(
     name: str, description: str, module: str,
     fast: Mapping[str, Any], full: Mapping[str, Any], render: str = "",
-    traced: Optional[Callable[..., int]] = None, telemetry: bool = False,
+    traced: Optional[Callable[..., tuple[int, int]]] = None,
+    telemetry: bool = False,
     steer: bool = False,
 ) -> Experiment:
     """A record of ``repro.experiments.<module>``'s ``plan_<name>``,

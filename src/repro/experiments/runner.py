@@ -15,7 +15,6 @@ from typing import Optional
 from repro.baselines.base import Policy
 from repro.core.types import VCpuType
 from repro.experiments.scenarios import BuiltScenario, Scenario, build_scenario
-from repro.sim.tracing import TraceRecorder
 from repro.sim.units import SEC
 from repro.telemetry import Telemetry
 from repro.workloads.base import PerfResult
@@ -80,7 +79,6 @@ def run_scenario(
     seed: int = 0,
     keep_built: bool = False,
     telemetry: bool = False,
-    trace: Optional[TraceRecorder] = None,
 ) -> ScenarioRun:
     """Build, configure, warm up, measure.
 
@@ -89,13 +87,10 @@ def run_scenario(
     ``ScenarioRun.telemetry_summary`` and the full recorder stays
     reachable via ``run.built.machine.telemetry`` when ``keep_built``.
     Telemetry is a pure function of the virtual clock, so enabling it
-    never changes results — only records them.  ``trace`` (a raw
-    scheduling-trace recorder) is handed to :func:`build_scenario`.
+    never changes results — only records them.
     """
     recorder = Telemetry(enabled=True) if telemetry else None
-    built = build_scenario(
-        scenario, seed=seed, telemetry=recorder, trace=trace
-    )
+    built = build_scenario(scenario, seed=seed, telemetry=recorder)
     policy.setup(built.machine, built.ctx)
     built.machine.run(warmup_ns)
     for workload in built.workloads.values():

@@ -18,7 +18,6 @@ from repro.core.types import VCpuType
 from repro.hardware.specs import MachineSpec
 from repro.hypervisor.hostspec import HostSpec
 from repro.hypervisor.machine import Machine
-from repro.sim.tracing import TraceRecorder
 from repro.telemetry import Telemetry
 from repro.workloads.base import Workload
 from repro.workloads.io_workload import IoWorkload
@@ -189,22 +188,19 @@ def build_scenario(
     seed: int = 0,
     spec: Optional[MachineSpec] = None,
     telemetry: Optional[Telemetry] = None,
-    trace: Optional[TraceRecorder] = None,
 ) -> BuiltScenario:
     """Instantiate VMs + workloads for a scenario.
 
     ConSpin and IO apps get one VM spanning their vCPUs (threads share
     memory / a service spans workers); CPU-burn apps get one 1-vCPU VM
     per unit, mirroring consolidated single-purpose cloud VMs.
-    ``telemetry``/``trace`` are handed to the machine unchanged (both
-    default to disabled recorders).
+    ``telemetry`` is handed to the machine unchanged (it defaults to a
+    disabled recorder).
     """
     if spec is None:
-        machine = scenario.host_spec().build(
-            seed=seed, telemetry=telemetry, trace=trace
-        )
+        machine = scenario.host_spec().build(seed=seed, telemetry=telemetry)
     else:
-        machine = Machine(spec, seed=seed, telemetry=telemetry, trace=trace)
+        machine = Machine(spec, seed=seed, telemetry=telemetry)
     spec = machine.spec
     built = BuiltScenario(scenario=scenario, machine=machine)
 

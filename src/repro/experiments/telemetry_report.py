@@ -14,8 +14,8 @@ and renders the audit as operator-facing tables:
 * the aggregate counter summary.
 
 The same run backs the CLI's ``--telemetry-out`` (JSONL exposition);
-``--trace-out`` writes the family's traced run (S2 under AQL with the
-scheduling trace and the span tracks).
+``--trace-out`` writes the family's traced run (S2 under AQL: the
+pCPU timeline and the span tracks).
 """
 
 from __future__ import annotations

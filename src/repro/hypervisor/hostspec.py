@@ -30,7 +30,6 @@ from repro.sim.units import MS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.machine import Machine
-    from repro.sim.tracing import TraceRecorder
     from repro.telemetry import Telemetry
 
 #: the base parts a HostSpec can be derived from (Table 2 testbeds)
@@ -93,7 +92,6 @@ class HostSpec:
         self,
         seed: int = 0,
         telemetry: Optional["Telemetry"] = None,
-        trace: Optional["TraceRecorder"] = None,
     ) -> "Machine":
         """Instantiate a machine of this shape."""
         from repro.hypervisor.machine import Machine
@@ -106,7 +104,6 @@ class HostSpec:
             accounting_ns=self.accounting_ns,
             boost_enabled=self.boost_enabled,
             telemetry=telemetry,
-            trace=trace,
             cache_substeps=self.cache_substeps,
         )
 

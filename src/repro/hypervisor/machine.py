@@ -44,7 +44,6 @@ from repro.hypervisor.pools import CpuPool, PoolPlan
 from repro.hypervisor.vm import VM, Priority, VCpu, VCpuState
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
-from repro.sim.tracing import TraceRecorder
 from repro.sim.units import MS
 from repro.telemetry import PoolChange, Telemetry
 
@@ -113,7 +112,6 @@ class Machine:
         boost_enabled: bool = True,
         tick_ns: int = 10 * MS,
         accounting_ns: int = 30 * MS,
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
         cache_substeps: int = 8,
     ):
@@ -121,11 +119,8 @@ class Machine:
         self.sim = Simulator()
         self.topology = Topology(self.spec)
         self.rng = RngFactory(seed)
-        # note: `trace or default` would drop an *empty* recorder
-        # (TraceRecorder defines __len__), so compare with None
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        # same None-comparison discipline; the disabled default keeps
-        # every emit site down to one attribute check
+        # compare with None, not truthiness; the disabled default
+        # keeps every emit site down to one attribute check
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(enabled=False)
         )
@@ -313,8 +308,6 @@ class Machine:
         else:
             vcpu.priority = self.scheduler.priority_for(vcpu)
         ctx = self.scheduler.enqueue(vcpu, front=vcpu.priority == _BOOST)
-        if self.trace.enabled:
-            self.trace.emit(self.sim.now, "wake", vcpu=vcpu.name, boost=vcpu.priority == _BOOST)
         if self.telemetry.enabled:
             vcpu.woke_ns = self.sim.now
             self.telemetry.registry.counter("wakes", vcpu=vcpu.name).inc()
@@ -355,8 +348,6 @@ class Machine:
             current.segment_kind = None
             ctx.current = None
             current.priority = self.scheduler.priority_for(current)
-            if self.trace.enabled:
-                self.trace.emit(self.sim.now, "desched", vcpu=current.name)
             if self.telemetry.enabled:
                 self._close_slice(
                     ctx,
@@ -382,10 +373,6 @@ class Machine:
             quantum, partial(self._on_quantum_expire, ctx, vcpu), "quantum"
         )
         vcpu.segment_start = self.sim.now
-        if self.trace.enabled:
-            self.trace.emit(
-                self.sim.now, "dispatch", vcpu=vcpu.name, pcpu=ctx.pcpu.cpu_id, quantum=quantum
-            )
         if self.telemetry.enabled:
             self.telemetry.registry.counter("dispatches", vcpu=vcpu.name).inc()
             ctx.slice_span = self.telemetry.tracer.begin(
@@ -405,8 +392,6 @@ class Machine:
         if ctx.current is not vcpu:  # stale event
             return
         vcpu.exhausted_last_quantum = True
-        if self.trace.enabled:
-            self.trace.emit(self.sim.now, "preempt", vcpu=vcpu.name)
         if self.telemetry.enabled:
             self.telemetry.registry.counter("preempts", vcpu=vcpu.name).inc()
         self._reschedule(ctx)
@@ -428,8 +413,6 @@ class Machine:
         current.pcpu = None
         current.segment_kind = None
         ctx.current = None
-        if self.trace.enabled:
-            self.trace.emit(self.sim.now, "desched", vcpu=current.name)
         if self.telemetry.enabled:
             self._close_slice(ctx, "desched")
         return current
@@ -446,8 +429,6 @@ class Machine:
         vcpu.segment_kind = None
         vcpu.current_thread = None
         ctx.current = None
-        if self.trace.enabled:
-            self.trace.emit(self.sim.now, "block", vcpu=vcpu.name)
         if self.telemetry.enabled:
             self.telemetry.registry.counter("blocks", vcpu=vcpu.name).inc()
             self._close_slice(ctx, "block")
@@ -934,7 +915,6 @@ class Machine:
         vm.alive = False
         self.vms.remove(vm)
         self.retired_vms.append(vm)
-        self.trace.emit(self.sim.now, "vm-shutdown", vm=vm.name)
         if self.telemetry.enabled:
             self.telemetry.tracer.instant(
                 self.sim.now, "vm-shutdown", track="machine", vm=vm.name
@@ -1013,7 +993,6 @@ class Machine:
                 continue
             target = self.scheduler.enqueue(vcpu)
             self._kick(target)
-        self.trace.emit(self.sim.now, "pcpu-offline", pcpu=pcpu.cpu_id)
         if self.telemetry.enabled:
             self.telemetry.tracer.instant(
                 self.sim.now, "pcpu-offline", track="machine",
@@ -1059,7 +1038,6 @@ class Machine:
         if self._started:
             self._schedule_tick(ctx)
             self._reschedule(ctx)  # work-steal from pool siblings now
-        self.trace.emit(self.sim.now, "pcpu-online", pcpu=pcpu.cpu_id)
         if self.telemetry.enabled:
             self.telemetry.tracer.instant(
                 self.sim.now, "pcpu-online", track="machine",
@@ -1120,7 +1098,6 @@ class Machine:
         for ctx in self.contexts.values():
             if ctx.current is None and len(ctx.runq):
                 self._reschedule(ctx)
-        self.trace.emit(self.sim.now, "pool-plan", pools=len(plan))
         if self.telemetry.enabled:
             self.telemetry.registry.counter("pool_plans_applied").inc()
             self.telemetry.tracer.instant(

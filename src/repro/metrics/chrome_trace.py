@@ -1,19 +1,24 @@
-"""Export a :class:`TraceRecorder` to Chrome's ``trace_event`` format.
+"""Export a run's telemetry spans to Chrome's ``trace_event`` format.
 
-The output loads in ``chrome://tracing`` / https://ui.perfetto.dev:
-one track per pCPU (tid), vCPU occupancy as complete ("X") slices
-reconstructed by :func:`repro.metrics.timeline.build_timeline`, and
-the churn/scheduler milestones — pool-plan installs, VM shutdowns,
-pCPU faults and every churn event — as global instant ("i") events,
-so adaptation lag is literally visible as the gap between the instant
+The output loads in ``chrome://tracing`` / https://ui.perfetto.dev.
+The machine process (pid 0) has one track per pCPU (tid), vCPU
+occupancy as complete ("X") slices rebuilt from the quantum-slice
+spans by :func:`repro.metrics.timeline.build_timeline`, and the
+churn/scheduler milestones — pool-plan installs, VM shutdowns, pCPU
+faults and every churn event — as global instant ("i") events, so
+adaptation lag is literally visible as the gap between the instant
 marker and the layout change on the tracks.
 
-Telemetry spans (:class:`repro.telemetry.SpanTracer`) render as a
-second process: one tid per span track (``pcpu0..N``, ``aql``,
-``engine``, ``machine``, ``churn``), begin/end spans as complete
-("X") slices and zero-duration markers as thread-scoped instants, so
-quantum slices line up under the vTRS periods and AQL decisions that
+With ``telemetry=True`` every span also renders in a second process:
+one tid per span track (``pcpu0..N``, ``aql``, ``engine``,
+``machine``, ``churn``), begin/end spans as complete ("X") slices
+and zero-duration markers as thread-scoped instants, so quantum
+slices line up under the vTRS periods and AQL decisions that
 produced them.
+
+The tracer keeps at most ``max_spans`` completed spans; the document
+records how many it dropped (``otherData.spans_dropped``), since the
+tail of every track is missing when that is not zero.
 
 All timestamps are microseconds (the trace_event unit); the simulator
 runs in integer nanoseconds, so slices keep sub-µs precision via
@@ -23,15 +28,9 @@ fractional ``ts``/``dur``.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
-from repro.metrics.timeline import (
-    TIMELINE_KINDS,
-    Timeline,
-    build_timeline,
-    span_timeline,
-)
-from repro.sim.tracing import TraceRecorder
+from repro.metrics.timeline import build_timeline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry import SpanTracer
@@ -40,58 +39,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: machine timeline owns pid 0)
 TELEMETRY_PID = 1
 
-#: trace kinds rendered as instant markers
-INSTANT_KINDS = (
-    "churn",
-    "pool-plan",
-    "vm-shutdown",
-    "pcpu-offline",
-    "pcpu-online",
-)
-
-#: everything the exporter consumes — pass to ``TraceRecorder(kinds=...)``
-CHROME_KINDS = tuple(sorted(TIMELINE_KINDS)) + INSTANT_KINDS
-
-
-def chrome_trace_events(
-    trace: TraceRecorder, end_time: int
-) -> list[dict]:
-    """The ``traceEvents`` list for one recorded run."""
-    instants = []
-    for record in trace:
-        if record.kind not in INSTANT_KINDS:
-            continue
-        name = record.kind
-        if record.kind == "churn":
-            name = record.payload.get("detail", "churn")
-        instants.append((record.time, name, record.payload))
-    return _machine_events(build_timeline(trace, end_time), instants)
-
-
 #: span tracks whose zero-duration markers are machine milestones
 MILESTONE_TRACKS = ("machine", "churn")
 
 
-def machine_trace_events(tracer: "SpanTracer", end_time: int) -> list[dict]:
-    """The machine process (pid 0) of one run, from its telemetry spans:
-    pCPU occupancy from the quantum slices, global instants from the
-    ``machine`` and ``churn`` milestones (a churn marker is named by
-    its detail, as the churn tables print it)."""
-    instants = []
-    for span in tracer.spans():
-        if span.track not in MILESTONE_TRACKS or span.end_ns != span.start_ns:
-            continue
-        name, args = span.name, span.args
-        if span.track == "churn":
-            name = str(args["detail"])
-            args = {"event": span.name.partition(":")[2], "detail": name}
-        instants.append((span.start_ns, name, args))
-    return _machine_events(span_timeline(tracer, end_time), instants)
-
-
-def _machine_events(
-    timeline: Timeline, instants: list[tuple[int, str, dict]]
-) -> list[dict]:
+def chrome_trace_events(tracer: "SpanTracer", end_time: int) -> list[dict]:
+    """The machine process (pid 0) of one run: pCPU occupancy from the
+    quantum slices, global instants from the ``machine`` and ``churn``
+    milestones (a churn marker is named by its detail, as the churn
+    tables print it)."""
+    timeline = build_timeline(tracer, end_time)
     events: list[dict] = [
         {
             "name": "process_name",
@@ -123,17 +80,23 @@ def _machine_events(
                 "tid": interval.pcpu,
             }
         )
-    for time, name, payload in instants:
+    for span in tracer.spans():
+        if span.track not in MILESTONE_TRACKS or span.end_ns != span.start_ns:
+            continue
+        name, args = span.name, span.args
+        if span.track == "churn":
+            name = str(args["detail"])
+            args = {"event": span.name.partition(":")[2], "detail": name}
         events.append(
             {
                 "name": name,
                 "cat": "churn",
                 "ph": "i",
                 "s": "g",  # global scope: a full-height marker line
-                "ts": time / 1000.0,
+                "ts": span.start_ns / 1000.0,
                 "pid": 0,
                 "tid": 0,
-                "args": {k: _jsonable(v) for k, v in payload.items()},
+                "args": {k: _jsonable(v) for k, v in args.items()},
             }
         )
     return events
@@ -191,27 +154,24 @@ def span_trace_events(tracer: "SpanTracer") -> list[dict]:
 
 
 def to_chrome_trace(
-    trace: TraceRecorder,
-    end_time: int,
-    telemetry: Optional["SpanTracer"] = None,
+    tracer: "SpanTracer", end_time: int, telemetry: bool = False
 ) -> dict:
-    events = chrome_trace_events(trace, end_time)
-    if telemetry is not None:
-        events.extend(span_trace_events(telemetry))
+    """The document; ``telemetry`` adds every span as process 1."""
+    events = chrome_trace_events(tracer, end_time)
+    if telemetry:
+        events.extend(span_trace_events(tracer))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
+        "otherData": {"spans_dropped": tracer.dropped},
     }
 
 
 def write_chrome_trace(
-    path: str,
-    trace: TraceRecorder,
-    end_time: int,
-    telemetry: Optional["SpanTracer"] = None,
+    path: str, tracer: "SpanTracer", end_time: int, telemetry: bool = False
 ) -> int:
     """Write the JSON document; returns the number of trace events."""
-    doc = to_chrome_trace(trace, end_time, telemetry=telemetry)
+    doc = to_chrome_trace(tracer, end_time, telemetry=telemetry)
     with open(path, "w") as fh:
         json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")
@@ -219,11 +179,9 @@ def write_chrome_trace(
 
 
 __all__ = [
-    "CHROME_KINDS",
-    "INSTANT_KINDS",
+    "MILESTONE_TRACKS",
     "TELEMETRY_PID",
     "chrome_trace_events",
-    "machine_trace_events",
     "span_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",

@@ -1,12 +1,15 @@
-"""Schedule-timeline analysis from the machine's trace.
+"""Schedule-timeline analysis from the machine's telemetry spans.
 
-With tracing enabled (``Machine(trace=TraceRecorder(enabled=True))``),
-the dispatcher emits ``dispatch``/``preempt``/``block``/``wake``
-records.  :func:`build_timeline` reconstructs per-vCPU run intervals,
-from which :func:`scheduling_delays` extracts the wake-to-dispatch
-latencies (the quantity the paper's IO analysis is about) and
-:func:`render_gantt` draws a terminal Gantt chart of who held each
-pCPU when — invaluable when debugging scheduler changes.
+With telemetry on (``Machine(telemetry=Telemetry(enabled=True))``),
+every dispatch opens a ``quantum_slice`` span on track ``pcpu<n>``,
+named after the vCPU, and every deschedule closes it.
+:func:`build_timeline` turns those slices into per-vCPU run
+intervals, from which :func:`scheduling_delays` extracts the
+wake-to-dispatch latencies (the quantity the paper's IO analysis is
+about) and :func:`render_gantt` draws a terminal Gantt chart of who
+held each pCPU when — invaluable when debugging scheduler changes.
+Slices the tracer dropped past its ``max_spans`` cap are missing from
+the timeline; ``SpanTracer.dropped`` counts them.
 """
 
 from __future__ import annotations
@@ -14,13 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.tracing import TraceRecorder
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry import SpanTracer
-
-#: the trace kinds the timeline needs (pass to TraceRecorder(kinds=...))
-TIMELINE_KINDS = {"dispatch", "desched", "preempt", "block", "wake"}
 
 
 @dataclass(frozen=True)
@@ -56,50 +54,11 @@ class Timeline:
         return busy / self.end_time
 
 
-def build_timeline(trace: TraceRecorder, end_time: int) -> Timeline:
-    """Reconstruct run intervals and wake latencies from a trace."""
-    timeline = Timeline(end_time=end_time)
-    open_interval: dict[str, tuple[int, int]] = {}  # vcpu -> (pcpu, start)
-    pending_wake: dict[str, int] = {}
-    for record in trace:
-        kind = record.kind
-        vcpu = record.payload.get("vcpu")
-        if vcpu is None:
-            continue
-        if kind == "dispatch":
-            # an unfinished previous interval means we missed its end
-            # (e.g. a pool-plan deschedule); close it at this instant
-            if vcpu in open_interval:
-                pcpu, start = open_interval.pop(vcpu)
-                timeline.intervals.append(
-                    RunInterval(vcpu, pcpu, start, record.time)
-                )
-            open_interval[vcpu] = (record.payload["pcpu"], record.time)
-            if vcpu in pending_wake:
-                timeline.wake_to_dispatch.setdefault(vcpu, []).append(
-                    (pending_wake.pop(vcpu), record.time)
-                )
-        elif kind in ("desched", "preempt", "block"):
-            if vcpu in open_interval:
-                pcpu, start = open_interval.pop(vcpu)
-                timeline.intervals.append(
-                    RunInterval(vcpu, pcpu, start, record.time)
-                )
-        elif kind == "wake":
-            pending_wake[vcpu] = record.time
-    for vcpu, (pcpu, start) in open_interval.items():
-        timeline.intervals.append(RunInterval(vcpu, pcpu, start, end_time))
-    timeline.intervals.sort(key=lambda i: (i.start, i.pcpu))
-    return timeline
-
-
-def span_timeline(tracer: "SpanTracer", end_time: int) -> Timeline:
+def build_timeline(tracer: "SpanTracer", end_time: int) -> Timeline:
     """Run intervals and wake latencies from the quantum-slice spans.
 
-    Every dispatch opens a ``quantum_slice`` span on track
-    ``pcpu<n>`` and every deschedule closes it; a slice still open at
-    ``end_time`` runs to it.  A slice that follows a wake carries the
-    wake time as its ``woke_ns`` arg.
+    A slice still open at ``end_time`` runs to it.  A slice that
+    follows a wake carries the wake time as its ``woke_ns`` arg.
     """
     timeline = Timeline(end_time=end_time)
     for span in tracer.spans() + tracer.open_spans():
@@ -182,11 +141,9 @@ def render_gantt(
 
 
 __all__ = [
-    "TIMELINE_KINDS",
     "RunInterval",
     "Timeline",
     "build_timeline",
-    "span_timeline",
     "scheduling_delays",
     "render_gantt",
 ]

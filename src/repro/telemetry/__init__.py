@@ -14,9 +14,8 @@ One :class:`Telemetry` object bundles the three pillars (DESIGN.md
 
 The overhead contract: instrumented code guards every emit with
 ``if telemetry.enabled:`` — a disabled Telemetry costs one attribute
-check on the hot path, the same discipline ``trace.enabled``
-established, and the CI bench gate holds the disabled path to the
-25% regression budget against ``BENCH_sim.json``.
+check on the hot path, and the CI bench gate holds the disabled path
+to the 25% regression budget against ``BENCH_sim.json``.
 """
 
 from __future__ import annotations

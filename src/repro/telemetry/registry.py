@@ -11,8 +11,8 @@ when telemetry is on.
 Overhead contract (DESIGN.md §11): a *disabled* registry must cost one
 attribute check on the hot path.  Instrument lookups therefore never
 happen behind a disabled flag — callers guard with
-``if telemetry.enabled:`` exactly like the ``trace.enabled`` discipline
-— and creating an instrument is the slow path anyway: hot code holds
+``if telemetry.enabled:`` — and creating an instrument is the slow
+path anyway: hot code holds
 the instrument object and calls :meth:`Counter.inc` directly.
 
 Everything here is a pure function of the virtual clock and program

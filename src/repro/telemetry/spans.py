@@ -10,9 +10,11 @@ malformed trace.  The Hypothesis suite in
 ``tests/test_telemetry_spans.py`` holds the tracer to this contract
 under random op schedules.
 
-Spans complement, not replace, :mod:`repro.sim.tracing`: the flat
-recorder stays the raw event log; spans add durations and parent links
-that chrome://tracing and the JSONL exposition render directly.
+Spans are the one recording layer of scheduling history: the
+quantum-slice spans on the ``pcpu<n>`` tracks are what
+:mod:`repro.metrics.timeline` rebuilds pCPU occupancy and wake
+latencies from, and chrome://tracing and the JSONL exposition render
+spans directly.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ def test_sim004_floor_division_passes():
 def test_sim005_applies_only_to_designated_modules():
     source = "class Plain:\n    def __init__(self):\n        self.x = 1\n"
     assert _check(source, "repro.sim.engine") == [("SIM005", 1)]
-    assert _check(source, "repro.sim.tracing") == []
+    assert _check(source, "repro.sim.rng") == []
 
 
 def test_sim006_reraise_anywhere_in_handler_passes():

@@ -15,7 +15,7 @@ from repro.experiments.ablations import (
     run_boost_ablation,
     run_reuse_ablation,
 )
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 
 
 class TestCli:

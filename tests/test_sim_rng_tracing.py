@@ -1,9 +1,8 @@
-"""Tests for RNG stream management and the trace recorder."""
+"""Tests for RNG stream management."""
 
 import pytest
 
 from repro.sim.rng import RngFactory
-from repro.sim.tracing import TraceRecorder
 
 
 class TestRngFactory:
@@ -37,36 +36,3 @@ class TestRngFactory:
     def test_invalid_seed_rejected(self, bad):
         with pytest.raises(ValueError):
             RngFactory(bad)
-
-
-class TestTraceRecorder:
-    def test_disabled_recorder_drops_records(self):
-        trace = TraceRecorder(enabled=False)
-        trace.emit(1, "dispatch", vcpu="a")
-        assert len(trace) == 0
-
-    def test_enabled_recorder_keeps_records(self):
-        trace = TraceRecorder(enabled=True)
-        trace.emit(1, "dispatch", vcpu="a")
-        trace.emit(2, "block", vcpu="a")
-        assert len(trace) == 2
-        assert trace.records()[0].payload == {"vcpu": "a"}
-
-    def test_kind_filter(self):
-        trace = TraceRecorder(enabled=True, kinds={"block"})
-        trace.emit(1, "dispatch")
-        trace.emit(2, "block")
-        assert [r.kind for r in trace] == ["block"]
-
-    def test_records_by_kind(self):
-        trace = TraceRecorder(enabled=True)
-        trace.emit(1, "a")
-        trace.emit(2, "b")
-        trace.emit(3, "a")
-        assert [r.time for r in trace.records("a")] == [1, 3]
-
-    def test_clear(self):
-        trace = TraceRecorder(enabled=True)
-        trace.emit(1, "a")
-        trace.clear()
-        assert len(trace) == 0

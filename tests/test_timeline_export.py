@@ -11,8 +11,8 @@ from repro.metrics.timeline import (
     render_gantt,
     scheduling_delays,
 )
-from repro.sim.tracing import TraceRecorder
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
+from repro.telemetry import Telemetry
 
 
 def hog_body(thread):
@@ -24,7 +24,7 @@ def traced_machine(hogs=2, pcpus=1, quantum=30 * MS):
     machine = Machine(
         seed=0,
         default_quantum_ns=quantum,
-        trace=TraceRecorder(enabled=True),
+        telemetry=Telemetry(enabled=True),
     )
     pool = machine.create_pool("p", machine.topology.pcpus[:pcpus], quantum)
     for i in range(hogs):
@@ -39,13 +39,13 @@ class TestTimeline:
     def test_intervals_cover_busy_pcpu(self):
         machine = traced_machine(hogs=2, pcpus=1)
         machine.run(500 * MS)
-        timeline = build_timeline(machine.trace, machine.sim.now)
+        timeline = build_timeline(machine.telemetry.tracer, machine.sim.now)
         assert timeline.busy_fraction(0) == pytest.approx(1.0, rel=0.01)
 
     def test_intervals_alternate_between_hogs(self):
         machine = traced_machine(hogs=2, pcpus=1, quantum=10 * MS)
         machine.run(200 * MS)
-        timeline = build_timeline(machine.trace, machine.sim.now)
+        timeline = build_timeline(machine.telemetry.tracer, machine.sim.now)
         a = timeline.intervals_of("vm0/v0")
         b = timeline.intervals_of("vm1/v0")
         assert len(a) >= 5 and len(b) >= 5
@@ -57,14 +57,14 @@ class TestTimeline:
     def test_quantum_bounds_interval_length(self):
         machine = traced_machine(hogs=2, pcpus=1, quantum=10 * MS)
         machine.run(300 * MS)
-        timeline = build_timeline(machine.trace, machine.sim.now)
+        timeline = build_timeline(machine.telemetry.tracer, machine.sim.now)
         for interval in timeline.intervals:
             assert interval.duration <= 10 * MS + 1
 
     def test_wake_to_dispatch_recorded(self):
         from repro.guest.phases import Sleep
 
-        machine = Machine(seed=0, trace=TraceRecorder(enabled=True))
+        machine = Machine(seed=0, telemetry=Telemetry(enabled=True))
         vm = machine.new_vm("vm", 1)
 
         def napper(thread):
@@ -74,7 +74,7 @@ class TestTimeline:
 
         vm.guest.add_thread(GuestThread("n", napper))
         machine.run(200 * MS)
-        timeline = build_timeline(machine.trace, machine.sim.now)
+        timeline = build_timeline(machine.telemetry.tracer, machine.sim.now)
         delays = scheduling_delays(timeline, "vm/v0")
         assert delays
         assert all(d >= 0 for d in delays)
@@ -84,7 +84,7 @@ class TestTimeline:
     def test_gantt_renders(self):
         machine = traced_machine(hogs=2, pcpus=2)
         machine.run(200 * MS)
-        timeline = build_timeline(machine.trace, machine.sim.now)
+        timeline = build_timeline(machine.telemetry.tracer, machine.sim.now)
         art = render_gantt(timeline, width=40)
         assert "pCPU0" in art and "pCPU1" in art
         assert "A=vm0/v0" in art
@@ -92,7 +92,7 @@ class TestTimeline:
     def test_gantt_empty_window_rejected(self):
         machine = traced_machine()
         machine.run(10 * MS)
-        timeline = build_timeline(machine.trace, machine.sim.now)
+        timeline = build_timeline(machine.telemetry.tracer, machine.sim.now)
         with pytest.raises(ValueError):
             render_gantt(timeline, start=5, end=5)
 
@@ -151,7 +151,7 @@ class TestChromeTrace:
 
         machine = traced_machine(hogs=2, pcpus=1, quantum=10 * MS)
         machine.run(200 * MS)
-        doc = to_chrome_trace(machine.trace, machine.sim.now)
+        doc = to_chrome_trace(machine.telemetry.tracer, machine.sim.now)
         events = doc["traceEvents"]
         slices = [e for e in events if e["ph"] == "X"]
         assert slices, "a busy machine must produce occupancy slices"
@@ -163,7 +163,7 @@ class TestChromeTrace:
         metas = [e for e in events if e["ph"] == "M"]
         assert any(e["args"].get("name") == "pCPU0" for e in metas)
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(path, machine.trace, machine.sim.now)
+        count = write_chrome_trace(path, machine.telemetry.tracer, machine.sim.now)
         assert count == len(events)
         assert json.loads(path.read_text())["traceEvents"] == events
 
@@ -176,9 +176,8 @@ class TestChromeTrace:
             VmShutdown,
         )
         from repro.metrics.chrome_trace import to_chrome_trace
-        from repro.sim.tracing import TraceRecorder
 
-        machine = Machine(seed=1, trace=TraceRecorder(enabled=True))
+        machine = Machine(seed=1, telemetry=Telemetry(enabled=True))
         workloads = {}
         for name, mode in (("a", "llcf"), ("b", "llco")):
             vm = machine.new_vm(name, 1)
@@ -195,7 +194,7 @@ class TestChromeTrace:
         machine.run(10 * MS)
         engine.arm()
         machine.run(200 * MS)
-        doc = to_chrome_trace(machine.trace, machine.sim.now)
+        doc = to_chrome_trace(machine.telemetry.tracer, machine.sim.now)
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         by_name = {e["name"] for e in instants}
         assert "phase a -> io" in by_name
