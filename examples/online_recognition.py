@@ -15,7 +15,7 @@ from repro import Machine, VTRS
 from repro.core.types import VCpuType
 from repro.guest.phases import Compute, WaitEvent
 from repro.guest.thread import GuestThread
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 from repro.workloads.profiles import llco_profile, lolcf_profile
 
 

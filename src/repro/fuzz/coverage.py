@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fuzz.runner import FuzzOutcome

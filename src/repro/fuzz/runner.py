@@ -21,7 +21,6 @@ read-only (enforced by fingerprinting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.baselines import (
     AqlPolicy,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.dynamics.events import ChurnEvent, ChurnTimeline
 from repro.fuzz.invariants import Violation, check_invariants

@@ -11,7 +11,6 @@ from repro.core.types import VCpuType
 from repro.hypervisor.machine import Machine
 from repro.sim.units import MS, SEC
 from repro.workloads.cpu import CpuBurnWorkload
-from repro.workloads.io_workload import IoWorkload
 from repro.workloads.profiles import llcf_profile, llco_profile
 
 

@@ -12,7 +12,7 @@ from repro.core.clustering import (
     distribute_over_sockets,
 )
 from repro.core.types import VCpuType
-from repro.hardware.specs import i7_3770, xeon_e5_4603
+from repro.hardware.specs import xeon_e5_4603
 from repro.hypervisor.machine import Machine
 from repro.sim.units import MS
 

@@ -1,7 +1,5 @@
 """Tests for the event-channel IO path."""
 
-import pytest
-
 from repro.guest.phases import Compute, WaitEvent
 from repro.guest.thread import GuestThread
 from repro.hypervisor.machine import Machine

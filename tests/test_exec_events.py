@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import Cell, Engine, JsonlSink, ResultCache
+from repro.exec import Engine, JsonlSink, ResultCache
 from repro.exec.events import (
     EVENT_TYPES,
     CellFinished,

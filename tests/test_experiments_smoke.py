@@ -152,7 +152,6 @@ class TestWindowSensitivity:
 
 class TestRandomMixes:
     def test_two_mixes_run(self):
-        from repro.core.types import VCpuType
         from repro.experiments.random_mixes import (
             render_random_mixes,
             run_random_mixes,

@@ -7,7 +7,6 @@ import pytest
 from repro.guest.phases import Compute, Sleep
 from repro.guest.thread import GuestThread, ThreadState
 from repro.hypervisor.machine import Machine
-from repro.sim.units import MS
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from repro.guest.phases import Compute
 from repro.guest.thread import GuestThread
 from repro.hypervisor.credit import CreditParams, RunQueue
 from repro.hypervisor.machine import Machine
-from repro.hypervisor.vm import Priority, VCpuState
+from repro.hypervisor.vm import Priority
 from repro.sim.units import MS, SEC
 
 

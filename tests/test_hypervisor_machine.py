@@ -7,8 +7,8 @@ from repro.guest.spinlock import SpinLock
 from repro.guest.thread import GuestThread
 from repro.hypervisor.machine import Machine
 from repro.hypervisor.pools import PoolPlan
-from repro.hypervisor.vm import Priority, VCpuState
-from repro.sim.units import MS, SEC, US
+from repro.hypervisor.vm import VCpuState
+from repro.sim.units import MS, SEC
 
 
 def make_machine(pcpus=1, quantum=30 * MS, boost=True, seed=0):

@@ -1,7 +1,5 @@
 """Edge-case tests for the machine: migration, reconfiguration, caps."""
 
-import pytest
-
 from repro.core.aql import AqlScheduler
 from repro.guest.phases import Acquire, Compute, Release
 from repro.guest.spinlock import SpinLock

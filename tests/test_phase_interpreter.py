@@ -13,10 +13,10 @@ from repro.guest.phases import (
     WaitEvent,
 )
 from repro.guest.spinlock import SpinLock
-from repro.guest.thread import GuestThread, ThreadState
+from repro.guest.thread import GuestThread
 from repro.hypervisor.machine import Machine
 from repro.hypervisor.vm import VCpuState
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 
 
 class TestExitHandling:

@@ -1,7 +1,6 @@
 """Unit tests for the random-mix generator (no simulation)."""
 
 import numpy as np
-import pytest
 
 from repro.core.types import VCpuType
 from repro.experiments.random_mixes import _CLASS_APPS, draw_mix

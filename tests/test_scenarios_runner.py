@@ -12,7 +12,7 @@ from repro.experiments.scenarios import (
     Scenario,
     build_scenario,
 )
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 
 
 class TestScenarioDefinitions:

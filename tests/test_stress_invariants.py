@@ -5,20 +5,17 @@ queues, double-queued vCPUs, machines that silently stop making
 progress after reconfigurations, CPU time appearing from nowhere.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import AqlPolicy, Microsliced, VSlicer, VTurbo, XenCredit
 from repro.core.aql import AqlScheduler
-from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import AppPlacement, Scenario
 from repro.guest.phases import Compute
 from repro.guest.thread import GuestThread
 from repro.hypervisor.machine import Machine
 from repro.hypervisor.vm import VCpuState
-from repro.sim.units import MS, SEC
-from repro.workloads.suites import APP_CATALOG
+from repro.sim.units import MS
 
 
 def check_machine_invariants(machine: Machine) -> None:
