@@ -276,9 +276,16 @@ def integrate_duration(
     total is still ``sum()`` in dict order, and the write-back keeps
     the dict's key order.  The hit probability, instruction cost and
     the sub-step's instructions/refs/misses depend only on the actor's
-    occupancy, so they are recomputed only when a sub-step grew it:
-    a segment without LLC traffic, or one already at its target, does
-    that arithmetic once instead of ``substeps`` times.
+    occupancy, so they are recomputed only when a sub-step grew it.
+
+    A segment whose first sub-step misses nothing (no working set, no
+    LLC references, or a working set fully resident) cannot grow the
+    actor or evict anyone, so every sub-step repeats the first.  At the
+    default 8 sub-steps it returns in closed form without touching the
+    cache: each total is the loop's own left-to-right sum ``0.0 + x +
+    x + ...``, unrolled.  Other counts run the loop, which adds the
+    same floats.  Never ``sum()``: CPython 3.12's compensates and would
+    change the last bits (DESIGN §9, "Segments that cannot miss").
     """
     if duration_ns <= 0:
         return SegmentResult()
@@ -287,12 +294,32 @@ def integrate_duration(
     ref_rate = profile.llc_ref_rate
     base_cpi = profile.base_cpi_ns
     exponent = cache.reuse_exponent
-    line_bytes = cache.line_bytes
-    capacity = cache.capacity_bytes
     occupancy = cache._occupancy
     fwss = float(wss)
-    target = capacity if capacity < fwss else fwss
     own = occupancy.get(actor, 0.0)
+    # the first sub-step's arithmetic; only ``own`` feeds it
+    if wss <= 0:
+        p_hit = 1.0
+    else:
+        fraction = own / fwss
+        if not fraction < 1.0:
+            fraction = 1.0
+        p_hit = fraction ** exponent
+    per_instr = base_cpi + ref_rate * (p_hit * hit_ns + (1.0 - p_hit) * miss_ns)
+    instructions = dt / per_instr
+    refs = instructions * ref_rate
+    misses = refs * (1.0 - p_hit)
+    if substeps == 8 and not misses > 0.0:
+        i, r, m, d = instructions, refs, misses, dt
+        return SegmentResult(
+            0.0 + i + i + i + i + i + i + i + i,
+            0.0 + r + r + r + r + r + r + r + r,
+            0.0 + m + m + m + m + m + m + m + m,
+            0.0 + d + d + d + d + d + d + d + d,
+        )
+    line_bytes = cache.line_bytes
+    capacity = cache.capacity_bytes
+    target = capacity if capacity < fwss else fwss
     total = cache._total
     grown = False
     keys: list[Hashable] | None = None
@@ -302,11 +329,10 @@ def integrate_duration(
     refs_total = 0.0
     misses_total = 0.0
     elapsed_total = 0.0
-    stale = True
+    stale = False
     for _ in range(substeps):
         if stale:
-            # only ``own`` feeds these, so they are recomputed on the
-            # first sub-step and after one that grew the actor; the
+            # recomputed only after a sub-step grew the actor; the
             # others reuse the same floats
             if wss <= 0:
                 p_hit = 1.0

@@ -611,10 +611,12 @@ class Machine:
         push shifts every later seq by the same amount, so the
         ``(time, seq)`` order of live events is unchanged (DESIGN §9).
 
-        The LLC-free time ``remaining * base_cpi_ns`` is a lower bound
-        of the estimate (its LLC term is non-negative and rounding is
-        monotone), so when even that reaches the expiry the estimate is
-        never computed.
+        The LLC-free time ``lower = int(remaining * base_cpi_ns)`` is a
+        lower bound of the estimate (its LLC term is non-negative and
+        rounding is monotone), so when even that reaches the expiry the
+        estimate is never computed.  A profile with ``llc_ref_rate ==
+        0.0`` makes the LLC term ``0.0 * finite``, so the estimate is
+        ``lower`` exactly and is not computed either.
         """
         completion = vcpu.completion_event
         if completion is not None:
@@ -626,22 +628,23 @@ class Machine:
         expiry = vcpu.quantum_event
         if expiry is not None and expiry.cancelled:
             expiry = None
-        if (
-            expiry is not None
-            and sim.now + int(remaining * profile.base_cpi_ns) >= expiry.time
-        ):
+        lower = int(remaining * profile.base_cpi_ns)
+        if expiry is not None and sim.now + lower >= expiry.time:
             return
-        assert vcpu.pcpu is not None
-        delay = int(
-            estimate_duration_ns(
-                vcpu.pcpu.socket.llc,
-                thread,
-                profile,
-                remaining,
-                self._llc_hit_ns,
-                self._llc_miss_ns,
+        if profile.llc_ref_rate == 0.0:
+            delay = lower
+        else:
+            assert vcpu.pcpu is not None
+            delay = int(
+                estimate_duration_ns(
+                    vcpu.pcpu.socket.llc,
+                    thread,
+                    profile,
+                    remaining,
+                    self._llc_hit_ns,
+                    self._llc_miss_ns,
+                )
             )
-        )
         if delay < _MIN_COMPLETION_DELAY_NS:
             delay = _MIN_COMPLETION_DELAY_NS
         if expiry is not None and sim.now + delay >= expiry.time:

@@ -17,7 +17,10 @@ deletion, full-cache and churn paths are really exercised, and a drift
 check holds the running total to the sum of the occupancies.  The
 kernel recomputes its per-sub-step arithmetic only after a sub-step
 grew the actor; directed cases pin both ways a sub-step reuses it (no
-LLC traffic, an actor at its target) against the same reference.
+LLC traffic, an actor at its target) against the same reference.  A
+segment whose first sub-step misses nothing returns in closed form; a
+second property drives every kind of such segment, at sub-step counts
+around the unrolled default of 8, against the reference too.
 """
 
 from __future__ import annotations
@@ -453,6 +456,126 @@ def test_strategy_reaches_the_hoisted_branches():
         and op[3] == 0,
     )
     find(calls(), lambda op: op[0] == "warm" and 0 < op[3] < op[2].wss_bytes)
+
+
+# ----------------------------------------------------------------------
+# segments that cannot miss: the closed form against the reference
+# ----------------------------------------------------------------------
+@st.composite
+def segment_cases(draw):
+    """A cache with two neighbours and one segment of actor ``a``.
+
+    ``no_wss`` (with or without an LLC rate), ``rate0_partial`` (no LLC
+    references, the working set partly resident so ``p_hit < 1``) and
+    ``at_target`` (fully resident, references but no misses) cannot
+    miss; ``cold`` misses on its first sub-step and takes the loop.
+    """
+    kind = draw(st.sampled_from(("no_wss", "rate0_partial", "at_target", "cold")))
+    capacity = draw(st.sampled_from((256 * KB, 8 * MB)))
+    rate = scaled(1, 200_000, 1e6)
+    if kind == "no_wss":
+        wss, ref_rate = 0, draw(st.just(0.0) | rate)
+        resident = 0.0
+    elif kind == "rate0_partial":
+        wss, ref_rate = draw(st.integers(min_value=2, max_value=32 * MB)), 0.0
+        resident = draw(st.integers(min_value=1, max_value=min(wss, capacity) - 1))
+    elif kind == "at_target":
+        wss, ref_rate = draw(st.integers(min_value=1, max_value=capacity)), draw(rate)
+        resident = float(wss)
+    else:
+        wss, ref_rate = draw(st.integers(min_value=1, max_value=32 * MB)), draw(rate)
+        resident = 0.0
+    profile = MemoryProfile(
+        wss_bytes=wss,
+        llc_ref_rate=ref_rate,
+        base_cpi_ns=draw(scaled(50, 2_000, 1e3)),
+    )
+    # dt = duration / substeps rounds at 3, 7 and 9 sub-steps
+    duration = draw(
+        st.integers(min_value=1, max_value=50_000_000).map(float)
+        | scaled(1, 50_000_000_000, 1e3)
+    )
+    substeps = draw(st.sampled_from((1, 2, 3, 7, 8, 9, 16)))
+    return (
+        kind,
+        capacity,
+        draw(st.sampled_from((0.5, 0.3, 1.0))),
+        float(resident),
+        profile,
+        duration,
+        substeps,
+    )
+
+
+def segment_pair(case):
+    """Both caches with the neighbours and ``a``'s resident bytes in place."""
+    _, capacity, exponent, resident, profile, _, _ = case
+    fast, ref = make_pair(capacity, exponent)
+    apply(fast, ref, ("insert", "x", capacity / 3, 64 * MB))
+    apply(fast, ref, ("insert", "y", capacity / 5, 64 * MB))
+    apply(fast, ref, ("insert", "a", resident, profile.wss_bytes))
+    return fast, ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=segment_cases())
+def test_closed_form_matches_reference(case):
+    fast, ref = segment_pair(case)
+    _, _, _, _, profile, duration, substeps = case
+    for _ in range(2):  # the second segment starts where the first ended
+        apply(fast, ref, ("integrate", "a", profile, duration, substeps))
+
+
+class WriteSpy(SharedCache):
+    """A cache that records every attribute written after construction."""
+
+    __slots__ = ("writes",)
+
+    def __setattr__(self, name, value):
+        writes = getattr(self, "writes", None)
+        if writes is not None:
+            writes.append(name)
+        super().__setattr__(name, value)
+
+
+def takes_closed_form(case) -> bool:
+    """Whether ``case``'s segment returned in closed form.
+
+    The loop always writes the cache total back; the closed form
+    writes nothing.
+    """
+    _, capacity, exponent, resident, profile, duration, substeps = case
+    cache = WriteSpy(capacity, reuse_exponent=exponent)
+    cache.insert("a", resident, profile.wss_bytes)
+    cache.writes = []
+    integrate_duration(cache, "a", profile, duration, HIT_NS, MISS_NS, substeps)
+    return not cache.writes
+
+
+def test_strategy_reaches_the_closed_form_and_the_loop():
+    """Every kind that cannot miss runs the closed form at 8 sub-steps
+    and the loop at other counts; a profile that misses takes the loop."""
+    for kind in ("no_wss", "rate0_partial", "at_target"):
+        find(
+            segment_cases(),
+            lambda case: case[0] == kind and case[6] == 8 and takes_closed_form(case),
+        )
+        find(
+            segment_cases(),
+            lambda case: case[0] == kind
+            and case[6] != 8
+            and not takes_closed_form(case),
+        )
+    find(
+        segment_cases(),
+        lambda case: case[0] == "no_wss" and case[4].llc_ref_rate > 0.0,
+    )
+    find(
+        segment_cases(),
+        lambda case: case[0] == "cold"
+        and case[6] == 8
+        and not takes_closed_form(case),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ second part drives the completion-arming rule directly: when a
 completion is queued, when it is not, how equal times resolve, and the
 re-arm at a tick.  The third part checks the cheap lower bound the
 rule tries first (the LLC-free time ``remaining * base_cpi_ns``): it
-may only skip a completion that the full estimate would skip too.
+may only skip a completion that the full estimate would skip too, and
+for a profile without LLC references it is the estimate exactly.
 """
 
 from __future__ import annotations
@@ -234,6 +235,32 @@ def test_lower_bound_skips_only_what_the_estimate_skips(
         assert completion is None
     else:
         assert completion is not None and completion.time == now + delay
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    wss=st.sampled_from((0, 64 * 1024, 2 * MB, 8 * MB, 64 * MB))
+    | st.integers(1, 64 * MB),
+    resident=st.floats(0.0, 1.0),
+    remaining=st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1e12),
+    base_cpi_ns=st.floats(0.01, 3.0),
+    exponent=st.sampled_from((0.5, 0.3, 1.0)) | st.floats(0.01, 1.0),
+    hit_ns=st.sampled_from((HIT_NS,)) | st.floats(0.0, 1e3),
+    miss_ns=st.sampled_from((MISS_NS,)) | st.floats(0.0, 1e4),
+)
+def test_bound_is_the_estimate_without_llc_references(
+    wss, resident, remaining, base_cpi_ns, exponent, hit_ns, miss_ns
+):
+    """``_arm_completion`` takes the bound as the delay when
+    ``llc_ref_rate == 0``: the estimate's LLC term is ``0.0 * finite``,
+    whatever the working set, its residency and the hit curve."""
+    profile = MemoryProfile(wss_bytes=wss, base_cpi_ns=base_cpi_ns)
+    cache = SharedCache(8 * MB, reuse_exponent=exponent)
+    cache.insert("t", resident * min(wss, 8 * MB), wss)
+    estimate = estimate_duration_ns(
+        cache, "t", profile, remaining, hit_ns, miss_ns
+    )
+    assert int(remaining * base_cpi_ns) == int(estimate)
 
 
 def test_cold_cache_estimate_skips_where_the_bound_does_not():
