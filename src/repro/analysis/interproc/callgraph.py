@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.analysis.core import ModuleContext
@@ -661,9 +660,6 @@ class ProjectIndex:
             for entry in self.functions[ref]:
                 yield ref, entry
 
-    def function_ref(self, summary: ModuleSummary, fn: FunctionInfo) -> str:
-        return f"{summary.module}.{fn.qualname}"
-
     # ------------------------------------------------------------------
     def resolve_callable(self, target: str) -> tuple[str, list[FunctionEntry]]:
         """Resolve a dotted call target to known functions.
@@ -703,15 +699,6 @@ class ProjectIndex:
                     return ".".join([alias, *rest]) if rest else alias
             return None
         return None
-
-    # ------------------------------------------------------------------
-    def relative_path(self, summary: ModuleSummary) -> str:
-        """Repo-relative posix path for reporting, best effort."""
-        path = Path(summary.path)
-        try:
-            return path.relative_to(Path.cwd()).as_posix()
-        except ValueError:
-            return path.as_posix()
 
 
 __all__ = [

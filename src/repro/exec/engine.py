@@ -167,8 +167,8 @@ class Engine:
         #: cells already journalled when the run directory attached
         #: (the resume lineage /status reports)
         self.resumed_at_open = 0
-        # Live status fold for /status, <run-dir>/status.json, the
-        # flight recorder and the CLI's engine tallies.  Imported
+        # Live status fold for /status, <run-dir>/status.json and the
+        # CLI's engine tallies.  Imported
         # lazily: repro.exec must keep no import-time dependency on the
         # ops layer above it.
         from repro.ops.status import RunStatus

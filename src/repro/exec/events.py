@@ -308,12 +308,12 @@ def validate_events(
     ``partial=True`` permits the *last* segment to lack a terminal
     event — the shape a SIGKILLed run leaves behind.
 
-    ``ring=True`` validates a flight-recorder dump (``repro.ops``): the
-    recorder keeps only the last N events, so the **first** segment may
-    be truncated at its head — its opener, its ran-requires-scheduled
-    pairing and its ``Finished`` count reconciliation are waived (the
-    evidence fell off the ring); every later segment is complete and
-    validates fully.
+    ``ring=True`` validates a tail of the stream, such as the ops
+    plane's ``/events`` replay (``repro.ops``): its ring keeps only the
+    last N events, so the **first** segment may be truncated at its
+    head — its opener, its ran-requires-scheduled pairing and its
+    ``Finished`` count reconciliation are waived (the evidence fell off
+    the ring); every later segment is complete and validates fully.
     """
     problems: list[str] = []
     if not records:
@@ -470,8 +470,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--ring", action="store_true",
-        help="validate a flight-recorder ring dump: the first sweep may "
-             "be truncated at its head (implies --partial)",
+        help="validate a tail of the stream (e.g. an /events replay): "
+             "the first sweep may be truncated at its head "
+             "(implies --partial)",
     )
     args = parser.parse_args(argv)
     records = read_event_log(args.log)

@@ -108,9 +108,6 @@ class SweepRunner:
         """
         return self.engine.run(cells, stage=stage)
 
-    def run_one(self, cell: Cell) -> Any:
-        return self.run([cell])[0]
-
     def __repr__(self) -> str:
         cached = "on" if self.cache is not None else "off"
         return f"<SweepRunner jobs={self.jobs} cache={cached}>"

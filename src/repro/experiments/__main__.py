@@ -24,12 +24,12 @@ makes the run *durable*: every completed cell is journalled to a
 content-addressed run directory, so a killed run — Ctrl-C, SIGKILL,
 OOM — resumes with only unfinished cells re-executed (automatically,
 since the run id derives from the planned sweep; ``--resume RUN-ID``
-pins a directory explicitly).  ``--events-out PATH`` additionally
-streams the engine's typed event narration as JSONL.  ``--serve
-[HOST:]PORT`` (or ``REPRO_SERVE``) attaches the read-only ops plane:
-live ``/metrics``, ``/status`` and ``/events`` over HTTP, a flight
-recorder that dumps the last events into the run directory when the
-run dies, and a slowest-cells table after checkpointed runs.  Per-cell
+pins a directory explicitly); its ``events.jsonl`` and ``status.json``
+record what a dead run was doing, and a checkpointed run ends with a
+slowest-cells table.  ``--events-out PATH`` additionally streams the
+engine's typed event narration as JSONL.  ``--serve [HOST:]PORT`` (or
+``REPRO_SERVE``) attaches the read-only ops plane: live ``/metrics``,
+``/status`` and ``/events`` over HTTP.  Per-cell
 progress (a :class:`~repro.exec.ProgressPrinter` sink, off with
 ``--quiet``), the cache hit/miss summary and the engine tallies (read
 from the engine's live :class:`~repro.ops.status.RunStatus`) go to
@@ -187,15 +187,13 @@ def main(argv: list[str] | None = None) -> int:
         serve_spec = resolve_serve_spec(args.serve)
     except ValueError as exc:  # bad --serve / REPRO_SERVE
         parser.error(str(exc))
-    # the ops plane attaches whenever there is something to observe: a
-    # live HTTP endpoint, or a run directory the flight recorder can
-    # dump into; a bare `python -m repro.experiments fig2` stays free
+    # the ops plane exists only to serve; a run directory keeps its own
+    # record (events.jsonl, status.json) without it
     plane = None
-    if serve_spec is not None or args.run_dir is not None:
-        plane = attach_ops(runner.engine, spec=serve_spec)
-        if plane.server is not None:
-            # stderr: stdout stays byte-identical with/without --serve
-            print(f"[ops] serving at {plane.server.url}", file=sys.stderr)
+    if serve_spec is not None:
+        plane = attach_ops(runner.engine, serve_spec)
+        # stderr: stdout stays byte-identical with/without --serve
+        print(f"[ops] serving at {plane.url}", file=sys.stderr)
 
     results: dict[str, Any] = {}  # the artifact flags export from these
 
@@ -253,10 +251,7 @@ def main(argv: list[str] | None = None) -> int:
             plane.close()
         return 2
     except BaseException:
-        # anything else dying mid-run: capture the last events before
-        # the traceback unwinds (the dump lands in the run directory)
         if plane is not None:
-            plane.recorder.dump("unhandled-exception")
             plane.close()
         raise
     if args.telemetry_out is not None:

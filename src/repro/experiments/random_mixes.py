@@ -75,10 +75,6 @@ class RandomMixResult:
     #: class -> list of normalised values across every mix
     by_class: dict[VCpuType, list[float]] = field(default_factory=dict)
 
-    def class_mean(self, vtype: VCpuType) -> float:
-        values = self.by_class.get(vtype, [])
-        return sum(values) / len(values) if values else float("nan")
-
     @property
     def overall_mean(self) -> float:
         values = [v for values in self.by_class.values() for v in values]

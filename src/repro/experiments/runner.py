@@ -43,9 +43,6 @@ class ScenarioRun:
     #: nor belongs in a result cache
     built: Optional[BuiltScenario] = None
 
-    def placement_value(self, key: str) -> float:
-        return self.by_placement[key]
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["built"] = None

@@ -108,13 +108,10 @@ def _cmd_run(
         runner = SweepRunner(jobs=args.jobs, run_root=args.run_dir)
     except ValueError as exc:
         parser.error(str(exc))
-    # the ops plane attaches when there is something to observe: a live
-    # HTTP endpoint, or a run directory the flight recorder dumps into
     plane = None
-    if serve_spec is not None or args.run_dir is not None:
-        plane = attach_ops(runner.engine, spec=serve_spec)
-        if plane.server is not None:
-            print(f"[ops] serving at {plane.server.url}", file=sys.stderr)
+    if serve_spec is not None:
+        plane = attach_ops(runner.engine, serve_spec)
+        print(f"[ops] serving at {plane.url}", file=sys.stderr)
     try:
         campaign = run_campaign(
             args.cases,

@@ -42,12 +42,6 @@ class LockStats:
             return 0.0
         return (self.total_wait_ns + self.total_hold_ns) / self.acquisitions
 
-    @property
-    def mean_wait_ns(self) -> float:
-        if self.acquisitions == 0:
-            return 0.0
-        return self.total_wait_ns / self.acquisitions
-
 
 def _waiter_on_cpu(thread: "GuestThread") -> bool:
     """Is this waiter actively spinning on a pCPU right now?"""

@@ -59,9 +59,6 @@ class Topology:
                 cpu_id += 1
             self.sockets.append(socket)
 
-    def socket_of(self, pcpu: PCpu) -> Socket:
-        return pcpu.socket
-
     def __iter__(self) -> Iterator[PCpu]:
         return iter(self.pcpus)
 

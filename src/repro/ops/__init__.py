@@ -11,28 +11,27 @@ steers execution:
 * :mod:`repro.ops.stream` — the fan-out sink, bounded event ring and
   drop-on-full subscriptions behind ``/events``;
 * :mod:`repro.ops.status` — the live status fold, ``/status`` and
-  ``<run-dir>/status.json``;
+  ``<run-dir>/status.json`` (written by the engine, plane or not);
 * :mod:`repro.ops.metrics` — engine metrics folded into the existing
   telemetry registry and Prometheus exposition;
-* :mod:`repro.ops.flightrec` — the last-N-events flight recorder
-  dumped on interrupts, SIGTERM/SIGUSR1 and unhandled exceptions;
 * :mod:`repro.ops.profiles` — per-cell resource profiles and the
   slowest-cells tables;
 * :mod:`repro.ops.cli` — ``python -m repro.ops attach RUN_DIR``.
 
-The whole plane is an observer: with or without ``--serve``, a sweep
-folds to byte-identical results
+A dead run's record is its run directory: the engine's own
+``events.jsonl`` (ending in ``interrupted`` when it saw the failure)
+and ``status.json``.  The HTTP plane attaches only to serve, and is an
+observer: with or without ``--serve``, a sweep folds to byte-identical
+results
 (``tests/test_ops_plane.py::test_serve_preserves_fold_bytes``).
 """
 
-from repro.ops.flightrec import FLIGHTREC_SCHEMA, FlightRecorder
 from repro.ops.metrics import EngineMetricsSink
 from repro.ops.profiles import read_journal, render_slowest, slowest_cells
 from repro.ops.server import (
     DEFAULT_HOST,
     ENV_SERVE,
     OpsPlane,
-    OpsServer,
     attach_ops,
     parse_serve_spec,
     resolve_serve_spec,
@@ -50,11 +49,8 @@ __all__ = [
     "ENV_SERVE",
     "EngineMetricsSink",
     "EventRing",
-    "FLIGHTREC_SCHEMA",
     "FanOutSink",
-    "FlightRecorder",
     "OpsPlane",
-    "OpsServer",
     "RunStatus",
     "STATUS_SCHEMA",
     "StatusWriter",

@@ -3,9 +3,11 @@
 The offline counterpart of the live HTTP endpoints: given a run
 directory (or a run root holding exactly one run), print its manifest,
 the last written ``status.json``, journal progress, the slowest-cells
-table, event-log validity and any flight-recorder dumps.  Everything
-read here is an artifact another component already wrote — this tool
-never mutates a run directory.
+table and event-log validity.  A dead run's record is its
+``events.jsonl`` (ending in ``interrupted`` when the engine saw the
+failure) and ``status.json``.  Everything read here is an artifact
+another component already wrote — this tool never mutates a run
+directory.
 """
 
 from __future__ import annotations
@@ -85,30 +87,6 @@ def _describe(run_dir: Path, top: int) -> list[str]:
             lines.append(f"    {problem}")
     else:
         lines.append("  events: no events.jsonl")
-
-    dumps = sorted(run_dir.glob("flightrec-*.jsonl"))
-    if dumps:
-        lines.append(f"  flight recorder: {len(dumps)} dump(s)")
-        for dump in dumps:
-            meta_path = dump.with_suffix(".meta.json")
-            reason = "?"
-            if meta_path.exists():
-                try:
-                    meta = json.loads(
-                        meta_path.read_text(encoding="utf-8")
-                    )
-                    reason = str(meta.get("reason", "?"))
-                except json.JSONDecodeError:
-                    reason = "unreadable meta"
-            records = read_event_log(dump)
-            problems = validate_events(records, partial=True, ring=True)
-            verdict = "valid" if not problems else "INVALID"
-            lines.append(
-                f"    {dump.name}: {len(records)} event(s), "
-                f"reason={reason}, {verdict}"
-            )
-    else:
-        lines.append("  flight recorder: no dumps")
     return lines
 
 
@@ -127,14 +105,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="rows in the slowest-cells table (default 10)",
     )
     args = parser.parse_args(argv)
+    if args.top < 1:
+        attach.error("--top must be at least 1")
 
     run_dir = resolve_run_dir(args.run_dir)
     if run_dir is None:
-        print(
-            f"error: {args.run_dir} is not a run directory (no "
+        attach.error(
+            f"{args.run_dir} is not a run directory (no "
             "manifest.json, and not a root with exactly one run)"
         )
-        return 2
     for line in _describe(run_dir, top=args.top):
         print(line)
     return 0

@@ -32,11 +32,9 @@ import json
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.ops.flightrec import FlightRecorder
 from repro.ops.metrics import EngineMetricsSink
 from repro.ops.stream import EventRing, FanOutSink
 
@@ -195,9 +193,10 @@ class _OpsHandler(BaseHTTPRequestHandler):
                 if doc is None:
                     continue
                 seq = doc.get("seq")
-                # engine seq resets to 0 on a new lifetime; only skip
-                # genuine replay duplicates from the subscribe window
-                if isinstance(seq, int) and 0 < seq <= last_seq:
+                # a plane watches one engine, whose seq never resets:
+                # anything at or below the replay's last seq arrived in
+                # the subscribe window and was already sent
+                if isinstance(seq, int) and seq <= last_seq:
                     continue
                 self._write_chunk(doc)
                 sent += 1
@@ -219,14 +218,27 @@ class _OpsHandler(BaseHTTPRequestHandler):
         self.wfile.flush()
 
 
-class OpsServer:
-    """The HTTP listener on a daemon thread; ``port=0`` picks a port."""
+class OpsPlane:
+    """The HTTP plane observing one engine: folds, ring and listener.
 
-    def __init__(self, plane: "OpsPlane", host: str, port: int) -> None:
-        self.plane = plane
+    Construction wires one :class:`~repro.ops.stream.FanOutSink` into
+    the engine, feeding the metrics fold and the ring ``/events``
+    replays, and starts the listener on a daemon thread (``port=0``
+    picks a free port).  The engine's run directory keeps its own
+    record (``events.jsonl``, ``status.json``) with or without a plane.
+    """
+
+    def __init__(self, engine: "Engine", host: str, port: int) -> None:
+        # bind first: a taken port must leave the engine unobserved
         self._server = OpsHTTPServer((host, port), _OpsHandler)
-        self._server.plane = plane
+        self._server.plane = self
         self.host, self.port = self._server.server_address[:2]
+        self.status = engine.status
+        self.metrics = EngineMetricsSink(health=engine.worker_health)
+        self.ring = EventRing()
+        self.fanout = FanOutSink(wrapped=[self.metrics], ring=self.ring)
+        engine.add_sink(self.fanout)
+        self.closing = threading.Event()
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name="repro-ops-http",
@@ -239,79 +251,19 @@ class OpsServer:
         return f"http://{self.host}:{self.port}"
 
     def close(self) -> None:
+        if self.closing.is_set():
+            return
+        self.closing.set()
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5.0)
-
-
-class OpsPlane:
-    """Everything observing one engine: folds, ring, recorder, server.
-
-    Construction wires one :class:`~repro.ops.stream.FanOutSink` into
-    the engine; the HTTP server is optional (:meth:`serve`).  A plane
-    without a server still earns its keep: the flight recorder and
-    status.json work headless.
-    """
-
-    def __init__(
-        self,
-        engine: "Engine",
-        ring_capacity: Optional[int] = None,
-    ) -> None:
-        self.engine = engine
-        self.status = engine.status
-        self.metrics = EngineMetricsSink(health=engine.worker_health)
-        kwargs = {} if ring_capacity is None else {
-            "capacity": ring_capacity
-        }
-        self.ring = EventRing(**kwargs)
-        self.recorder = FlightRecorder(
-            dir_provider=self._dump_dir,
-            status=self.status,
-            registry=self.metrics.registry,
-        )
-        self.fanout = FanOutSink(
-            wrapped=[self.metrics, self.recorder], ring=self.ring
-        )
-        engine.add_sink(self.fanout)
-        self.server: Optional[OpsServer] = None
-        self.closing = threading.Event()
-
-    def _dump_dir(self) -> Path:
-        run_dir = self.engine.run_dir
-        return run_dir.path if run_dir is not None else Path(".")
-
-    # ------------------------------------------------------------------
-    def serve(self, spec: tuple[str, int]) -> OpsServer:
-        host, port = spec
-        self.server = OpsServer(self, host, port)
-        return self.server
-
-    def close(self) -> None:
-        self.closing.set()
-        if self.server is not None:
-            self.server.close()
-            self.server = None
         self.fanout.close()
 
 
-def attach_ops(
-    engine: "Engine",
-    spec: Optional[tuple[str, int]] = None,
-    signals: bool = True,
-) -> OpsPlane:
-    """Wire the full ops plane onto an engine; serve when asked.
-
-    ``signals=True`` (CLI entry points) installs the flight recorder's
-    SIGTERM/SIGUSR1 dump handlers; library/test callers pass ``False``
-    to leave process signal state alone.
-    """
-    plane = OpsPlane(engine)
-    if signals:
-        plane.recorder.install_signals()
-    if spec is not None:
-        plane.serve(spec)
-    return plane
+def attach_ops(engine: "Engine", spec: tuple[str, int]) -> OpsPlane:
+    """Observe ``engine`` and serve its plane at ``spec`` (host, port)."""
+    host, port = spec
+    return OpsPlane(engine, host, port)
 
 
 __all__ = [
@@ -319,7 +271,6 @@ __all__ = [
     "ENV_SERVE",
     "OpsHTTPServer",
     "OpsPlane",
-    "OpsServer",
     "attach_ops",
     "parse_serve_spec",
     "resolve_serve_spec",

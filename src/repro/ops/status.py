@@ -1,13 +1,12 @@
 """Live run status: a thread-safe fold of the engine event stream.
 
-:class:`RunStatus` is the single source of truth behind three surfaces:
+:class:`RunStatus` is the single source of truth behind two surfaces:
 
 * ``GET /status`` on the ops HTTP server;
 * ``<run-dir>/status.json``, rewritten atomically on every checkpoint
   by :class:`StatusWriter` so a detached run stays inspectable without
   the HTTP server — one compact JSON line, which
-  ``python -m repro.ops attach RUN_DIR`` renders;
-* the ``status`` block inside flight-recorder dump metadata.
+  ``python -m repro.ops attach RUN_DIR`` renders.
 
 It observes every event **at the source** — the engine calls
 :meth:`observe` inside ``_event()`` before sinks run — so /status is

@@ -4,10 +4,9 @@ The ops plane observes a running :class:`~repro.exec.engine.Engine`
 through one extra sink — :class:`FanOutSink` — which does three things
 per event, all O(1):
 
-* forward to the sinks it wraps (metrics fold, flight recorder);
+* forward to the sinks it wraps (the metrics fold);
 * push the event's JSON form into an :class:`EventRing` (the bounded
-  memory of "what just happened" that ``/events`` replays and the
-  flight recorder dumps);
+  memory of "what just happened" that ``/events`` replays);
 * offer the JSON form to every live :class:`Subscription` (an
   ``/events`` streaming client).
 
@@ -113,7 +112,7 @@ class FanOutSink:
 
     Serialisation (``event.to_json()``) happens once per event; the
     wrapped sinks still receive the typed event, so existing sinks
-    (metrics fold, flight recorder) plug in unchanged.
+    (the metrics fold) plug in unchanged.
     """
 
     def __init__(

@@ -145,7 +145,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--die-at", type=int, default=None, metavar="N",
         help="use suicide cells: cell N SIGKILLs its worker "
-             "(flight-recorder leg of the crash suite)",
+             "(worker-crash leg of the crash suite)",
     )
     parser.add_argument(
         "--spin-ms", type=int, default=None, metavar="MS",
@@ -161,13 +161,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     engine = Engine(jobs=args.jobs, run_root=args.run_root)
     plane = None
-    if args.serve is not None or args.run_root is not None:
+    if args.serve is not None:
         from repro.ops import attach_ops, parse_serve_spec
 
-        spec = parse_serve_spec(args.serve) if args.serve else None
-        plane = attach_ops(engine, spec=spec)
-        if plane.server is not None:
-            print(f"[ops] serving at {plane.server.url}", file=sys.stderr)
+        plane = attach_ops(engine, parse_serve_spec(args.serve))
+        print(f"[ops] serving at {plane.url}", file=sys.stderr)
         engine.expect_cells(args.cells)
     if args.die_at is not None:
         cells = make_suicide_cells(args.cells, args.die_at)
@@ -178,8 +176,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         results = engine.run(cells, stage=args.stage)
     except WorkerCrash as exc:
-        # the Interrupted event already made the flight recorder dump;
-        # report and exit with a distinct code the tests assert on
+        # events.jsonl already ends in the Interrupted event and
+        # status.json names the reason; report and exit with a
+        # distinct code the tests assert on
         print(f"[engine] worker crash: {exc}", file=sys.stderr)
         if plane is not None:
             plane.close()

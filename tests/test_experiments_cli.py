@@ -68,6 +68,22 @@ class TestCliEngineSummary:
         assert code == 130
         assert "interrupted after 3 cell(s)" in capsys.readouterr().err
 
+    def test_run_dir_without_serve_attaches_no_ops_plane(
+        self, monkeypatch, tmp_path
+    ):
+        """The plane exists only to serve: a durable run keeps its own
+        record (events.jsonl, status.json) without it."""
+        def no_plane(*args, **kwargs):
+            raise AssertionError("ops plane attached without --serve")
+
+        monkeypatch.delenv("REPRO_SERVE", raising=False)
+        monkeypatch.setattr("repro.ops.attach_ops", no_plane)
+        runs = tmp_path / "runs"
+        assert main(["fig3", "--no-cache", "--run-dir", str(runs)]) == 0
+        [run_dir] = [d for d in runs.iterdir() if d.is_dir()]
+        assert (run_dir / "events.jsonl").exists()
+        assert (run_dir / "status.json").exists()
+
     def test_artifact_flag_error_starts_no_ops_plane(self, tmp_path):
         """A rejected --telemetry-out exits before the ops plane
         starts: no HTTP thread left behind, SIGTERM handler intact."""

@@ -189,20 +189,34 @@ class TestCli:
             for sig in (signal.SIGTERM, signal.SIGUSR1)
         }
         threads = {t.ident for t in threading.enumerate()}
-        try:
-            with pytest.raises(RuntimeError, match="campaign died"):
-                main([
-                    "run", "--cases", "1", "--quiet",
-                    "--serve", "127.0.0.1:0",
-                ])
-        finally:
-            for sig, handler in handlers.items():
-                signal.signal(sig, handler)
+        with pytest.raises(RuntimeError, match="campaign died"):
+            main([
+                "run", "--cases", "1", "--quiet",
+                "--serve", "127.0.0.1:0",
+            ])
         leaked = [
             t for t in threading.enumerate()
             if t.name == "repro-ops-http" and t.ident not in threads
         ]
         assert leaked == []
+        # the plane only serves: it installs no signal handler
+        assert {sig: signal.getsignal(sig) for sig in handlers} == handlers
+
+    def test_run_dir_without_serve_attaches_no_ops_plane(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def no_plane(*args, **kwargs):
+            raise AssertionError("ops plane attached without --serve")
+
+        monkeypatch.delenv("REPRO_SERVE", raising=False)
+        monkeypatch.setattr("repro.ops.attach_ops", no_plane)
+        runs = tmp_path / "runs"
+        assert main([
+            "run", "--cases", "1", "--quiet", "--run-dir", str(runs),
+        ]) == 0
+        [run_dir] = [d for d in runs.iterdir() if d.is_dir()]
+        assert (run_dir / "events.jsonl").exists()
+        assert (run_dir / "status.json").exists()
 
     def test_negative_gen_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

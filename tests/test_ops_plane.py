@@ -1,10 +1,10 @@
 """The ops plane contract: observe everything, steer nothing.
 
-Covers the fan-out sink's back-pressure, the status fold and
-status.json, the flight recorder's ring dumps, the HTTP endpoints and
-— the load-bearing guarantee every simlint waiver in ``repro.ops``
-cites — that attaching the full plane (server included) leaves a
-sweep's folded bytes identical.
+Covers the fan-out sink's back-pressure and ring, the status fold and
+status.json (with the record a crashed run leaves), the HTTP endpoints,
+the offline ``attach`` CLI and — the load-bearing guarantee every
+simlint waiver in ``repro.ops`` cites — that attaching the full plane
+(server included) leaves a sweep's folded bytes identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.exec import Engine, WorkerCrash
 from repro.exec.events import (
     CellFinished,
     Finished,
-    Interrupted,
     PhaseStarted,
     read_event_log,
     validate_events,
@@ -28,14 +27,13 @@ from repro.exec.queue import fork_available
 from repro.ops import (
     EventRing,
     FanOutSink,
-    FlightRecorder,
-    OpsPlane,
     attach_ops,
     parse_serve_spec,
     render_slowest,
     resolve_serve_spec,
     slowest_cells,
 )
+from repro.ops.cli import main as ops_main
 from repro.ops.status import read_status
 
 from tests.engine_cells import make_cells, make_suicide_cells
@@ -120,6 +118,18 @@ class TestFanOut:
         assert subscription.closed
         assert subscription.get(timeout=0.1) is None
 
+    def test_head_truncated_ring_needs_ring_mode(self):
+        """A tiny ring loses the sweep opener; ``ring=True`` waives the
+        head checks, plain validation still rejects the shape."""
+        ring = EventRing(capacity=4)
+        engine = Engine(jobs=1, sinks=[FanOutSink(ring=ring)])
+        engine.run(make_cells(6))
+        records = ring.snapshot()
+        assert len(records) == 4 and records[0]["kind"] != "phase_started"
+        assert validate_events(records, partial=True, ring=True) == []
+        assert validate_events(records, partial=True) != []
+        engine.close()
+
 
 # ----------------------------------------------------------------------
 # the status fold + status.json
@@ -171,62 +181,19 @@ class TestRunStatus:
         assert doc["eta_seconds"] is not None and doc["eta_seconds"] >= 0
         engine.close()
 
-
-# ----------------------------------------------------------------------
-# flight recorder
-# ----------------------------------------------------------------------
-class TestFlightRecorder:
-    def test_dump_on_interrupted_event_validates_as_ring(self, tmp_path):
-        recorder = FlightRecorder(dir_provider=lambda: tmp_path)
-        recorder(PhaseStarted(seq=0, phase="plan", cells=2))
-        recorder(Interrupted(seq=1, completed=1, total=2, reason="test"))
-        assert len(recorder.dumps) == 1
-        dump = recorder.dumps[0]
-        records = read_event_log(dump)
-        assert validate_events(records, partial=True, ring=True) == []
-        meta = json.loads(
-            dump.with_suffix(".meta.json").read_text(encoding="utf-8")
-        )
-        assert meta["reason"] == "interrupted:test"
-        assert meta["events"] == 2
-
-    def test_head_truncated_dump_needs_ring_mode(self, tmp_path):
-        """A tiny ring loses the sweep opener; ``--ring`` waives the
-        head checks, plain validation still rejects the shape."""
-        recorder = FlightRecorder(
-            dir_provider=lambda: tmp_path, capacity=4
-        )
-        engine = Engine(jobs=1, sinks=[recorder])
-        engine.run(make_cells(6))
-        path = recorder.dump("manual")
-        records = read_event_log(path)
-        assert validate_events(records, partial=True, ring=True) == []
-        assert validate_events(records, partial=True) != []
-        engine.close()
-
-    def test_empty_ring_never_dumps(self, tmp_path):
-        recorder = FlightRecorder(dir_provider=lambda: tmp_path)
-        assert recorder.dump("nothing-yet") is None
-        assert list(tmp_path.iterdir()) == []
-
-    def test_worker_crash_leaves_a_valid_dump(self, tmp_path):
-        """The in-process twin of the subprocess crash-suite leg."""
+    def test_worker_crash_leaves_a_valid_event_log(self, tmp_path):
+        """The in-process twin of the subprocess crash-suite leg: the
+        run directory alone records how the run died."""
         engine = Engine(jobs=2, run_root=tmp_path / "runs")
-        plane = attach_ops(engine, signals=False)
         with pytest.raises(WorkerCrash):
             engine.run(make_suicide_cells(6, die_at=3), stage="crash")
-        assert len(plane.recorder.dumps) == 1
-        records = read_event_log(plane.recorder.dumps[0])
-        assert validate_events(records, partial=True, ring=True) == []
-        meta = json.loads(
-            plane.recorder.dumps[0]
-            .with_suffix(".meta.json")
-            .read_text(encoding="utf-8")
-        )
-        assert meta["reason"] == "interrupted:worker-crash"
-        assert meta["status"]["interrupted"] == "worker-crash"
-        plane.close()
         engine.close()
+        records = read_event_log(engine.run_dir.path / "events.jsonl")
+        assert validate_events(records, partial=True) == []
+        assert records[-1]["kind"] == "interrupted"
+        assert records[-1]["reason"] == "worker-crash"
+        status = read_status(engine.run_dir.path / "status.json")
+        assert status["interrupted"] == "worker-crash"
 
 
 # ----------------------------------------------------------------------
@@ -236,11 +203,9 @@ class TestHttpEndpoints:
     @pytest.fixture()
     def served(self, tmp_path):
         engine = Engine(jobs=1, run_root=tmp_path / "runs")
-        plane = attach_ops(
-            engine, spec=("127.0.0.1", 0), signals=False
-        )
+        plane = attach_ops(engine, ("127.0.0.1", 0))
         engine.run(make_cells(4), stage="http")
-        yield engine, plane, plane.server.url
+        yield engine, plane, plane.url
         plane.close()
         engine.close()
 
@@ -273,6 +238,32 @@ class TestHttpEndpoints:
         # the replay is the tail of the stream: terminal event included
         assert docs[-1]["kind"] == "finished"
 
+    def test_events_never_sends_an_event_twice(self, monkeypatch):
+        """An event landing between subscribe() and the ring snapshot is
+        in both; the stream sends it once, even when its seq is 0."""
+        engine = Engine(jobs=1)
+        plane = attach_ops(engine, ("127.0.0.1", 0))
+        subscribe = plane.fanout.subscribe
+
+        def racing_subscribe():
+            subscription = subscribe()
+            # the engine's first event, in the ring and the queue
+            plane.fanout(PhaseStarted(seq=0, phase="plan", cells=1))
+            # the next one, after the ring snapshot: queue only
+            subscription.offer(
+                PhaseStarted(seq=1, phase="execute").to_json()
+            )
+            return subscription
+
+        monkeypatch.setattr(plane.fanout, "subscribe", racing_subscribe)
+        try:
+            body = _get(plane.url + "/events?limit=2").decode()
+        finally:
+            plane.close()
+            engine.close()
+        seqs = [json.loads(line)["seq"] for line in body.splitlines()]
+        assert seqs == [0, 1]
+
     def test_healthz_and_404(self, served):
         _engine, _plane, url = served
         assert _get(url + "/healthz") == b"ok\n"
@@ -293,17 +284,15 @@ class TestHttpEndpoints:
 class TestObserverEffect:
     def test_serve_preserves_fold_bytes(self, tmp_path):
         """The pinning test every repro.ops simlint waiver names: the
-        full plane — metrics fold, ring, recorder, HTTP server, live
-        /events reader — changes nothing about the folded results."""
+        full plane — metrics fold, ring, HTTP server, live /events
+        reader — changes nothing about the folded results."""
         bare = Engine(jobs=1)
         baseline = pickle.dumps(bare.run(make_cells(8), stage="obs"))
         bare.close()
 
         observed = Engine(jobs=1, run_root=tmp_path / "runs")
-        plane = attach_ops(
-            observed, spec=("127.0.0.1", 0), signals=False
-        )
-        url = plane.server.url
+        plane = attach_ops(observed, ("127.0.0.1", 0))
+        url = plane.url
         _get(url + "/status")  # a live reader mid-run shape
         served = pickle.dumps(observed.run(make_cells(8), stage="obs"))
         _get(url + "/metrics")
@@ -324,7 +313,7 @@ class TestObserverEffect:
         serial.close()
 
         observed = Engine(jobs=2, run_root=tmp_path / "runs")
-        plane = attach_ops(observed, signals=False)
+        plane = attach_ops(observed, ("127.0.0.1", 0))
         values = observed.run(make_cells(8), stage="par")
         plane.close()
         observed.close()
@@ -406,22 +395,45 @@ class TestProfiles:
 # plane lifecycle
 # ----------------------------------------------------------------------
 class TestPlaneLifecycle:
-    def test_plane_without_server_still_records(self, tmp_path):
-        engine = Engine(jobs=1, run_root=tmp_path / "runs")
-        plane = OpsPlane(engine)
-        engine.run(make_cells(3))
-        assert len(plane.ring) > 0
-        assert plane.server is None
-        path = plane.recorder.dump("headless")
-        assert path is not None and path.parent == engine.run_dir.path
+    def test_close_is_idempotent(self):
+        engine = Engine(jobs=1)
+        plane = attach_ops(engine, ("127.0.0.1", 0))
+        plane.close()
         plane.close()
         engine.close()
 
-    def test_close_is_idempotent(self):
-        engine = Engine(jobs=1)
-        plane = attach_ops(
-            engine, spec=("127.0.0.1", 0), signals=False
-        )
-        plane.close()
-        plane.close()
+
+# ----------------------------------------------------------------------
+# python -m repro.ops attach
+# ----------------------------------------------------------------------
+class TestAttachCli:
+    @pytest.fixture()
+    def run_root(self, tmp_path):
+        engine = Engine(jobs=1, run_root=tmp_path / "runs")
+        engine.run(make_cells(5), stage="attach")
         engine.close()
+        return tmp_path / "runs"
+
+    def test_summarises_the_run(self, run_root, capsys):
+        assert ops_main(["attach", str(run_root), "--top", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "slowest cells (top 2 of 5)" in out
+        assert "record(s), valid" in out
+
+    @pytest.mark.parametrize(
+        "target, top, message",
+        [
+            ("", "-3", "--top must be at least 1"),
+            ("", "0", "--top must be at least 1"),
+            ("missing", "10", "is not a run directory"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(
+        self, run_root, capsys, target, top, message
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            ops_main(["attach", str(run_root / target), "--top", top])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
