@@ -71,7 +71,7 @@ resume-demo:
 	PYTHONPATH=src $(PYTHON) -m tests.engine_cells \
 		--run-root .demo-runs/crash --cells 8 --jobs 2 --fold-out resumed.pickle
 	cmp ref.pickle resumed.pickle
-	PYTHONPATH=src $(PYTHON) -m repro.exec.events .demo-runs/crash/run-*/events.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.exec .demo-runs/crash/run-*/events.jsonl
 	@echo "resume-demo: resumed fold is byte-identical to the clean run"
 	rm -rf .demo-runs ref.pickle resumed.pickle
 

@@ -20,8 +20,8 @@ engine metrics for exposition.
 
 :func:`validate_events` is the executable contract: tests and the CI
 ``engine-smoke`` job both call it to assert a log is a well-formed,
-monotone, parseable sequence.  ``python -m repro.exec.events LOG``
-runs the same check from the shell.
+monotone, parseable sequence.  ``python -m repro.exec LOG``
+(:mod:`repro.exec.cli`) runs the same check from the shell.
 """
 
 from __future__ import annotations
@@ -455,41 +455,6 @@ def normalize_events(
     return normalised
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.exec.events LOG [--partial] [--ring]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.exec.events",
-        description="validate an engine event log (events.jsonl)",
-    )
-    parser.add_argument("log", type=Path)
-    parser.add_argument(
-        "--partial", action="store_true",
-        help="allow the last sweep to lack a terminal event (killed run)",
-    )
-    parser.add_argument(
-        "--ring", action="store_true",
-        help="validate a tail of the stream (e.g. an /events replay): "
-             "the first sweep may be truncated at its head "
-             "(implies --partial)",
-    )
-    args = parser.parse_args(argv)
-    records = read_event_log(args.log)
-    problems = validate_events(
-        records, partial=args.partial or args.ring, ring=args.ring
-    )
-    for problem in problems:
-        print(f"INVALID: {problem}")
-    kinds: dict[str, int] = {}
-    for record in records:
-        kind = str(record.get("kind"))
-        kinds[kind] = kinds.get(kind, 0) + 1
-    summary = " ".join(f"{kind}={kinds[kind]}" for kind in sorted(kinds))
-    print(f"{args.log}: {len(records)} events ({summary})")
-    return 1 if problems else 0
-
-
 __all__ = [
     "CELL_OUTCOMES",
     "CellFinished",
@@ -504,13 +469,7 @@ __all__ = [
     "PHASE_ORDER",
     "PhaseStarted",
     "event_from_json",
-    "main",
     "normalize_events",
     "read_event_log",
     "validate_events",
 ]
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI smoke
-    import sys
-
-    sys.exit(main())

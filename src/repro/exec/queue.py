@@ -26,6 +26,7 @@ allowlist names ``repro.exec.queue``); none of it ever feeds a result.
 from __future__ import annotations
 
 import copy
+import gc
 import multiprocessing
 import os
 import pickle
@@ -69,13 +70,36 @@ def profiled_call(
     golden test normalises all of it to zero).  ``ru_maxrss`` is the
     process-lifetime peak, so on a reused worker it is an upper bound
     per cell, not an exact per-cell delta.
+
+    Memory: a simulation leaves its whole ``Machine`` graph behind as
+    cyclic garbage (schedulers, run queues, pCPU tick closures and
+    guest threads point back at each other), which the automatic
+    collector frees only when its oldest generation fills, so a
+    long-lived process that runs many cells grew its peak RSS with
+    each one.  ``gc.freeze()`` before the call moves every existing
+    object into the permanent generation, so the ``gc.collect()``
+    after it examines only what the cell allocated and frees exactly
+    the cell's unreachable garbage (DESIGN §9, "Peak RSS over
+    passes", has its cost).  A live result, a ``keep_built`` machine
+    included, is never freed: this frame's reference keeps it
+    reachable.  ``gc.unfreeze()`` runs in a ``finally``, so a raising
+    cell leaves nothing frozen.  A cell that runs its own serial sweep
+    nests this call, and the inner ``gc.unfreeze()`` thaws the outer
+    frozen set too, so the outer collection is a full one: still
+    correct, only slower.  The collection runs after the timing and
+    resource reads, so they measure the cell alone.
     """
-    before = os.times()
-    start = time.perf_counter()
-    value = fn(**copy.deepcopy(dict(kwargs)))
-    seconds = time.perf_counter() - start
-    after = os.times()
-    usage = resource.getrusage(resource.RUSAGE_SELF)
+    gc.freeze()
+    try:
+        before = os.times()
+        start = time.perf_counter()
+        value = fn(**copy.deepcopy(dict(kwargs)))
+        seconds = time.perf_counter() - start
+        after = os.times()
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        gc.collect()
+    finally:
+        gc.unfreeze()
     profile: Profile = {
         "utime_s": max(0.0, after.user - before.user),
         "stime_s": max(0.0, after.system - before.system),

@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         runner = build_runner(args)
     except ValueError as exc:  # bad --jobs / REPRO_JOBS
         parser.error(str(exc))
-    from repro.ops import attach_ops, resolve_serve_spec
+    from repro.ops.server import attach_ops, resolve_serve_spec
 
     try:
         serve_spec = resolve_serve_spec(args.serve)

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> int:
-    from repro.ops import attach_ops, resolve_serve_spec
+    from repro.ops.server import attach_ops, resolve_serve_spec
 
     # a gate over no cases would pass having checked nothing
     if args.cases < 1:

@@ -7,7 +7,11 @@ steers execution:
 
 * :mod:`repro.ops.server` — the opt-in stdlib HTTP plane
   (``/metrics``, ``/status``, ``/events``) attached with
-  ``--serve [host:]port`` or ``REPRO_SERVE``;
+  ``--serve [host:]port`` or ``REPRO_SERVE``.  This package does not
+  import it: callers take ``attach_ops`` and the serve-spec helpers
+  from :mod:`repro.ops.server` itself, so a process that builds an
+  engine but never serves loads no ``http.server``, ``ssl`` or
+  ``email`` modules;
 * :mod:`repro.ops.stream` — the fan-out sink, bounded event ring and
   drop-on-full subscriptions behind ``/events``;
 * :mod:`repro.ops.status` — the live status fold, ``/status`` and
@@ -28,14 +32,6 @@ results
 
 from repro.ops.metrics import EngineMetricsSink
 from repro.ops.profiles import read_journal, render_slowest, slowest_cells
-from repro.ops.server import (
-    DEFAULT_HOST,
-    ENV_SERVE,
-    OpsPlane,
-    attach_ops,
-    parse_serve_spec,
-    resolve_serve_spec,
-)
 from repro.ops.status import (
     STATUS_SCHEMA,
     RunStatus,
@@ -45,21 +41,15 @@ from repro.ops.status import (
 from repro.ops.stream import EventRing, FanOutSink, Subscription
 
 __all__ = [
-    "DEFAULT_HOST",
-    "ENV_SERVE",
     "EngineMetricsSink",
     "EventRing",
     "FanOutSink",
-    "OpsPlane",
     "RunStatus",
     "STATUS_SCHEMA",
     "StatusWriter",
     "Subscription",
-    "attach_ops",
-    "parse_serve_spec",
     "read_journal",
     "read_status",
     "render_slowest",
-    "resolve_serve_spec",
     "slowest_cells",
 ]

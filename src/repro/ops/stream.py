@@ -162,10 +162,6 @@ class FanOutSink:
             self._subscribers.clear()
         for subscription in subscribers:
             subscription.close()
-        for sink in self.wrapped:
-            closer = getattr(sink, "close", None)
-            if callable(closer):
-                closer()
 
 
 __all__ = [

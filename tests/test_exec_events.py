@@ -6,16 +6,19 @@ Satellites of the engine work:
   hit), normalised for wall-clock noise, pinning the JSONL schema and
   its stable field order — ``pytest --update-golden`` rewrites it;
 * unit tests for :func:`repro.exec.events.validate_events`, the same
-  helper the CI ``engine-smoke`` job runs via
-  ``python -m repro.exec.events``.
+  helper the CI ``engine-smoke`` job runs via ``python -m repro.exec``.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.exec import Engine, JsonlSink, ResultCache
+from repro.exec.cli import main as events_main
 from repro.exec.events import (
     EVENT_TYPES,
     CellFinished,
@@ -23,7 +26,6 @@ from repro.exec.events import (
     Interrupted,
     PhaseStarted,
     event_from_json,
-    main as events_main,
     normalize_events,
     read_event_log,
     validate_events,
@@ -261,6 +263,23 @@ class TestLogIo:
         assert events_main([str(broken)]) == 1
         out = capsys.readouterr().out
         assert "INVALID" in out
+
+    def test_module_entry_point_runs_clean(self, tmp_path):
+        """``python -m repro.exec`` writes only its summary: no runpy
+        warning about a module the package already imported."""
+        log = tmp_path / "events.jsonl"
+        log.write_text(
+            "\n".join(_dump(e) for e in _minimal_sweep(2)) + "\n", "utf-8"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.exec", str(log)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert done.stdout.startswith(f"{log}: ")
 
     def test_normalize_strips_noise_only(self):
         records = [{

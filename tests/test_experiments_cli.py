@@ -77,7 +77,7 @@ class TestCliEngineSummary:
             raise AssertionError("ops plane attached without --serve")
 
         monkeypatch.delenv("REPRO_SERVE", raising=False)
-        monkeypatch.setattr("repro.ops.attach_ops", no_plane)
+        monkeypatch.setattr("repro.ops.server.attach_ops", no_plane)
         runs = tmp_path / "runs"
         assert main(["fig3", "--no-cache", "--run-dir", str(runs)]) == 0
         [run_dir] = [d for d in runs.iterdir() if d.is_dir()]

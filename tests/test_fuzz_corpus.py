@@ -209,7 +209,7 @@ class TestCli:
             raise AssertionError("ops plane attached without --serve")
 
         monkeypatch.delenv("REPRO_SERVE", raising=False)
-        monkeypatch.setattr("repro.ops.attach_ops", no_plane)
+        monkeypatch.setattr("repro.ops.server.attach_ops", no_plane)
         runs = tmp_path / "runs"
         assert main([
             "run", "--cases", "1", "--quiet", "--run-dir", str(runs),
