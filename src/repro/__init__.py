@@ -33,26 +33,49 @@ Quickstart::
     print(app.result())
 """
 
-from repro.core.aql import AqlScheduler
-from repro.core.calibration import PAPER_BEST_QUANTA, run_calibration
-from repro.core.types import VCpuType
-from repro.core.vtrs import VTRS
-from repro.hardware.specs import i7_3770, xeon_e5_4603
-from repro.hypervisor.machine import Machine
-from repro.workloads.suites import APP_CATALOG, make_app
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.core.aql import AqlScheduler
+    from repro.core.calibration import PAPER_BEST_QUANTA, run_calibration
+    from repro.core.types import VCpuType
+    from repro.core.vtrs import VTRS
+    from repro.hardware.specs import i7_3770, xeon_e5_4603
+    from repro.hypervisor.machine import Machine
+    from repro.workloads.suites import APP_CATALOG, make_app
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Machine",
-    "AqlScheduler",
-    "VTRS",
-    "VCpuType",
-    "PAPER_BEST_QUANTA",
-    "run_calibration",
-    "APP_CATALOG",
-    "make_app",
-    "i7_3770",
-    "xeon_e5_4603",
-    "__version__",
-]
+#: where each re-export lives; resolved on first attribute access
+#: (PEP 562), so ``import repro.exec`` or ``repro.analysis`` does not
+#: load the simulator
+_EXPORTS = {
+    "Machine": "repro.hypervisor.machine",
+    "AqlScheduler": "repro.core.aql",
+    "VTRS": "repro.core.vtrs",
+    "VCpuType": "repro.core.types",
+    "PAPER_BEST_QUANTA": "repro.core.calibration",
+    "run_calibration": "repro.core.calibration",
+    "APP_CATALOG": "repro.workloads.suites",
+    "make_app": "repro.workloads.suites",
+    "i7_3770": "repro.hardware.specs",
+    "xeon_e5_4603": "repro.hardware.specs",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

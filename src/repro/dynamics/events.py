@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.core.types import VCpuType
 from repro.sim.units import MS
 
@@ -198,7 +196,9 @@ def random_timeline(
     """
     if pcpus < 2:
         raise ValueError("need at least two pCPUs to inject faults safely")
-    rng = np.random.default_rng(seed)
+    from numpy.random import default_rng
+
+    rng = default_rng(seed)
     alive: dict[str, str] = dict(base_vms)
     offline: list[int] = []
     booted = 0

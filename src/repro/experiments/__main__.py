@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         runner = build_runner(args)
     except ValueError as exc:  # bad --jobs / REPRO_JOBS
         parser.error(str(exc))
-    from repro.ops.server import attach_ops, resolve_serve_spec
+    from repro.ops import resolve_serve_spec
 
     try:
         serve_spec = resolve_serve_spec(args.serve)
@@ -191,6 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     # record (events.jsonl, status.json) without it
     plane = None
     if serve_spec is not None:
+        from repro.ops.server import attach_ops
+
         plane = attach_ops(runner.engine, serve_spec)
         # stderr: stdout stays byte-identical with/without --serve
         print(f"[ops] serving at {plane.url}", file=sys.stderr)

@@ -12,9 +12,7 @@ latency/spin classes win wherever they appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.baselines import AqlPolicy, XenCredit
 from repro.core.types import VCpuType
@@ -24,6 +22,9 @@ from repro.experiments.runner import ScenarioRun, run_scenario
 from repro.experiments.scenarios import AppPlacement, Scenario
 from repro.metrics.tables import ResultTable
 from repro.sim.units import SEC
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: draw pool: one representative per class, plus alternates
 _CLASS_APPS: dict[VCpuType, tuple[str, ...]] = {
@@ -84,7 +85,9 @@ class RandomMixResult:
 def _draw_mixes(mixes: int, seed: int) -> list[Scenario]:
     # drawing is cheap and sequential (each draw advances the rng);
     # only the simulations fan out
-    rng = np.random.default_rng(seed)
+    from numpy.random import default_rng
+
+    rng = default_rng(seed)
     return [draw_mix(rng) for _ in range(mixes)]
 
 

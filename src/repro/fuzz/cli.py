@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> int:
-    from repro.ops.server import attach_ops, resolve_serve_spec
+    from repro.ops import resolve_serve_spec
 
     # a gate over no cases would pass having checked nothing
     if args.cases < 1:
@@ -110,6 +110,8 @@ def _cmd_run(
         parser.error(str(exc))
     plane = None
     if serve_spec is not None:
+        from repro.ops.server import attach_ops
+
         plane = attach_ops(runner.engine, serve_spec)
         print(f"[ops] serving at {plane.url}", file=sys.stderr)
     try:

@@ -26,9 +26,7 @@ scenario.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.dynamics.events import (
     MODES,
@@ -45,6 +43,9 @@ from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.scenario import POLICY_NAMES, FuzzScenario
 from repro.sim.units import MS
 
+if TYPE_CHECKING:
+    from numpy.random import Generator
+
 #: timeline pacing — spaced around the AQL decide period (120 ms) so
 #: the control plane gets to react between events, small enough that a
 #: full run stays well under two simulated seconds
@@ -54,13 +55,15 @@ MAX_SPACING_NS = 250 * MS
 
 
 def _weighted_choice(
-    rng: np.random.Generator,
+    rng: Generator,
     options: Sequence[str],
     coverage: Optional[CoverageMap],
     prefix: str,
 ) -> str:
     if coverage is None or len(options) == 1:
         return options[int(rng.integers(len(options)))]
+    import numpy as np
+
     weights = np.array(
         [coverage.weight(f"{prefix}:{option}") for option in options]
     )
@@ -80,7 +83,9 @@ def generate_scenario(
     inject: Optional[str] = None,
 ) -> FuzzScenario:
     """Draw one valid scenario; deterministic in (seed, coverage)."""
-    rng = np.random.default_rng(seed)
+    from numpy.random import default_rng
+
+    rng = default_rng(seed)
     pcpus = int(pcpu_choices[int(rng.integers(len(pcpu_choices)))])
     policy = _weighted_choice(rng, list(policies), coverage, "policy")
 

@@ -21,15 +21,14 @@ subscription drops, the handler thread dies).  The serial ≡ parallel ≡
 cached fold equivalence holds verbatim with the server on — pinned by
 ``tests/test_ops_plane.py::test_serve_preserves_fold_bytes``.
 
-Wall-clock/env note: the ``REPRO_SERVE`` read and the server's socket
-machinery are host-side plumbing; the single environment read carries
-a simlint waiver naming that pinning test.
+The serve spec (``--serve`` / ``REPRO_SERVE``) is parsed by
+:func:`repro.ops.resolve_serve_spec`, which does not import this
+module: a caller imports :func:`attach_ops` only once a spec resolved.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Optional
@@ -40,45 +39,6 @@ from repro.ops.stream import EventRing, FanOutSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.engine import Engine
-
-ENV_SERVE = "REPRO_SERVE"
-
-#: host used when ``--serve PORT`` omits one — never a public bind by
-#: accident
-DEFAULT_HOST = "127.0.0.1"
-
-
-def parse_serve_spec(spec: str) -> tuple[str, int]:
-    """``"[host:]port"`` → ``(host, port)``; port 0 asks the OS."""
-    text = spec.strip()
-    host, sep, port_text = text.rpartition(":")
-    if not sep:
-        host, port_text = DEFAULT_HOST, text
-    if not host:
-        host = DEFAULT_HOST
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise ValueError(
-            f"serve spec must be [host:]port, got {spec!r}"
-        ) from exc
-    if not 0 <= port <= 65535:
-        raise ValueError(f"serve port out of range: {port}")
-    return host, port
-
-
-def resolve_serve_spec(
-    spec: Optional[str] = None,
-) -> Optional[tuple[str, int]]:
-    """Explicit ``--serve`` argument > ``REPRO_SERVE`` > no server."""
-    if spec is not None:
-        return parse_serve_spec(spec)
-    # Whether an observation endpoint exists is operational plumbing;
-    # it cannot change a result byte (pinned by
-    # tests/test_ops_plane.py::test_serve_preserves_fold_bytes).
-    env = os.environ.get(ENV_SERVE, "").strip()  # simlint: disable=SIM008
-    return parse_serve_spec(env) if env else None
-
 
 class OpsHTTPServer(ThreadingHTTPServer):
     """Threading server with a back-pointer to its ops plane."""
@@ -267,11 +227,7 @@ def attach_ops(engine: "Engine", spec: tuple[str, int]) -> OpsPlane:
 
 
 __all__ = [
-    "DEFAULT_HOST",
-    "ENV_SERVE",
     "OpsHTTPServer",
     "OpsPlane",
     "attach_ops",
-    "parse_serve_spec",
-    "resolve_serve_spec",
 ]

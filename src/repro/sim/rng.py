@@ -5,13 +5,19 @@ burst-length draw, ...) gets its *own* ``numpy`` generator derived from
 the experiment seed and a stable string name.  This way adding a new
 component never perturbs the streams of existing ones, and two runs with
 the same seed are identical regardless of event interleaving.
+
+``numpy`` is imported by :meth:`RngFactory.stream`, not by this module:
+a process loads it on its first draw, and a run that draws nothing
+(CPU hogs only, an engine sweep, the analysis and ops tools) never does.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RngFactory:
@@ -30,7 +36,9 @@ class RngFactory:
         """
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
         child_seed = int.from_bytes(digest[:8], "little")
-        return np.random.default_rng(child_seed)
+        from numpy.random import default_rng
+
+        return default_rng(child_seed)
 
     def child(self, name: str) -> "RngFactory":
         """Derive a sub-factory, for components that own sub-components."""

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional
 
-import numpy as np
-
 from repro.guest.phases import Compute, Phase, WaitEvent
 from repro.guest.thread import GuestThread
 from repro.hardware.cache import MemoryProfile
@@ -189,6 +187,8 @@ class IoWorkload(Workload):
         window = self.latencies_ns[self._window_start_index:]
         if not window:
             raise RuntimeError(f"{self.name}: no requests completed in window")
+        import numpy as np
+
         mean_latency = float(np.mean(window))
         p99 = float(np.percentile(window, 99))
         throughput = len(window) / max(1, self.now - self._window_start_ns)

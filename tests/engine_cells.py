@@ -162,7 +162,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     engine = Engine(jobs=args.jobs, run_root=args.run_root)
     plane = None
     if args.serve is not None:
-        from repro.ops.server import attach_ops, parse_serve_spec
+        from repro.ops import parse_serve_spec
+        from repro.ops.server import attach_ops
 
         plane = attach_ops(engine, parse_serve_spec(args.serve))
         print(f"[ops] serving at {plane.url}", file=sys.stderr)

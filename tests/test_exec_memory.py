@@ -9,8 +9,13 @@ Two wastes of a long-lived sweep process are pinned here:
   that holds a live machine (``keep_built=True``) stays usable, and a
   cell that nests its own serial sweep folds to the same results;
 * ``repro.ops`` keeps its HTTP server out of the package import, so a
-  process that runs a sweep with a run directory but never serves
-  loads no ``http.server``, ``ssl`` or ``email`` modules.
+  process that runs a sweep with a run directory, a fuzz campaign or an
+  experiment family but never serves loads no ``http.server``, ``ssl``
+  or ``email`` modules;
+* ``numpy`` loads on a process's first random draw, and the package
+  root resolves its re-exports on first access, so the analysis, exec
+  and ops layers load neither numpy nor the simulator, and a run that
+  draws nothing (CPU hogs only) never loads numpy.
 """
 
 import gc
@@ -100,36 +105,122 @@ class TestCellGarbage:
 SERVER_MODULES = ("http.server", "ssl", "email")
 
 SWEEP_WITH_RUN_DIR = """
-import sys, tempfile
+import tempfile
 from repro.exec import Cell, SweepRunner
 with tempfile.TemporaryDirectory() as root:
     assert SweepRunner(jobs=1, run_root=root).run(
         [Cell(dict, dict(x=1))]
     ) == [dict(x=1)]
-print(" ".join(m for m in {mods!r} if m in sys.modules))
 """
 
 
-def _loaded(code: str) -> set[str]:
+def _loaded(code: str, cwd: Path = REPO_ROOT) -> set[str]:
+    """Run ``code`` in a fresh interpreter; the words its last line prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_SERVE", None)
     out = subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True,
-        text=True, env=env, cwd=REPO_ROOT, timeout=60,
+        text=True, env=env, cwd=cwd, timeout=120,
     ).stdout
-    return set(out.split())
+    return set(out.splitlines()[-1].split()) if out.strip() else set()
+
+
+def _report(mods) -> str:
+    """Code printing which of ``mods`` the process has loaded."""
+    return (
+        "import sys; "
+        f"print(' '.join(m for m in {tuple(mods)!r} if m in sys.modules))"
+    )
 
 
 class TestServerStaysUnloaded:
     def test_sweep_with_run_dir_loads_no_http_plane(self):
-        code = SWEEP_WITH_RUN_DIR.format(mods=SERVER_MODULES)
-        assert _loaded(code) == set()
+        assert _loaded(SWEEP_WITH_RUN_DIR + _report(SERVER_MODULES)) == set()
 
     def test_importing_the_server_loads_it(self):
-        code = (
-            "import sys, repro.ops.server; "
-            f"print(' '.join(m for m in {SERVER_MODULES!r} "
-            "if m in sys.modules))"
-        )
+        code = "import repro.ops.server\n" + _report(SERVER_MODULES)
         assert _loaded(code) == set(SERVER_MODULES)
+
+    def test_fuzz_run_without_serve_loads_no_http_plane(self, tmp_path):
+        code = (
+            "from repro.fuzz.cli import main\n"
+            "assert main(['run', '--cases', '1', '--quiet']) == 0\n"
+            + _report(SERVER_MODULES)
+        )
+        assert _loaded(code, cwd=tmp_path) == set()
+
+    def test_experiment_run_without_serve_loads_no_http_plane(self, tmp_path):
+        code = (
+            "from repro.experiments.__main__ import main\n"
+            "assert main(['fig3', '--fast', '--no-cache', '--quiet']) == 0\n"
+            + _report(SERVER_MODULES)
+        )
+        assert _loaded(code, cwd=tmp_path) == set()
+
+
+SIMULATOR_MODULES = ("numpy", "repro.hypervisor")
+
+#: eight single-vCPU CPU hogs on two pCPUs at a 1 ms quantum: no
+#: workload in it draws a random number
+HOGS_ONLY_RUN = """
+from repro.guest.phases import Compute
+from repro.guest.thread import GuestThread
+from repro.hypervisor.machine import Machine
+from repro.sim.units import MS
+
+def hog(thread):
+    while True:
+        yield Compute(5_000_000)
+
+machine = Machine(seed=3, default_quantum_ns=1 * MS)
+pool = machine.create_pool("p", machine.topology.pcpus[:2], 1 * MS)
+for i in range(8):
+    vm = machine.new_vm(f"cpu{i}", 1, weight=256, pool=pool)
+    vm.guest.add_thread(GuestThread(f"t{i}", hog))
+machine.run(50 * MS)
+assert machine.sim.events_fired > 0
+"""
+
+IO_RUN = """
+from repro import Machine, make_app
+from repro.sim.units import MS
+
+machine = Machine(seed=3)
+vm = machine.new_vm("web", 1)
+app = make_app("specweb2009", machine.spec).install(machine, vm)
+machine.run(50 * MS)
+app.begin_measurement()
+machine.run(100 * MS)
+assert app.result().value > 0
+"""
+
+
+class TestImportBoundary:
+    def test_tool_layers_load_neither_numpy_nor_the_simulator(self):
+        code = "import repro.analysis, repro.exec, repro.ops\n" + _report(
+            SIMULATOR_MODULES
+        )
+        assert _loaded(code) == set()
+
+    def test_hogs_only_run_loads_no_numpy(self):
+        assert _loaded(HOGS_ONLY_RUN + _report(["numpy"])) == set()
+
+    def test_io_run_loads_numpy(self):
+        assert _loaded(IO_RUN + _report(["numpy"])) == {"numpy"}
+
+    def test_package_root_resolves_exports_on_access(self):
+        code = (
+            "import sys, repro\n"
+            "assert set(repro.__all__) <= set(dir(repro))\n"
+            "assert 'repro.hypervisor' not in sys.modules\n"
+            "try:\n"
+            "    repro.NoSuchName\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('repro.NoSuchName resolved')\n"
+            "from repro.hypervisor.machine import Machine\n"
+            "assert repro.Machine is Machine\n"
+        )
+        assert _loaded(code) == set()

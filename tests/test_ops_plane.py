@@ -27,15 +27,13 @@ from repro.exec.queue import fork_available
 from repro.ops import (
     EventRing,
     FanOutSink,
+    parse_serve_spec,
     render_slowest,
+    resolve_serve_spec,
     slowest_cells,
 )
 from repro.ops.cli import main as ops_main
-from repro.ops.server import (
-    attach_ops,
-    parse_serve_spec,
-    resolve_serve_spec,
-)
+from repro.ops.server import attach_ops
 from repro.ops.status import read_status
 
 from tests.engine_cells import make_cells, make_suicide_cells
