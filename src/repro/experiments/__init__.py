@@ -15,19 +15,43 @@ Run any of them from the command line::
 See DESIGN.md's per-experiment index for the mapping to paper figures.
 """
 
-from repro.experiments.runner import ScenarioRun, run_scenario
-from repro.experiments.scenarios import (
-    FIG3_POPULATION,
-    SCENARIOS,
-    AppPlacement,
-    Scenario,
-)
+from __future__ import annotations
 
-__all__ = [
-    "AppPlacement",
-    "Scenario",
-    "SCENARIOS",
-    "FIG3_POPULATION",
-    "ScenarioRun",
-    "run_scenario",
-]
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ScenarioRun, run_scenario
+    from repro.experiments.scenarios import (
+        FIG3_POPULATION,
+        SCENARIOS,
+        AppPlacement,
+        Scenario,
+    )
+
+#: where each re-export lives; resolved on first attribute access
+#: (PEP 562), so ``python -m repro.experiments list`` does not load the
+#: simulator
+_EXPORTS = {
+    "AppPlacement": "repro.experiments.scenarios",
+    "Scenario": "repro.experiments.scenarios",
+    "SCENARIOS": "repro.experiments.scenarios",
+    "FIG3_POPULATION": "repro.experiments.scenarios",
+    "ScenarioRun": "repro.experiments.runner",
+    "run_scenario": "repro.experiments.runner",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

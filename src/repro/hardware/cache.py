@@ -71,10 +71,18 @@ class SharedCache:
     Actors are hashable handles told apart by identity (the simulator
     uses guest thread objects).  Occupancies are floats in bytes; the invariant
     ``sum(occupancy) <= capacity`` always holds.
+
+    The occupancy table is two parallel lists in insertion order,
+    ``_keys`` and ``_values``, plus ``_index`` mapping each actor to its
+    position.  An evicting actor is taken out of the lists so that they
+    hold exactly its victims, :func:`_evict` works on them in place,
+    and the actor goes back where it was (a new one last).  The index is
+    rebuilt only when an actor leaves.
     """
 
     __slots__ = (
-        "capacity_bytes", "line_bytes", "reuse_exponent", "_occupancy", "_total",
+        "capacity_bytes", "line_bytes", "reuse_exponent",
+        "_keys", "_values", "_index", "_total",
     )
 
     def __init__(
@@ -94,14 +102,17 @@ class SharedCache:
         #: disproportionate share of hits (p_hit = resident_fraction **
         #: reuse_exponent).  1.0 recovers the uniform-access model.
         self.reuse_exponent = reuse_exponent
-        self._occupancy: dict[Hashable, float] = {}
+        self._keys: list[Hashable] = []
+        self._values: list[float] = []
+        self._index: dict[Hashable, int] = {}
         self._total = 0.0
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def occupancy_of(self, actor: Hashable) -> float:
-        return self._occupancy.get(actor, 0.0)
+        pos = self._index.get(actor)
+        return 0.0 if pos is None else self._values[pos]
 
     @property
     def total_occupancy(self) -> float:
@@ -112,7 +123,11 @@ class SharedCache:
         return max(0.0, self.capacity_bytes - self._total)
 
     def actors(self) -> list[Hashable]:
-        return list(self._occupancy)
+        return list(self._keys)
+
+    def items(self) -> list[tuple[Hashable, float]]:
+        """``(actor, resident bytes)`` pairs in insertion order."""
+        return list(zip(self._keys, self._values))
 
     def hit_probability(self, actor: Hashable, wss_bytes: int) -> float:
         """P(reference hits), concave in the resident fraction."""
@@ -137,51 +152,86 @@ class SharedCache:
         if nbytes <= 0:
             return
         target = min(float(wss_bytes), self.capacity_bytes)
-        occupancy = self._occupancy.get(actor, 0.0)
+        pos = self._index.get(actor)
+        occupancy = 0.0 if pos is None else self._values[pos]
         grow = min(nbytes, max(0.0, target - occupancy))
         churn = max(0.0, nbytes - grow)
+        dead: list[Hashable] = []
+        self._take_out(pos)
         if grow > 0:
             from_free = min(grow, self.free_bytes)
             need = grow - from_free
             if need > 0:
-                self._evict_from_others(actor, need)
-            self._occupancy[actor] = occupancy + grow
+                self._total = _evict(
+                    self._keys, self._values, dead, need, self._total
+                )
+            occupancy += grow
             self._total += grow
         if churn > 0:
             # A working set larger than the cache re-fetches its own
             # lines; a fraction of those fills still displace other
             # actors' lines (set-conflict pressure).
-            others = self._total - self._occupancy.get(actor, 0.0)
+            others = self._total - occupancy
             if others > 0:
                 pressure = min(others, churn * (others / self.capacity_bytes))
                 # The displaced space stays free until someone misses.
-                self._evict_from_others(actor, pressure)
+                self._total = _evict(
+                    self._keys, self._values, dead, pressure, self._total
+                )
+        self._put_back(actor, pos, occupancy, grow > 0, dead)
 
-    def _evict_from_others(self, actor: Hashable, amount: float) -> None:
-        """Evict up to ``amount`` bytes from everyone but ``actor``."""
-        keys, values = self._victims(actor)
-        dead: list[Hashable] = []
-        self._total = _evict(keys, values, dead, amount, self._total)
-        self._write_back(keys, values, dead)
+    def _take_out(self, pos: int | None) -> None:
+        """Remove the actor at ``pos`` so the lists hold only its victims.
 
-    def _victims(self, actor: Hashable) -> tuple[list[Hashable], list[float]]:
-        """Everyone but ``actor`` as parallel key/value lists, in dict order."""
-        occupancy = self._occupancy
-        keys = [a for a in occupancy if a is not actor]
-        return keys, list(map(occupancy.__getitem__, keys))
+        ``pos`` is the actor's index entry, ``None`` for an actor that
+        holds nothing yet.  The index is left as it was until
+        :meth:`_put_back`.
+        """
+        if pos is not None:
+            del self._keys[pos]
+            del self._values[pos]
 
-    def _write_back(
-        self, keys: list[Hashable], values: list[float], dead: list[Hashable]
+    def _put_back(
+        self,
+        actor: Hashable,
+        pos: int | None,
+        occupancy: float,
+        grown: bool,
+        dead: list[Hashable],
     ) -> None:
-        """Store a victim snapshot back, keeping the dict's key order."""
-        occupancy = self._occupancy
-        for key in dead:
-            del occupancy[key]
-        occupancy.update(zip(keys, values))
+        """Return ``actor`` with ``occupancy`` bytes after :meth:`_take_out`.
+
+        It goes back to ``pos`` less the ``dead`` victims that stood
+        ahead of it, which keeps the table's order.  A new actor
+        (``pos`` is ``None``) is appended last if it grew, as a dict
+        insertion would.  The index is rebuilt if anyone died.
+        """
+        keys = self._keys
+        if pos is not None:
+            if dead:
+                index = self._index
+                pos -= sum(1 for key in dead if index[key] < pos)
+            keys.insert(pos, actor)
+            self._values.insert(pos, occupancy)
+        elif grown:
+            self._index[actor] = len(keys)
+            keys.append(actor)
+            self._values.append(occupancy)
+        if dead:
+            self._reindex()
+
+    def _reindex(self) -> None:
+        self._index = {key: i for i, key in enumerate(self._keys)}
 
     def evict_actor(self, actor: Hashable) -> float:
         """Remove all of ``actor``'s lines (e.g. after socket migration)."""
-        occupancy = self._occupancy.pop(actor, 0.0)
+        pos = self._index.get(actor)
+        if pos is None:
+            occupancy = 0.0
+        else:
+            occupancy = self._values[pos]
+            self._take_out(pos)
+            self._reindex()
         self._total -= occupancy
         if self._total < 0:
             self._total = 0.0
@@ -189,7 +239,9 @@ class SharedCache:
 
     def flush(self) -> None:
         """Empty the whole cache."""
-        self._occupancy.clear()
+        self._keys.clear()
+        self._values.clear()
+        self._index.clear()
         self._total = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -209,10 +261,12 @@ def _evict(
 ) -> float:
     """Evict up to ``amount`` bytes from the victims, proportionally.
 
-    ``keys``/``values`` are parallel lists of the victims and their
-    occupancies in the occupancy dict's order; they are updated in
-    place, and a victim left with less than ``_EPSILON_BYTES`` moves to
-    ``dead``.  Returns the cache total after the eviction.
+    ``keys``/``values`` are the cache's own occupancy lists with the
+    evicting actor taken out (:meth:`SharedCache._take_out`), so they
+    hold exactly its victims in insertion order.  They are updated in
+    place: a victim left with less than ``_EPSILON_BYTES`` is dropped
+    from both and moves to ``dead``, and the survivors keep their
+    order.  Returns the cache total after the eviction.
     """
     others_total = sum(values)
     if others_total <= 0:
@@ -267,16 +321,19 @@ def integrate_duration(
     This is the hottest arithmetic in the whole simulator (it runs at
     every segment boundary), so it is one fused kernel: the hit
     probability, the instruction cost and :meth:`SharedCache.insert` are
-    inlined, the actor's occupancy and the cache total live in locals,
-    and the other actors are snapshotted into victim lists on the first
-    eviction and written back once at the end.  The results are
-    bit-for-bit those of calling ``insert`` every sub-step: the float
-    operations and their order are unchanged, ``min``/``max`` become
-    conditionals that keep their first-winner semantics, the victims'
-    total is still ``sum()`` in dict order, and the write-back keeps
-    the dict's key order.  The hit probability, instruction cost and
-    the sub-step's instructions/refs/misses depend only on the actor's
-    occupancy, so they are recomputed only when a sub-step grew it.
+    inlined, and the actor's occupancy and the cache total live in
+    locals.  Once the segment leaves the closed form below, the actor
+    is taken out of the cache's occupancy lists, :func:`_evict` works on
+    the lists themselves (no victim copy), and the actor goes back in
+    at its position at the end, less any dead victims ahead of it (a
+    new actor last).  The results are bit-for-bit those of calling
+    ``insert`` every sub-step: the float operations and their order are
+    unchanged, ``min``/``max`` become conditionals that keep their
+    first-winner semantics, the victims' total is still ``sum()`` in
+    insertion order, and the actors keep that order.  The hit
+    probability, instruction cost and the sub-step's
+    instructions/refs/misses depend only on the actor's occupancy, so
+    they are recomputed only when a sub-step grew it.
 
     A segment whose first sub-step misses nothing (no working set, no
     LLC references, or a working set fully resident) cannot grow the
@@ -294,9 +351,9 @@ def integrate_duration(
     ref_rate = profile.llc_ref_rate
     base_cpi = profile.base_cpi_ns
     exponent = cache.reuse_exponent
-    occupancy = cache._occupancy
     fwss = float(wss)
-    own = occupancy.get(actor, 0.0)
+    pos = cache._index.get(actor)
+    own = 0.0 if pos is None else cache._values[pos]
     # the first sub-step's arithmetic; only ``own`` feeds it
     if wss <= 0:
         p_hit = 1.0
@@ -322,8 +379,9 @@ def integrate_duration(
     target = capacity if capacity < fwss else fwss
     total = cache._total
     grown = False
-    keys: list[Hashable] | None = None
-    values: list[float] = []
+    cache._take_out(pos)
+    keys = cache._keys
+    values = cache._values
     dead: list[Hashable] = []
     instructions_total = 0.0
     refs_total = 0.0
@@ -363,8 +421,6 @@ def integrate_duration(
                     free = 0.0
                 need = grow - (free if free < grow else grow)
                 if need > 0:
-                    if keys is None:
-                        keys, values = cache._victims(actor)
                     total = _evict(keys, values, dead, need, total)
                 own = own + grow
                 total += grow
@@ -375,17 +431,12 @@ def integrate_duration(
                     pressure = churn * (others / capacity)
                     if not pressure < others:
                         pressure = others
-                    if keys is None:
-                        keys, values = cache._victims(actor)
                     total = _evict(keys, values, dead, pressure, total)
         instructions_total += instructions
         refs_total += refs
         misses_total += misses
         elapsed_total += dt
-    if keys is not None:
-        cache._write_back(keys, values, dead)
-    if grown:
-        occupancy[actor] = own
+    cache._put_back(actor, pos, own, grown, dead)
     cache._total = total
     return SegmentResult(instructions_total, refs_total, misses_total, elapsed_total)
 
@@ -408,7 +459,9 @@ def estimate_duration_ns(
     if wss <= 0:
         p_hit = 1.0
     else:
-        fraction = min(1.0, cache._occupancy.get(actor, 0.0) / float(wss))
+        pos = cache._index.get(actor)
+        own = 0.0 if pos is None else cache._values[pos]
+        fraction = min(1.0, own / float(wss))
         p_hit = fraction ** cache.reuse_exponent
     return instructions * (
         profile.base_cpi_ns

@@ -196,7 +196,7 @@ class OpsPlane:
         self.status = engine.status
         self.metrics = EngineMetricsSink(health=engine.worker_health)
         self.ring = EventRing()
-        self.fanout = FanOutSink(wrapped=[self.metrics], ring=self.ring)
+        self.fanout = FanOutSink(self.metrics, ring=self.ring)
         engine.add_sink(self.fanout)
         self.closing = threading.Event()
         self._thread = threading.Thread(

@@ -4,7 +4,7 @@ The ops plane observes a running :class:`~repro.exec.engine.Engine`
 through one extra sink — :class:`FanOutSink` — which does three things
 per event, all O(1):
 
-* forward to the sinks it wraps (the metrics fold);
+* forward to the sink it wraps (the metrics fold);
 * push the event's JSON form into an :class:`EventRing` (the bounded
   memory of "what just happened" that ``/events`` replays);
 * offer the JSON form to every live :class:`Subscription` (an
@@ -27,7 +27,7 @@ from __future__ import annotations
 import queue
 import threading
 from collections import deque
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.exec.events import Event, EventSink
 
@@ -108,26 +108,26 @@ class Subscription:
 
 
 class FanOutSink:
-    """One engine sink feeding wrapped sinks, the ring and subscribers.
+    """One engine sink feeding a wrapped sink, the ring and subscribers.
 
     Serialisation (``event.to_json()``) happens once per event; the
-    wrapped sinks still receive the typed event, so existing sinks
-    (the metrics fold) plug in unchanged.
+    wrapped sink still receives the typed event, so an existing sink
+    (the metrics fold) plugs in unchanged.
     """
 
     def __init__(
         self,
-        wrapped: Sequence[EventSink] = (),
+        sink: Optional[EventSink] = None,
         ring: Optional[EventRing] = None,
     ) -> None:
-        self.wrapped = list(wrapped)
+        self.sink = sink
         self.ring = ring
         self._lock = threading.Lock()
         self._subscribers: list[Subscription] = []
 
     def __call__(self, event: Event) -> None:
-        for sink in self.wrapped:
-            sink(event)
+        if self.sink is not None:
+            self.sink(event)
         doc = event.to_json()
         if self.ring is not None:
             self.ring.push(doc)

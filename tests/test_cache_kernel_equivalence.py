@@ -1,20 +1,24 @@
 """Differential equivalence: the fused LLC kernel vs the sub-step loop.
 
 :func:`repro.hardware.cache.integrate_duration` is one fused kernel: the
-other actors are snapshotted into victim lists on the first eviction,
-the actor's occupancy and the cache total live in locals, and the
-occupancy dict is written back once at the end.  It must be
-*bit-identical* to the straightforward model it replaced, kept below
-as the reference: a loop that calls ``insert`` every sub-step, where
-every eviction rebuilds its victims from the dict.
+actor's occupancy and the cache total live in locals, and the actor is
+taken out of the cache's occupancy lists so that eviction works on
+them in place, then put back at its position (less the dead victims
+ahead of it; a new actor last).  It must be *bit-identical* to the
+straightforward model it replaced, kept below as the reference: a loop
+that calls ``insert`` every sub-step on a dict, where every eviction
+rebuilds its victims from the dict.
 
 Hypothesis drives both through the same call sequences (integrations
 with every memory-profile corner, raw inserts, ``evict_actor``) on
 caches shared by several actors, and every ``SegmentResult`` field,
-the occupancy dict's items *in order* and the running total must
-compare ``==`` after every call.  Directed cases pin that the epsilon
-deletion, full-cache and churn paths are really exercised, and a drift
-check holds the running total to the sum of the occupancies.  The
+the occupancy items *in order*, every actor's ``occupancy_of`` (read
+through the position map) and the running total must compare ``==``
+after every call.  Directed cases pin that the epsilon deletion,
+full-cache and churn paths are really exercised, that the order is
+kept when a victim ahead of the actor dies, after ``evict_actor`` and
+after ``flush``, and a drift check holds the running total to the sum
+of the occupancies.  The
 kernel recomputes its per-sub-step arithmetic only after a sub-step
 grew the actor; directed cases pin both ways a sub-step reuses it (no
 LLC traffic, an actor at its target) against the same reference.  A
@@ -176,8 +180,10 @@ def make_pair(capacity, exponent):
 
 
 def assert_same_state(fast: SharedCache, ref: ReferenceCache) -> None:
-    assert list(fast._occupancy.items()) == list(ref._occupancy.items())
-    assert fast._total == ref._total
+    assert fast.items() == list(ref._occupancy.items())
+    assert fast.total_occupancy == ref._total
+    for actor in {*ACTORS, *ref._occupancy}:
+        assert fast.occupancy_of(actor) == ref._occupancy.get(actor, 0.0)
 
 
 def assert_same_segment(got: SegmentResult, want: SegmentResult) -> None:
@@ -327,7 +333,7 @@ def test_epsilon_deletion_mid_pass(evictions):
     profile = MemoryProfile(wss_bytes=32 * KB, llc_ref_rate=0.01)
     apply(fast, ref, ("integrate", "e", profile, 1e6, 8))
     assert (["a", "b", "c"], ["b"]) in evictions
-    assert list(fast._occupancy) == ["a", "c", "e"]
+    assert fast.actors() == ["a", "c", "e"]
 
 
 def test_insert_epsilon_deletion_mid_pass(evictions):
@@ -336,7 +342,7 @@ def test_insert_epsilon_deletion_mid_pass(evictions):
         apply(fast, ref, ("insert", actor, nbytes, 4096))
     apply(fast, ref, ("insert", "e", 594.5 + 1400.0, 4096))
     assert evictions == [(["a", "b", "c"], ["b"])]
-    assert list(fast._occupancy) == ["a", "c", "e"]
+    assert fast.actors() == ["a", "c", "e"]
 
 
 def test_growth_into_a_full_cache(evictions):
@@ -348,7 +354,82 @@ def test_growth_into_a_full_cache(evictions):
     profile = MemoryProfile(wss_bytes=512 * KB, llc_ref_rate=0.01)
     apply(fast, ref, ("integrate", "z", profile, 2e5, 8))
     assert len(evictions) == 8
-    assert list(fast._occupancy) == ["x", "y", "z"]
+    assert fast.actors() == ["x", "y", "z"]
+
+
+# ----------------------------------------------------------------------
+# the occupancy order: the actor is taken out of the lists while it
+# evicts and put back at its position, less the dead victims ahead of it
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["integrate", "insert"])
+def test_mid_actor_killing_a_victim_ahead_keeps_the_order(evictions, kind):
+    """``c`` sits third; its fills kill ``b`` (second), so it goes back
+    in at index 1 instead of 2, ahead of ``d``."""
+    fast, ref = make_pair(64 * KB, 0.5)
+    for actor, nbytes in (("a", 30 * KB), ("b", 1.5), ("c", 4 * KB), ("d", 30 * KB)):
+        apply(fast, ref, ("insert", actor, nbytes, 64 * KB))
+    assert fast.actors() == ["a", "b", "c", "d"]
+    if kind == "integrate":
+        profile = MemoryProfile(wss_bytes=32 * KB, llc_ref_rate=0.01)
+        apply(fast, ref, ("integrate", "c", profile, 1e6, 8))
+    else:
+        apply(fast, ref, ("insert", "c", 28 * KB, 32 * KB))
+    assert any(before == ["a", "b", "d"] and dead == ["b"] for before, dead in evictions)
+    assert fast.actors() == ["a", "c", "d"]
+    # the rebuilt position map serves the calls after it
+    profile = MemoryProfile(wss_bytes=48 * KB, llc_ref_rate=0.01)
+    apply(fast, ref, ("integrate", "d", profile, 1e6, 8))
+    apply(fast, ref, ("evict", "a"))
+    apply(fast, ref, ("integrate", "c", profile, 1e6, 8))
+    assert fast.actors() == ["c", "d"]
+
+
+def test_new_actor_killing_a_victim_goes_last(evictions):
+    """A new actor's segment kills a victim; it is appended after the
+    survivors and the position map serves the next segment."""
+    fast, ref = make_pair(64 * KB, 0.5)
+    for actor, nbytes in (("a", 40 * KB), ("b", 1.5), ("c", 20 * KB)):
+        apply(fast, ref, ("insert", actor, nbytes, 64 * KB))
+    profile = MemoryProfile(wss_bytes=32 * KB, llc_ref_rate=0.01)
+    apply(fast, ref, ("integrate", "e", profile, 1e6, 8))
+    assert any(dead == ["b"] for _, dead in evictions)
+    assert fast.actors() == ["a", "c", "e"]
+    apply(fast, ref, ("integrate", "a", profile, 1e6, 8))
+    apply(fast, ref, ("integrate", "e", profile, 1e6, 8))
+    assert fast.actors() == ["a", "c", "e"]
+
+
+@pytest.mark.parametrize("gone", ["a", "b", "c"])
+def test_evicted_actor_regrows_last(gone):
+    """``evict_actor`` removes an actor from any position; when it
+    misses again it returns after everyone else."""
+    fast, ref = make_pair(8 * MB, 0.5)
+    for actor in ("a", "b", "c"):
+        apply(fast, ref, ("insert", actor, 2 * MB, 4 * MB))
+    apply(fast, ref, ("evict", gone))
+    assert fast.actors() == [a for a in ("a", "b", "c") if a != gone]
+    assert fast.occupancy_of(gone) == 0.0
+    apply(fast, ref, ("evict", gone))  # already gone: a no-op
+    profile = MemoryProfile(wss_bytes=4 * MB, llc_ref_rate=0.05)
+    apply(fast, ref, ("integrate", gone, profile, 4e6, 8))
+    assert fast.actors()[-1] == gone
+    for actor in ("a", "b", "c"):
+        apply(fast, ref, ("integrate", actor, profile, 4e6, 8))
+    assert fast.actors()[-1] == gone
+
+
+def test_flushed_cache_is_reused_like_a_new_one():
+    """After ``flush`` the cache matches a fresh reference, order included."""
+    fast, ref = make_pair(256 * KB, 0.5)
+    profile = MemoryProfile(wss_bytes=128 * KB, llc_ref_rate=0.05)
+    for actor in ("a", "b", "c"):
+        apply(fast, ref, ("integrate", actor, profile, 2e6, 8))
+    fast.flush()
+    assert fast.items() == [] and fast.total_occupancy == 0.0
+    ref = ReferenceCache(256 * KB, reuse_exponent=0.5)
+    for actor in ("c", "a", "b", "c"):
+        apply(fast, ref, ("integrate", actor, profile, 2e6, 8))
+    assert fast.actors() == ["c", "a", "b"]
 
 
 def test_churn_past_the_target_evicts_neighbours(evictions):
@@ -397,7 +478,7 @@ def test_no_traffic_profile_matches_reference(evictions, substeps):
     for duration in (1e6, 3_333_333.0, 7.0):
         apply(fast, ref, ("integrate", "a", profile, duration, substeps))
     assert not evictions
-    assert list(fast._occupancy) == ["x"]
+    assert fast.actors() == ["x"]
 
 
 def test_actor_at_target_leaves_neighbours_alone(evictions):
@@ -602,5 +683,6 @@ def test_running_total_does_not_drift(capacity, seed):
             cache, rng.choice(ACTORS), profile, rng.uniform(1e3, 5e7),
             HIT_NS, MISS_NS, substeps=rng.choice((1, 8)),
         )
-        assert abs(cache._total - sum(cache._occupancy.values())) <= 1e-6 * capacity
-        assert cache._total <= cache.capacity_bytes * (1 + 1e-12)
+        total = cache.total_occupancy
+        assert abs(total - sum(occ for _, occ in cache.items())) <= 1e-6 * capacity
+        assert total <= cache.capacity_bytes * (1 + 1e-12)

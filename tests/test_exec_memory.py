@@ -209,6 +209,33 @@ class TestImportBoundary:
     def test_io_run_loads_numpy(self):
         assert _loaded(IO_RUN + _report(["numpy"])) == {"numpy"}
 
+    def test_experiment_list_loads_neither_numpy_nor_the_simulator(self):
+        code = (
+            "from repro.experiments.__main__ import main\n"
+            "assert main(['list']) == 0\n" + _report(SIMULATOR_MODULES)
+        )
+        assert _loaded(code) == set()
+
+    def test_experiments_package_resolves_exports_on_access(self):
+        code = (
+            "import sys, repro.experiments as ex\n"
+            "assert ex.__all__ == ['AppPlacement', 'Scenario', 'SCENARIOS',"
+            " 'FIG3_POPULATION', 'ScenarioRun', 'run_scenario']\n"
+            "assert set(ex.__all__) <= set(dir(ex))\n"
+            "assert 'repro.hypervisor' not in sys.modules\n"
+            "from repro.experiments.runner import run_scenario\n"
+            "from repro.experiments.scenarios import SCENARIOS\n"
+            "assert ex.run_scenario is run_scenario\n"
+            "assert ex.SCENARIOS is SCENARIOS\n"
+            "try:\n"
+            "    ex.NoSuchName\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('repro.experiments.NoSuchName resolved')\n"
+        )
+        assert _loaded(code) == set()
+
     def test_package_root_resolves_exports_on_access(self):
         code = (
             "import sys, repro\n"

@@ -77,7 +77,7 @@ class TestFanOut:
     def test_forwards_to_wrapped_and_ring(self):
         seen = []
         ring = EventRing(capacity=8)
-        fanout = FanOutSink(wrapped=[seen.append], ring=ring)
+        fanout = FanOutSink(seen.append, ring=ring)
         event = Finished(seq=0, cells=1, ran=1, hits=0, resumed=0)
         fanout(event)
         assert seen == [event]
