@@ -1,11 +1,10 @@
-"""Tests for the timeline analysis tools and CSV export."""
+"""Tests for the timeline analysis tools and the chrome-trace export."""
 
 import pytest
 
 from repro.guest.phases import Compute
 from repro.guest.thread import GuestThread
 from repro.hypervisor.machine import Machine
-from repro.metrics.export import calibration_rows, scenario_rows, write_csv
 from repro.metrics.timeline import (
     build_timeline,
     render_gantt,
@@ -95,49 +94,6 @@ class TestTimeline:
         timeline = build_timeline(machine.telemetry.tracer, machine.sim.now)
         with pytest.raises(ValueError):
             render_gantt(timeline, start=5, end=5)
-
-
-class TestCsvExport:
-    def test_write_csv_roundtrip(self, tmp_path):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "c": 3.5}]
-        path = write_csv(tmp_path / "out.csv", rows)
-        text = path.read_text()
-        assert "a,b,c" in text.splitlines()[0]
-        assert "2" in text
-
-    def test_empty_rows_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "out.csv", [])
-
-    def test_calibration_rows(self, tmp_path):
-        from repro.core.calibration import run_calibration
-
-        result = run_calibration(
-            quanta_ms=(1, 30),
-            consolidations=(2,),
-            kinds=("lolcf",),
-            warmup_ns=100 * MS,
-            measure_ns=300 * MS,
-        )
-        rows = calibration_rows(result)
-        assert any(r["kind"] == "lolcf" for r in rows)
-        write_csv(tmp_path / "fig2.csv", rows)
-
-    def test_scenario_rows(self, tmp_path):
-        from repro.baselines import XenCredit
-        from repro.experiments.runner import run_scenario
-        from repro.experiments.scenarios import AppPlacement, Scenario
-
-        scenario = Scenario(
-            "tiny", (AppPlacement("hmmer", 2),), pcpus=2
-        )
-        run = run_scenario(
-            scenario, XenCredit(), warmup_ns=100 * MS, measure_ns=300 * MS
-        )
-        rows = scenario_rows(run)
-        assert len(rows) == 2
-        assert rows[0]["policy"] == "xen"
-        write_csv(tmp_path / "scenario.csv", rows)
 
 
 class TestChromeTrace:
