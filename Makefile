@@ -11,12 +11,12 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# static analysis: simlint (always — stdlib only; gated on the committed
-# findings baseline), then ruff and mypy when installed (CI installs
-# both; config lives in pyproject.toml so local and CI runs agree)
+# static analysis: simlint (always — stdlib only; any finding fails,
+# over its default surface src/repro and benchmarks), then ruff and mypy
+# when installed (CI installs both; config lives in pyproject.toml so
+# local and CI runs agree)
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis \
-		--baseline simlint-baseline.json src/repro benchmarks
+	PYTHONPATH=src $(PYTHON) -m repro.analysis
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src tests benchmarks; \
 	else echo "lint: ruff not installed, skipping"; fi

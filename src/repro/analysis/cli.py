@@ -3,7 +3,6 @@
     python -m repro.analysis [paths ...] [--format text|json|sarif]
                              [--rule SIMnnn ...] [--list-rules]
                              [--explain SIMnnn]
-                             [--baseline FILE] [--write-baseline]
 
 With no paths, audits the default surface (``src/repro`` and
 ``benchmarks`` relative to the working directory, whichever exist).
@@ -12,9 +11,9 @@ Exit status: 0 clean, 1 violations, 2 usage error — the same contract
 
 Every file is parsed once; the parse feeds the per-module rules and the
 call-graph summaries the whole-program passes (SIM008/SIM009) run over.
-``--baseline`` filters findings against a committed ratchet so only
-*new* findings affect the exit code; ``--explain SIMnnn`` prints each
-finding's witness path edge by edge.
+Any finding fails the run; the only waiver is a justified inline
+``# simlint: disable=`` at the source.  ``--explain SIMnnn`` prints
+each finding's witness path edge by edge.
 """
 
 from __future__ import annotations
@@ -25,12 +24,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.core import Analyzer, Violation, iter_python_files
-from repro.analysis.interproc.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.report import (
     exit_code,
     render_json,
@@ -76,20 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         metavar="SIMnnn",
         help="print each finding's witness path edge by edge after the report",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        metavar="FILE",
-        help=(
-            "filter findings against this committed baseline; only new "
-            f"findings affect the exit code (default file: {DEFAULT_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     return parser
 
@@ -145,38 +124,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    baseline_path: Optional[Path] = args.baseline
-    if args.write_baseline and baseline_path is None:
-        baseline_path = Path(DEFAULT_BASELINE)
-    tolerated = None
-    if baseline_path is not None and not args.write_baseline:
-        if not baseline_path.exists():
-            print(
-                f"simlint: baseline {baseline_path} not found "
-                "(create it with --write-baseline)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            tolerated = load_baseline(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return 2
-
     files = list(iter_python_files(paths))
     violations = Analyzer(rules).analyze_sources(
         (path, path.read_text(encoding="utf-8"), None) for path in files
     )
-
-    if args.write_baseline:
-        assert baseline_path is not None
-        count = write_baseline(baseline_path, violations)
-        print(f"simlint: wrote {count} finding(s) to {baseline_path}")
-        return 0
-
-    baselined = 0
-    if tolerated is not None:
-        violations, baselined = apply_baseline(violations, tolerated)
 
     if args.format == "json":
         print(render_json(violations, files=len(files), rules=rules))
@@ -184,11 +135,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(render_sarif(violations, rules=rules))
     else:
         print(render_text(violations, files=len(files)))
-        if baselined:
-            print(
-                f"simlint: {baselined} baselined finding(s) hidden "
-                f"({baseline_path})"
-            )
     if explain is not None:
         _print_explanations(violations, explain)
     return exit_code(violations)

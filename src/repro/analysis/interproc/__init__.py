@@ -18,10 +18,8 @@ over it:
   module-global mutation, and free of unpicklable captures, turning
   the engine's crash-resume assumption into a checked contract.
 
-``baseline.py`` adds the ratchet: findings are fingerprinted
-(line-number independent) against a committed baseline so CI fails
-only on *new* findings.  :class:`repro.analysis.Analyzer` drives these
-passes from the same parse as the per-module rules.
+:class:`repro.analysis.Analyzer` drives these passes from the same
+parse as the per-module rules.
 """
 
 from __future__ import annotations
@@ -29,12 +27,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.analysis.core import Violation
-from repro.analysis.interproc.baseline import (
-    apply_baseline,
-    finding_fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.interproc.callgraph import (
     CellSite,
     FunctionInfo,
@@ -67,12 +59,8 @@ __all__ = [
     "ModuleSummary",
     "ProjectIndex",
     "TaintAnalysis",
-    "apply_baseline",
-    "finding_fingerprint",
     "interprocedural_violations",
-    "load_baseline",
     "purity_violations",
     "summarize_module",
     "taint_violations",
-    "write_baseline",
 ]

@@ -4,9 +4,8 @@ Four layers: the fixture battery under ``analysis_fixtures/interproc``
 (exact per-file findings, including the laundering case a per-module
 check cannot see), a Hypothesis property pinning that a suppressed
 source never contributes taint at any chain depth, unit checks for
-the witness traces and the baseline ratchet, and a guard that the
-purity proofs of the project's churn-host cells reach the constructors
-they run.
+the witness traces, and a guard that the purity proofs of the
+project's churn-host cells reach the constructors they run.
 """
 
 from __future__ import annotations
@@ -22,12 +21,6 @@ import repro
 from repro.analysis import Analyzer, Violation
 from repro.analysis.core import build_context, iter_python_files
 from repro.analysis.interproc import ProjectIndex, summarize_module
-from repro.analysis.interproc.baseline import (
-    apply_baseline,
-    finding_fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.interproc.purity import _closure
 
 INTERPROC_DIR = Path(__file__).parent / "analysis_fixtures" / "interproc"
@@ -154,53 +147,6 @@ def test_suppressed_source_never_contributes_taint(
         # sink, so only an RNG draw is also flagged where it is read
         direct = [("helper.py", 3)] if kind == "rng" else []
         assert sim008 == [*direct, ("sink.py", 3)]
-
-
-# ----------------------------------------------------------------------
-# baseline ratchet
-# ----------------------------------------------------------------------
-def test_baseline_roundtrip_tolerates_everything_written(
-    tmp_path, interproc_violations
-):
-    assert interproc_violations  # the fixtures guarantee findings
-    path = tmp_path / "baseline.json"
-    write_baseline(path, interproc_violations)
-    tolerated = load_baseline(path)
-    fresh, baselined = apply_baseline(interproc_violations, tolerated)
-    assert fresh == []
-    assert baselined == len(interproc_violations)
-
-
-def test_new_finding_escapes_the_baseline(tmp_path, interproc_violations):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, interproc_violations)
-    tolerated = load_baseline(path)
-    novel = Violation("SIM008", "brand_new.py", 1, 0, "a new finding")
-    fresh, _ = apply_baseline([*interproc_violations, novel], tolerated)
-    assert fresh == [novel]
-
-
-def test_baseline_fingerprint_ignores_line_numbers():
-    a = Violation("SIM008", "m.py", 3, 0, "unseeded rng")
-    b = Violation("SIM008", "m.py", 90, 4, "unseeded rng")
-    assert finding_fingerprint(a) == finding_fingerprint(b)
-
-
-def test_baseline_count_semantics(tmp_path):
-    a = Violation("SIM008", "m.py", 3, 0, "unseeded rng")
-    b = Violation("SIM008", "m.py", 9, 0, "unseeded rng")  # same fingerprint
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [a])  # one tolerated occurrence
-    fresh, baselined = apply_baseline([a, b], load_baseline(path))
-    assert baselined == 1
-    assert fresh == [b]
-
-
-def test_baseline_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"schema": 99, "findings": {}}')
-    with pytest.raises(ValueError):
-        load_baseline(path)
 
 
 # ----------------------------------------------------------------------

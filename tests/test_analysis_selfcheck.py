@@ -116,8 +116,8 @@ def test_cli_missing_path_is_a_usage_error():
 # ----------------------------------------------------------------------
 def test_whole_program_source_tree_is_clean():
     """The invocation ``make lint``, pre-commit and CI share: default
-    surface, every rule, the committed baseline, no other flag."""
-    result = _run_cli("--baseline", "simlint-baseline.json")
+    surface, every rule, no flag."""
+    result = _run_cli()
     assert result.returncode == 0, result.stdout + result.stderr
     assert "simlint: clean" in result.stdout
 
@@ -143,23 +143,3 @@ def test_cli_sarif_output_is_wellformed():
         location = row["locations"][0]["physicalLocation"]
         assert location["region"]["startLine"] >= 1
         assert location["region"]["startColumn"] >= 1
-
-
-def test_cli_baseline_gate_tolerates_known_findings(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    write = _run_cli(
-        "--write-baseline", "--baseline", str(baseline),
-        str(FIXTURES / "interproc"),
-    )
-    assert write.returncode == 0, write.stdout + write.stderr
-    gated = _run_cli("--baseline", str(baseline), str(FIXTURES / "interproc"))
-    assert gated.returncode == 0, gated.stdout + gated.stderr
-    assert "baselined finding(s) hidden" in gated.stdout
-
-
-def test_cli_missing_baseline_is_a_usage_error(tmp_path):
-    result = _run_cli(
-        "--baseline", str(tmp_path / "absent.json"), str(FIXTURES / "interproc")
-    )
-    assert result.returncode == 2
-    assert "--write-baseline" in result.stderr
