@@ -231,14 +231,12 @@ class JsonlSink:
 # ----------------------------------------------------------------------
 # parsing / validation / normalisation
 # ----------------------------------------------------------------------
-def read_event_log(
-    path: Union[str, Path], tolerate_truncation: bool = True
-) -> list[dict[str, Any]]:
+def read_event_log(path: Union[str, Path]) -> list[dict[str, Any]]:
     """Parse an events.jsonl file into raw JSON objects.
 
     A run killed mid-write (the crash suite SIGKILLs at arbitrary
-    points) can leave a truncated final line; with
-    ``tolerate_truncation`` that line is dropped instead of raising.
+    points) can leave a truncated final line; that line is dropped
+    instead of raising.
     """
     records: list[dict[str, Any]] = []
     with open(path, encoding="utf-8") as handle:
@@ -249,7 +247,7 @@ def read_event_log(
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError:
-            if tolerate_truncation and lineno == len(lines) - 1:
+            if lineno == len(lines) - 1:
                 break
             raise
     return records

@@ -177,136 +177,130 @@ def main(argv: list[str] | None = None) -> int:
             able = [name for name, exp in REGISTRY.items() if getattr(exp, field)]
             parser.error(f"{flag} requires a single one of: {', '.join(able)}")
 
-    try:
-        runner = build_runner(args)
-    except ValueError as exc:  # bad --jobs / REPRO_JOBS
-        parser.error(str(exc))
     from repro.ops import resolve_serve_spec
 
     try:
         serve_spec = resolve_serve_spec(args.serve)
     except ValueError as exc:  # bad --serve / REPRO_SERVE
         parser.error(str(exc))
-    # the ops plane exists only to serve; a run directory keeps its own
-    # record (events.jsonl, status.json) without it
-    plane = None
-    if serve_spec is not None:
-        from repro.ops.server import attach_ops
-
-        plane = attach_ops(runner.engine, serve_spec)
-        # stderr: stdout stays byte-identical with/without --serve
-        print(f"[ops] serving at {plane.url}", file=sys.stderr)
-
-    results: dict[str, Any] = {}  # the artifact flags export from these
-
-    def run_experiments() -> None:
-        for name in names:
-            exp = REGISTRY[name]
-            print(f"\n=== {name}: {exp.description} ===")
-            start = time.perf_counter()
-            results[name] = run(
-                exp, exp.fast if args.fast else exp.full, runner
-            )
-            print(exp.render(results[name]))
-            # stderr: stdout stays byte-identical from run to run
-            print(
-                f"[{name} took {time.perf_counter() - start:.1f}s]",
-                file=sys.stderr,
-            )
-
     try:
-        if args.profile is not None:
-            from repro.perf import capture
+        runner = build_runner(args)
+    except ValueError as exc:  # bad --jobs / REPRO_JOBS
+        parser.error(str(exc))
+    # one exit path from here on: the ops plane closes, then the engine
+    # (journal, --events-out handle), once each however the run ends
+    plane = None
+    try:
+        # the ops plane exists only to serve; a run directory keeps its own
+        # record (events.jsonl, status.json) without it
+        if serve_spec is not None:
+            from repro.ops.server import attach_ops
 
-            with capture() as prof:
+            plane = attach_ops(runner.engine, serve_spec)
+            # stderr: stdout stays byte-identical with/without --serve
+            print(f"[ops] serving at {plane.url}", file=sys.stderr)
+
+        results: dict[str, Any] = {}  # the artifact flags export from these
+
+        def run_experiments() -> None:
+            for name in names:
+                exp = REGISTRY[name]
+                print(f"\n=== {name}: {exp.description} ===")
+                start = time.perf_counter()
+                results[name] = run(
+                    exp, exp.fast if args.fast else exp.full, runner
+                )
+                print(exp.render(results[name]))
+                # stderr: stdout stays byte-identical from run to run
+                print(
+                    f"[{name} took {time.perf_counter() - start:.1f}s]",
+                    file=sys.stderr,
+                )
+
+        try:
+            if args.profile is not None:
+                from repro.perf import capture
+
+                with capture() as prof:
+                    run_experiments()
+                # stderr: stdout stays byte-identical with/without --profile
+                prof.write(args.profile)
+                if args.profile != "-":
+                    print(f"[profile] wrote {args.profile}", file=sys.stderr)
+            else:
                 run_experiments()
-            # stderr: stdout stays byte-identical with/without --profile
-            prof.write(args.profile)
-            if args.profile != "-":
-                print(f"[profile] wrote {args.profile}", file=sys.stderr)
-        else:
-            run_experiments()
-    except KeyboardInterrupt:
-        # the engine already flushed its journal and swept temp files;
-        # tell the user how to pick the run back up
+        except KeyboardInterrupt:
+            # the engine already flushed its journal and swept temp files;
+            # tell the user how to pick the run back up
+            engine = runner.engine
+            if engine.run_dir is not None:
+                print(
+                    f"\n[engine] interrupted after {engine.status.ran} "
+                    f"cell(s); resume with --run-dir {engine.run_root} "
+                    f"--resume {engine.run_dir.run_id}",
+                    file=sys.stderr,
+                )
+            else:
+                print(
+                    "\n[engine] interrupted (no --run-dir: nothing was "
+                    "checkpointed)",
+                    file=sys.stderr,
+                )
+            return 130
+        except RunDirError as exc:
+            print(f"[engine] {exc}", file=sys.stderr)
+            return 2
+        if args.telemetry_out is not None:
+            from repro.telemetry import write_jsonl
+
+            report = results[names[0]]
+            count = write_jsonl(
+                args.telemetry_out, report.telemetry,
+                end_time_ns=report.end_time_ns,
+            )
+            # stderr: stdout must stay byte-identical with/without the flag
+            print(
+                f"[telemetry] wrote {count} records to {args.telemetry_out}",
+                file=sys.stderr,
+            )
+        if args.trace_out is not None:
+            traced = REGISTRY[names[0]].traced
+            assert traced is not None  # checked before the run
+            count, dropped = traced(args.trace_out, fast=args.fast)
+            # stderr: stdout must stay byte-identical with/without the flag
+            print(
+                f"[trace] wrote {count} events to {args.trace_out} "
+                f"({dropped} spans dropped)",
+                file=sys.stderr,
+            )
+        if runner.cache is not None:
+            print(f"[cache] {runner.cache.stats.as_line()}", file=sys.stderr)
         engine = runner.engine
+        status = engine.status
+        if status.sweeps_finished:
+            run_id = (
+                engine.run_dir.run_id if engine.run_dir is not None else "-"
+            )
+            print(
+                f"[engine] sweeps={status.sweeps_finished} "
+                f"ran={status.ran} hits={status.hit} "
+                f"resumed={status.resumed} run={run_id}",
+                file=sys.stderr,
+            )
         if engine.run_dir is not None:
-            print(
-                f"\n[engine] interrupted after {engine.status.ran} "
-                f"cell(s); resume with --run-dir {engine.run_root} "
-                f"--resume {engine.run_dir.run_id}",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "\n[engine] interrupted (no --run-dir: nothing was "
-                "checkpointed)",
-                file=sys.stderr,
-            )
+            # the where-did-the-time-go table, from the journal's per-cell
+            # resource profiles (stderr: stdout carries only the tables)
+            from repro.ops import read_journal, render_slowest
+
+            journal = read_journal(engine.run_dir.path / "journal.jsonl")
+            executed = [r for r in journal if float(r.get("seconds", 0)) > 0]
+            if executed:
+                print(f"[ops] {render_slowest(executed, k=5)}", file=sys.stderr)
+        return 0
+    finally:
         if plane is not None:
             plane.close()
-        engine.close()
-        return 130
-    except RunDirError as exc:
-        print(f"[engine] {exc}", file=sys.stderr)
-        if plane is not None:
-            plane.close()
-        return 2
-    except BaseException:
-        if plane is not None:
-            plane.close()
-        raise
-    if args.telemetry_out is not None:
-        from repro.telemetry import write_jsonl
-
-        report = results[names[0]]
-        count = write_jsonl(
-            args.telemetry_out, report.telemetry,
-            end_time_ns=report.end_time_ns,
-        )
-        # stderr: stdout must stay byte-identical with/without the flag
-        print(
-            f"[telemetry] wrote {count} records to {args.telemetry_out}",
-            file=sys.stderr,
-        )
-    if args.trace_out is not None:
-        traced = REGISTRY[names[0]].traced
-        assert traced is not None  # checked before the run
-        count, dropped = traced(args.trace_out, fast=args.fast)
-        # stderr: stdout must stay byte-identical with/without the flag
-        print(
-            f"[trace] wrote {count} events to {args.trace_out} "
-            f"({dropped} spans dropped)",
-            file=sys.stderr,
-        )
-    if runner.cache is not None:
-        print(f"[cache] {runner.cache.stats.as_line()}", file=sys.stderr)
-    engine = runner.engine
-    status = engine.status
-    if status.sweeps_finished:
-        run_id = (
-            engine.run_dir.run_id if engine.run_dir is not None else "-"
-        )
-        print(
-            f"[engine] sweeps={status.sweeps_finished} "
-            f"ran={status.ran} hits={status.hit} "
-            f"resumed={status.resumed} run={run_id}",
-            file=sys.stderr,
-        )
-    if engine.run_dir is not None:
-        # the where-did-the-time-go table, from the journal's per-cell
-        # resource profiles (stderr: stdout carries only the tables)
-        from repro.ops import read_journal, render_slowest
-
-        journal = read_journal(engine.run_dir.path / "journal.jsonl")
-        executed = [r for r in journal if float(r.get("seconds", 0)) > 0]
-        if executed:
-            print(f"[ops] {render_slowest(executed, k=5)}", file=sys.stderr)
-    if plane is not None:
-        plane.close()
-    engine.close()
-    return 0
-
+        runner.engine.close()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -47,16 +47,11 @@ class Telemetry:
 
     __slots__ = ("enabled", "registry", "tracer", "audit")
 
-    def __init__(
-        self,
-        enabled: bool = False,
-        ring: int = 512,
-        max_spans: int = 200_000,
-    ) -> None:
+    def __init__(self, enabled: bool = False, max_spans: int = 200_000) -> None:
         self.enabled = enabled
-        self.registry = TelemetryRegistry(enabled=enabled, ring=ring)
-        self.tracer = SpanTracer(enabled=enabled, max_spans=max_spans)
-        self.audit = DecisionAudit(enabled=enabled)
+        self.registry = TelemetryRegistry()
+        self.tracer = SpanTracer(max_spans=max_spans)
+        self.audit = DecisionAudit()
 
     def summary(self) -> dict[str, float]:
         """Flat, picklable aggregate: registry values + audit counts.

@@ -85,10 +85,9 @@ class PoolChange:
 class DecisionAudit:
     """Append-only store for the three record kinds."""
 
-    __slots__ = ("enabled", "flips", "decisions", "ledger")
+    __slots__ = ("flips", "decisions", "ledger")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.flips: list[TypeFlip] = []
         self.decisions: list[ClusterDecision] = []
         self.ledger: list[PoolChange] = []

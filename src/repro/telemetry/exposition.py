@@ -120,14 +120,13 @@ def prometheus_text(registry: TelemetryRegistry) -> str:
 def jsonl_records(
     telemetry: "Telemetry",
     end_time_ns: Optional[int] = None,
-    stamp_wall_clock: bool = True,
 ) -> list[dict[str, object]]:
     """Every telemetry fact as a flat record list (one JSON line each).
 
     Record kinds: ``meta``, ``instrument``, ``series``, ``span``,
     ``flip``, ``decision``, ``pool_change``.  All values inside the
     simulation records are virtual-clock quantities; only the ``meta``
-    header carries the (optional) wall-clock export stamp.
+    header carries the wall-clock export stamp.
     """
     records: list[dict[str, object]] = []
     meta: dict[str, object] = {
@@ -138,10 +137,9 @@ def jsonl_records(
         "spans": len(telemetry.tracer),
         "spans_dropped": telemetry.tracer.dropped,
         "audit_records": len(telemetry.audit),
-    }
-    if stamp_wall_clock:
         # host-side provenance for the artifact, never a simulation input
-        meta["exported_at_unix"] = time.time()
+        "exported_at_unix": time.time(),
+    }
     records.append(meta)
     for instrument in telemetry.registry.instruments():
         row: dict[str, object] = {

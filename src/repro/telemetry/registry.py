@@ -179,10 +179,9 @@ Instrument = Union[Counter, Gauge, Histogram]
 class TelemetryRegistry:
     """Get-or-create instrument store with deterministic iteration."""
 
-    __slots__ = ("enabled", "ring", "_instruments", "samples_taken")
+    __slots__ = ("ring", "_instruments", "samples_taken")
 
-    def __init__(self, enabled: bool = True, ring: int = DEFAULT_RING) -> None:
-        self.enabled = enabled
+    def __init__(self, ring: int = DEFAULT_RING) -> None:
         self.ring = ring
         self._instruments: dict[tuple[str, str, LabelSet], Instrument] = {}
         self.samples_taken = 0

@@ -68,12 +68,9 @@ class Span:
 class SpanTracer:
     """Begin/end span recorder with per-track nesting enforcement."""
 
-    __slots__ = (
-        "enabled", "max_spans", "dropped", "_completed", "_open", "_seq",
-    )
+    __slots__ = ("max_spans", "dropped", "_completed", "_open", "_seq")
 
-    def __init__(self, enabled: bool = True, max_spans: int = 200_000) -> None:
-        self.enabled = enabled
+    def __init__(self, max_spans: int = 200_000) -> None:
         #: retention cap: completed spans beyond this are dropped (and
         #: counted) rather than growing without bound on long runs
         self.max_spans = max_spans

@@ -103,6 +103,45 @@ class TestCliEngineSummary:
         assert signal.getsignal(signal.SIGTERM) is before
 
 
+class TestCliExitPath:
+    """Every way out of a run closes the engine (journal, --events-out
+    handle) exactly once."""
+
+    @pytest.fixture
+    def closes(self, monkeypatch):
+        from repro.exec.engine import Engine
+
+        calls = []
+        real_close = Engine.close
+
+        def counting_close(engine):
+            calls.append(engine)
+            real_close(engine)
+
+        monkeypatch.setattr(Engine, "close", counting_close)
+        return calls
+
+    def test_missing_resume_run_exits_2_and_closes_once(
+        self, closes, tmp_path
+    ):
+        code = main([
+            "fig3", "--fast", "--no-cache", "--quiet",
+            "--run-dir", str(tmp_path / "runs"), "--resume", "nope",
+        ])
+        assert code == 2
+        assert len(closes) == 1
+
+    def test_interrupt_exits_130_and_closes_once(
+        self, closes, monkeypatch
+    ):
+        def interrupted(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.experiments.__main__.run", interrupted)
+        assert main(["fig3", "--fast", "--no-cache", "--quiet"]) == 130
+        assert len(closes) == 1
+
+
 class TestArtifactFlagsFromRegistry:
     """Artifact flags are validated from the registry, up front."""
 
