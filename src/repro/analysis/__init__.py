@@ -13,9 +13,8 @@ alias-resolved call graph built from the same parse — determinism
 helpers) and engine-cell purity proofs (SIM009); the CLI (``python -m
 repro.analysis``) and ``tests/test_analysis_selfcheck.py`` keep the
 tree at zero findings, with a justified inline suppression as the only
-waiver.  DESIGN.md
-§10 documents the rule catalogue and the suppression policy; §15
-documents the whole-program passes.
+waiver.  DESIGN.md §10 documents the rule catalogue and the
+suppression policy; §15 documents the whole-program passes.
 """
 
 from repro.analysis.core import (
