@@ -66,8 +66,8 @@ resume-demo:
 		--run-root .demo-runs/ref --cells 8 --jobs 2 --fold-out ref.pickle
 	-PYTHONPATH=src REPRO_ENGINE_KILL_AFTER=3 $(PYTHON) -m tests.engine_cells \
 		--run-root .demo-runs/crash --cells 8 --jobs 2
-	@echo "--- killed after 3 cells; journal so far:"
-	@wc -l .demo-runs/crash/run-*/journal.jsonl
+	@echo "--- killed after 3 cells; checkpoints in the event log:"
+	@grep -c '^{"kind": "checkpoint_written"' .demo-runs/crash/run-*/events.jsonl
 	PYTHONPATH=src $(PYTHON) -m tests.engine_cells \
 		--run-root .demo-runs/crash --cells 8 --jobs 2 --fold-out resumed.pickle
 	cmp ref.pickle resumed.pickle

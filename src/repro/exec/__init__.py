@@ -8,8 +8,9 @@ modules describe their work as independent
 explicit phases (plan → probe → execute → fold), fans them out through
 a work-stealing worker pool, memoises results in a content-addressed
 on-disk :class:`~repro.exec.cache.ResultCache`, and — when a run
-directory is configured — journals every completion durably so a
-killed sweep resumes with only unfinished cells re-executed.  The
+directory is configured — checkpoints every completion durably in
+the run's event log so a killed sweep resumes with only unfinished
+cells re-executed.  The
 whole run is narrated as a typed event stream
 (:mod:`repro.exec.events`) consumed by pluggable sinks.
 
@@ -31,7 +32,6 @@ from repro.exec.cache import CacheEntry, CacheStats, ResultCache
 from repro.exec.cells import Cell, engine_cell, execute_cell
 from repro.exec.checkpoint import (
     ENV_RUN_DIR,
-    CheckpointJournal,
     RunDir,
     RunDirError,
     RunManifest,
@@ -73,7 +73,6 @@ __all__ = [
     "CellScheduled",
     "CacheEntry",
     "CacheStats",
-    "CheckpointJournal",
     "CheckpointWritten",
     "ENV_JOBS",
     "ENV_KILL_AFTER",

@@ -1,18 +1,20 @@
-"""Durable run directories: checkpoint journal + result store + events.
+"""Durable run directories: one event log + result store.
 
-A *run directory* makes a sweep resumable: every completed cell is
-journalled (append-only, fsynced) under its content-addressed cache
-key, and its pickled result lands in a private
-:class:`~repro.exec.cache.ResultCache` inside the run directory.  A
-killed sweep — SIGKILL, OOM, a yanked laptop lid — resumes by
-re-planning the same cells: journalled keys replay from the run
-store, everything else re-executes.
+A *run directory* makes a sweep resumable: every completed cell's
+pickled result lands in a private
+:class:`~repro.exec.cache.ResultCache` inside the run directory, and
+then a ``checkpoint_written`` record naming its content-addressed
+cache key is appended to the run's event log and fsynced.  The log is
+the checkpoint journal.  A killed sweep — SIGKILL, OOM, a yanked
+laptop lid — resumes by re-planning the same cells: checkpointed keys
+replay from the run store, everything else re-executes.
 
 Layout, under ``<root>/<run-id>/``::
 
     manifest.json    run id, code salt, first plan fingerprint
-    journal.jsonl    one {"kind": "cell", "key": ..., ...} per cell
-    events.jsonl     the engine event stream (appended across resumes)
+    events.jsonl     the engine event stream, appended across resumes;
+                     its checkpoint_written records are the journal
+    status.json      the live status fold, rewritten per checkpoint
     results/         ResultCache keyed by the same cache hashes
 
 Run ids are content-addressed too: ``run-<plan fingerprint>`` of the
@@ -29,9 +31,15 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.exec.cache import ResultCache
+from repro.exec.events import (
+    CheckpointWritten,
+    Event,
+    JsonlSink,
+    read_event_log,
+)
 
 ENV_RUN_DIR = "REPRO_RUN_DIR"
 
@@ -50,7 +58,7 @@ def resolve_run_root(
     if root is not None:
         return Path(root)
     # Where checkpoints land is operational plumbing: it decides whether
-    # results are journalled, never what they are (pinned by
+    # results are checkpointed, never what they are (pinned by
     # tests/test_exec_crash_resume.py's resumed ≡ uninterrupted fold).
     env = os.environ.get(ENV_RUN_DIR, "").strip()  # simlint: disable=SIM008
     return Path(env) if env else None
@@ -58,54 +66,6 @@ def resolve_run_root(
 
 def derive_run_id(plan_fingerprint: str) -> str:
     return f"run-{plan_fingerprint[:_RUN_ID_DIGITS]}"
-
-
-class CheckpointJournal:
-    """Append-only JSONL journal of completed cells.
-
-    Each :meth:`append` is flushed *and* fsynced before returning —
-    when the engine reports a checkpoint, the record is on disk, so a
-    SIGKILL one instruction later loses nothing.  :meth:`load`
-    tolerates a truncated final line (the half-written record of a
-    crash mid-append) by dropping it.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle: Optional[IO[str]] = None
-
-    def load(self) -> list[dict[str, Any]]:
-        if not self.path.exists():
-            return []
-        records: list[dict[str, Any]] = []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    break  # torn final append from a crash
-                raise
-        return records
-
-    def append(self, record: dict[str, Any]) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self.flush()
-
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 @dataclass
@@ -129,14 +89,17 @@ class RunManifest:
 
 
 class RunDir:
-    """One resumable run: journal + result store + event log paths."""
+    """One resumable run: event log + result store."""
 
     def __init__(self, path: Path, manifest: RunManifest) -> None:
         self.path = path
         self.manifest = manifest
-        self.journal = CheckpointJournal(path / "journal.jsonl")
         self.results = ResultCache(root=path / "results")
         self.events_path = path / "events.jsonl"
+        #: appended across resumes, so the run's whole history reads
+        #: in one file; opening it cuts a torn last line left by a
+        #: killed run, before anything reads the checkpoints
+        self.log = JsonlSink(self.events_path, append=True)
 
     @property
     def run_id(self) -> str:
@@ -158,7 +121,7 @@ class RunDir:
         (same sweep + same code → same directory → automatic resume).
         With ``run_id`` (``--resume``) the directory must already
         exist.  Either way, a manifest written by a different code
-        salt is an error: its journal keys could never match the
+        salt is an error: its checkpoint keys could never match the
         re-planned cells, and silently recomputing everything is the
         failure mode resume exists to prevent.
         """
@@ -201,49 +164,24 @@ class RunDir:
 
     # ------------------------------------------------------------------
     def completed_keys(self) -> set[str]:
-        """Cache keys of every cell the journal says finished."""
+        """Cache keys of every cell the log says was checkpointed."""
         return {
             str(record["key"])
-            for record in self.journal.load()
-            if record.get("kind") == "cell" and record.get("key")
+            for record in read_event_log(self.events_path)
+            if record.get("kind") == CheckpointWritten.kind
         }
 
-    def record_cell(
-        self,
-        key: str,
-        *,
-        index: int,
-        label: str,
-        stage: str,
-        seconds: float,
-        utime_s: float = 0.0,
-        stime_s: float = 0.0,
-        max_rss_kb: float = 0.0,
-    ) -> None:
-        """Journal one completed cell (durable before returning).
-
-        The resource-profile fields feed the slowest-cells tables
-        (``repro.ops.profiles``) and ``python -m repro.ops attach``;
-        zeros for cache-hit folds, which executed nothing.
-        """
-        self.journal.append({
-            "kind": "cell",
-            "key": key,
-            "index": index,
-            "label": label,
-            "stage": stage,
-            "seconds": round(seconds, 6),
-            "utime_s": round(utime_s, 6),
-            "stime_s": round(stime_s, 6),
-            "max_rss_kb": round(max_rss_kb, 3),
-        })
+    def append(self, event: Event) -> None:
+        """Log one event; a checkpoint is durable before returning."""
+        self.log(event)
+        if isinstance(event, CheckpointWritten):
+            self.log.sync()
 
     def close(self) -> None:
-        self.journal.close()
+        self.log.close()
 
 
 __all__ = [
-    "CheckpointJournal",
     "ENV_RUN_DIR",
     "RunDir",
     "RunDirError",

@@ -9,13 +9,13 @@ epoch, one fuzz batch) is planned into four explicit phases:
     plan fingerprint; open (or attach to) the run directory when
     checkpointing is configured.
 ``probe``
-    Warm-path probe: satisfy cells from the run directory's checkpoint
-    journal (``resumed``) or the result cache (``hit``) before any
+    Warm-path probe: satisfy cells from the run directory's
+    checkpoints (``resumed``) or the result cache (``hit``) before any
     process is forked.
 ``execute``
     Fan the remaining cells out through the work-stealing queue
-    (:mod:`repro.exec.queue`); journal every completion durably before
-    reporting its checkpoint.
+    (:mod:`repro.exec.queue`); store every completion and fsync its
+    ``checkpoint_written`` record before any sink sees it.
 ``fold``
     Assemble results back into cell order and emit the terminal
     ``Finished`` event.
@@ -26,16 +26,18 @@ progress lines, a JSONL event log, engine metrics.  The engine keeps
 no tallies of its own: :attr:`Engine.status` (a
 :class:`~repro.ops.status.RunStatus`) folds every event at the source,
 and its ``ran``/``hit``/``resumed``/``sweeps_finished`` counts are the
-run's totals, live even mid-sweep.  A killed run resumes from its
-journal with only unfinished cells re-executed; because run ids are
+run's totals, live even mid-sweep.  The run directory's
+``events.jsonl`` is written at the source too, before any sink: it is
+the checkpoint journal.  A killed run resumes from it with only
+unfinished cells re-executed; because run ids are
 content-addressed, re-running the same sweep against the same run root
 resumes automatically, and ``--resume <run-id>`` pins a directory
 explicitly.
 
 One engine may run many sweeps (the fleet's bulk-synchronous epoch
 barrier is exactly a sequence of ``run()`` calls — each barrier is a
-phase boundary): the checkpoint journal is keyed by cache key, not by
-position, so multi-sweep runs resume just as precisely.
+phase boundary): checkpoints are keyed by cache key, not by position,
+so multi-sweep runs resume just as precisely.
 
 Wall-clock note: this module reads no clock.  Per-cell wall timing
 happens in ``repro.exec.queue`` (on simlint SIM008's wall-clock
@@ -60,7 +62,6 @@ from repro.exec.events import (
     EventSink,
     Finished,
     Interrupted,
-    JsonlSink,
     PhaseStarted,
 )
 from repro.exec.hashing import code_salt, fingerprint
@@ -77,7 +78,7 @@ from repro.exec.queue import (
 ENV_JOBS = "REPRO_JOBS"
 #: fault injection for the crash-consistency suite and the CI
 #: engine-smoke job: SIGKILL the process after this many cells have
-#: been journalled (cumulative over the engine lifetime)
+#: been checkpointed (cumulative over the engine lifetime)
 ENV_KILL_AFTER = "REPRO_ENGINE_KILL_AFTER"
 
 
@@ -152,7 +153,7 @@ class Engine:
         #: interleavings with it); results always fold by index
         self.schedule = list(schedule) if schedule is not None else None
         self.run_dir: Optional[RunDir] = None
-        self._journal_keys: set[str] = set()
+        self._checkpointed: set[str] = set()
         self._seq = 0
         self._completed = 0
         self.last_results: list[Any] = []
@@ -164,7 +165,7 @@ class Engine:
         #: whole-run cell-count hint from multi-sweep drivers (fleet
         #: epoch loops, fuzz campaigns) — see :meth:`expect_cells`
         self.cells_hint: Optional[int] = None
-        #: cells already journalled when the run directory attached
+        #: cells already checkpointed when the run directory attached
         #: (the resume lineage /status reports)
         self.resumed_at_open = 0
         # Live status fold for /status, <run-dir>/status.json and the
@@ -198,9 +199,13 @@ class Engine:
     def _event(self, cls: Callable[..., Event], **fields: Any) -> Event:
         event = cls(seq=self._seq, **fields)
         self._seq += 1
-        # the status fold observes every event at the source, so /status
-        # is live even for callers that iterate stream() directly
+        # the status fold and the run directory's log see every event
+        # at the source, so both hold even for callers that iterate
+        # stream() directly; a checkpoint line is fsynced here, before
+        # any sink (status.json included) can report it
         self.status.observe(event)
+        if self.run_dir is not None:
+            self.run_dir.append(event)
         return event
 
     # ------------------------------------------------------------------
@@ -216,14 +221,11 @@ class Engine:
             plan_fingerprint=plan_fingerprint,
             run_id=self._requested_run_id,
         )
-        self._journal_keys = self.run_dir.completed_keys()
-        self._completed = len(self._journal_keys)
-        self.resumed_at_open = len(self._journal_keys)
-        # the run directory keeps its own event log, appended across
-        # resumes so the full history of the run reads in one file
-        self._sinks.append(JsonlSink(self.run_dir.events_path, append=True))
-        # ... and a live status.json (one compact JSON line that
-        # `python -m repro.ops attach RUN_DIR` renders), rewritten
+        self._checkpointed = self.run_dir.completed_keys()
+        self._completed = len(self._checkpointed)
+        self.resumed_at_open = len(self._checkpointed)
+        # the run directory keeps a live status.json (one compact JSON
+        # line that `python -m repro.ops attach RUN_DIR` renders), rewritten
         # atomically on every checkpoint so a detached run stays
         # inspectable without the HTTP ops plane (lazy import: exec
         # stays below repro.ops)
@@ -277,7 +279,7 @@ class Engine:
             outcome = None
             checkpointed = False
             if key is not None and self.run_dir is not None and (
-                key in self._journal_keys
+                key in self._checkpointed
             ):
                 entry = self.run_dir.results.get(key)
                 if entry.hit:
@@ -291,11 +293,9 @@ class Engine:
                     # fold the hit into the run directory too, so a
                     # later resume is whole without the shared cache
                     if self.run_dir is not None and (
-                        key not in self._journal_keys
+                        key not in self._checkpointed
                     ):
-                        self._checkpoint(
-                            key, index, cell, stage, 0.0, entry.value
-                        )
+                        self._checkpoint(key, entry.value)
                         checkpointed = True
             if outcome is None:
                 pending.append((index, cell, key))
@@ -374,10 +374,7 @@ class Engine:
                     max_rss_kb=profile.get("max_rss_kb", 0.0),
                 )
                 if key is not None and self.run_dir is not None:
-                    self._checkpoint(
-                        key, index, cell, stage, seconds, value,
-                        profile=profile,
-                    )
+                    self._checkpoint(key, value)
                     yield self._event(
                         CheckpointWritten,
                         key=key,
@@ -461,41 +458,25 @@ class Engine:
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
-    def _checkpoint(
-        self,
-        key: str,
-        index: int,
-        cell: Cell,
-        stage: str,
-        seconds: float,
-        value: Any,
-        profile: Optional[Profile] = None,
-    ) -> None:
-        """Store the result, then journal it — durable in that order.
+    def _checkpoint(self, key: str, value: Any) -> None:
+        """Store the result; the caller then emits its checkpoint.
 
         The value lands in the run directory's result store *before*
-        the journal line that declares it complete, so a crash between
+        the ``checkpoint_written`` line that declares it complete
+        (written and fsynced by :meth:`_event`), so a crash between
         the two leaves an unreferenced store entry (harmless) rather
-        than a journalled cell with no result (which a resume would
+        than a checkpointed cell with no result (which a resume would
         have to re-execute anyway, via the store-miss fallback).
         """
         assert self.run_dir is not None
-        profile = profile or {}
         self.run_dir.results.put(key, value)
-        self.run_dir.record_cell(
-            key, index=index, label=cell.display, stage=stage,
-            seconds=seconds,
-            utime_s=profile.get("utime_s", 0.0),
-            stime_s=profile.get("stime_s", 0.0),
-            max_rss_kb=profile.get("max_rss_kb", 0.0),
-        )
-        self._journal_keys.add(key)
+        self._checkpointed.add(key)
         self._completed += 1
 
     def _flush_for_interrupt(self) -> None:
-        """Interrupt hygiene: journal durable, no stranded temp files."""
+        """Interrupt hygiene: log durable, no stranded temp files."""
         if self.run_dir is not None:
-            self.run_dir.journal.flush()
+            self.run_dir.log.sync()
             self.run_dir.results.sweep_temps()
         if self.cache is not None:
             self.cache.sweep_temps()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -114,12 +115,16 @@ class CellFinished(Event):
 
 @dataclass(frozen=True)
 class CheckpointWritten(Event):
-    """A completed cell was durably journalled to the run directory."""
+    """A completed cell's result is stored; this line is fsynced.
+
+    The run directory's ``events.jsonl`` is its checkpoint journal: a
+    resume replays the keys of these records.
+    """
 
     kind = "checkpoint_written"
 
     key: str
-    #: cumulative journalled cells over the engine's lifetime
+    #: cumulative checkpointed cells over the engine's lifetime
     completed: int
     total: int
     stage: str = ""
@@ -127,7 +132,8 @@ class CheckpointWritten(Event):
 
 @dataclass(frozen=True)
 class Interrupted(Event):
-    """The sweep stopped early; the journal was flushed first."""
+    """The sweep stopped early; the run directory's log was fsynced
+    first."""
 
     kind = "interrupted"
 
@@ -203,6 +209,9 @@ class JsonlSink:
 
     ``append=True`` (the run directory's mode) continues an existing
     log, so a resumed run's events land after the interrupted run's.
+    A final line without its newline is the torn write of a killed
+    process; it is cut before appending, or the next record would
+    merge into it and the log would stop parsing.
     """
 
     def __init__(
@@ -210,6 +219,11 @@ class JsonlSink:
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if append and self.path.exists():
+            data = self.path.read_bytes()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                os.truncate(self.path, end)
         self._handle: Optional[IO[str]] = open(
             self.path, "a" if append else "w", encoding="utf-8"
         )
@@ -221,6 +235,11 @@ class JsonlSink:
             json.dumps(event.to_json(), separators=(", ", ": ")) + "\n"
         )
         self._handle.flush()
+
+    def sync(self) -> None:
+        """Make every line written so far durable (``fsync``)."""
+        if self._handle is not None:
+            os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:

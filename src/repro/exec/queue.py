@@ -65,8 +65,8 @@ def profiled_call(
 
     utime/stime come from ``os.times()`` deltas around the call and
     peak RSS from ``resource.getrusage`` — observability metadata for
-    ``CellFinished`` events, the checkpoint journal and the slowest-
-    cells tables, exactly like the wall duration (the event-stream
+    ``CellFinished`` events and the slowest-cells tables read from
+    them, exactly like the wall duration (the event-stream
     golden test normalises all of it to zero).  ``ru_maxrss`` is the
     process-lifetime peak, so on a reused worker it is an upper bound
     per cell, not an exact per-cell delta.

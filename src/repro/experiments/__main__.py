@@ -20,14 +20,15 @@ cells out over work-stealing worker processes, and results are
 memoised under ``.repro_cache/`` so re-running a sweep replays cached
 cells instead of re-simulating.  ``--no-cache`` disables the cache,
 ``--cache-dir`` moves it.  ``--run-dir DIR`` (or ``REPRO_RUN_DIR``)
-makes the run *durable*: every completed cell is journalled to a
-content-addressed run directory, so a killed run — Ctrl-C, SIGKILL,
-OOM — resumes with only unfinished cells re-executed (automatically,
-since the run id derives from the planned sweep; ``--resume RUN-ID``
-pins a directory explicitly); its ``events.jsonl`` and ``status.json``
-record what a dead run was doing, and a checkpointed run ends with a
-slowest-cells table.  ``--events-out PATH`` additionally streams the
-engine's typed event narration as JSONL.  ``--serve [HOST:]PORT`` (or
+makes the run *durable*: every completed cell is checkpointed in the
+``events.jsonl`` of a content-addressed run directory, so a killed
+run — Ctrl-C, SIGKILL, OOM — resumes with only unfinished cells
+re-executed (automatically, since the run id derives from the planned
+sweep; ``--resume RUN-ID`` pins a directory explicitly); that log and
+``status.json`` record what a dead run was doing, and a checkpointed
+run ends with a slowest-cells table read from the log.
+``--events-out PATH`` additionally streams the engine's typed event
+narration as JSONL.  ``--serve [HOST:]PORT`` (or
 ``REPRO_SERVE``) attaches the read-only ops plane: live ``/metrics``,
 ``/status`` and ``/events`` over HTTP.  Per-cell
 progress (a :class:`~repro.exec.ProgressPrinter` sink, off with
@@ -52,6 +53,7 @@ from repro.exec import (
     ResultCache,
     RunDirError,
     SweepRunner,
+    read_event_log,
 )
 from repro.experiments.registry import REGISTRY, run
 
@@ -65,15 +67,18 @@ def build_runner(args: argparse.Namespace) -> SweepRunner:
             else ResultCache()
         )
     sinks: list[EventSink] = [] if args.quiet else [ProgressPrinter()]
-    if args.events_out is not None:
-        sinks.append(JsonlSink(args.events_out))
-    return SweepRunner(
+    runner = SweepRunner(
         jobs=args.jobs,
         cache=cache,
         run_root=args.run_dir,
         run_id=args.resume,
         sinks=sinks,
     )
+    # opened only once the engine accepted the flags: mode "w"
+    # truncates, and a rejected --jobs must leave the file as it was
+    if args.events_out is not None:
+        runner.engine.add_sink(JsonlSink(args.events_out))
+    return runner
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -188,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # bad --jobs / REPRO_JOBS
         parser.error(str(exc))
     # one exit path from here on: the ops plane closes, then the engine
-    # (journal, --events-out handle), once each however the run ends
+    # (run-dir log, --events-out handle), once each however the run ends
     plane = None
     try:
         # the ops plane exists only to serve; a run directory keeps its own
@@ -230,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 run_experiments()
         except KeyboardInterrupt:
-            # the engine already flushed its journal and swept temp files;
+            # the engine already fsynced its log and swept temp files;
             # tell the user how to pick the run back up
             engine = runner.engine
             if engine.run_dir is not None:
@@ -288,14 +293,14 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         if engine.run_dir is not None:
-            # the where-did-the-time-go table, from the journal's per-cell
-            # resource profiles (stderr: stdout carries only the tables)
-            from repro.ops import read_journal, render_slowest
+            # the where-did-the-time-go table, from the per-cell resource
+            # profiles of the cells the log says ran, this run or an
+            # earlier one (stderr: stdout carries only the tables)
+            from repro.ops import render_slowest
 
-            journal = read_journal(engine.run_dir.path / "journal.jsonl")
-            executed = [r for r in journal if float(r.get("seconds", 0)) > 0]
-            if executed:
-                print(f"[ops] {render_slowest(executed, k=5)}", file=sys.stderr)
+            records = read_event_log(engine.run_dir.events_path)
+            if any(r.get("outcome") == "ran" for r in records):
+                print(f"[ops] {render_slowest(records, k=5)}", file=sys.stderr)
         return 0
     finally:
         if plane is not None:

@@ -36,7 +36,7 @@ import os
 from typing import Optional
 
 from repro.ops.metrics import EngineMetricsSink
-from repro.ops.profiles import read_journal, render_slowest, slowest_cells
+from repro.ops.profiles import render_slowest, slowest_cells
 from repro.ops.status import (
     STATUS_SCHEMA,
     RunStatus,
@@ -95,7 +95,6 @@ __all__ = [
     "StatusWriter",
     "Subscription",
     "parse_serve_spec",
-    "read_journal",
     "read_status",
     "render_slowest",
     "resolve_serve_spec",

@@ -2,12 +2,12 @@
 
 The offline counterpart of the live HTTP endpoints: given a run
 directory (or a run root holding exactly one run), print its manifest,
-the last written ``status.json``, journal progress, the slowest-cells
-table and event-log validity.  A dead run's record is its
-``events.jsonl`` (ending in ``interrupted`` when the engine saw the
-failure) and ``status.json``.  Everything read here is an artifact
-another component already wrote — this tool never mutates a run
-directory.
+the last written ``status.json``, and from its ``events.jsonl`` the
+checkpoint count, the slowest-cells table and the log's validity.  A
+dead run's record is that log (ending in ``interrupted`` when the
+engine saw the failure) and ``status.json``.  Everything read here is
+an artifact another component already wrote — this tool never mutates
+a run directory.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.exec.events import read_event_log, validate_events
-from repro.ops.profiles import read_journal, render_slowest
+from repro.ops.profiles import render_slowest
 from repro.ops.status import read_status
 
 
@@ -68,16 +68,17 @@ def _describe(run_dir: Path, top: int) -> list[str]:
     else:
         lines.append("  status: no status.json")
 
-    journal = read_journal(run_dir / "journal.jsonl")
-    lines.append(f"  journal: {len(journal)} cell(s) checkpointed")
-    if journal:
-        lines.append("")
-        lines.append(render_slowest(journal, k=top))
-        lines.append("")
-
     events_path = run_dir / "events.jsonl"
     if events_path.exists():
         records = read_event_log(events_path)
+        checkpoints = sum(
+            record.get("kind") == "checkpoint_written" for record in records
+        )
+        lines.append(f"  checkpoints: {checkpoints}")
+        if checkpoints:
+            lines.append("")
+            lines.append(render_slowest(records, k=top))
+            lines.append("")
         problems = validate_events(records, partial=True)
         verdict = "valid" if not problems else (
             f"INVALID ({len(problems)} problem(s))"

@@ -1,10 +1,10 @@
 """Per-cell resource profiles: the slowest-cells tables.
 
-The checkpoint journal (and the ``CellFinished`` stream) now carries a
-resource profile per executed cell — wall seconds, user/system CPU
-seconds, peak RSS.  This module turns a journal into the "where did
-the time go" table experiment reports print and ``python -m repro.ops
-attach`` shows for any run directory.
+Every ``cell_finished`` event carries a resource profile — wall
+seconds, user/system CPU seconds, peak RSS.  This module turns the
+cells that ran in an event log (a run directory's ``events.jsonl``)
+into the "where did the time go" table experiment reports print and
+``python -m repro.ops attach`` shows for any run directory.
 
 Pure data massaging: everything here reads records something else
 already wrote; no clocks, no environment.
@@ -12,30 +12,30 @@ already wrote; no clocks, no environment.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence
 
 
-def read_journal(path: Union[str, Path]) -> list[dict[str, Any]]:
-    """Cell records from a ``journal.jsonl`` (empty if absent)."""
-    from repro.exec.checkpoint import CheckpointJournal
+def _ran_cells(
+    records: Sequence[Mapping[str, Any]],
+) -> list[dict[str, Any]]:
+    """The ``cell_finished`` records of executed cells.
 
+    Cache hits and resumed replays execute nothing, so they have no
+    profile to rank.
+    """
     return [
-        record
-        for record in CheckpointJournal(path).load()
-        if record.get("kind") == "cell"
+        dict(record)
+        for record in records
+        if record.get("kind") == "cell_finished"
+        and record.get("outcome") == "ran"
     ]
 
 
 def slowest_cells(
     records: Sequence[Mapping[str, Any]], k: int = 10
 ) -> list[dict[str, Any]]:
-    """The top-``k`` cell records by wall seconds (stable tie order)."""
-    cells = [
-        dict(record)
-        for record in records
-        if record.get("kind", "cell") == "cell"
-    ]
+    """The top-``k`` executed cells by wall seconds (stable tie order)."""
+    cells = _ran_cells(records)
     cells.sort(
         key=lambda r: (-float(r.get("seconds", 0.0)), str(r.get("label")))
     )
@@ -47,12 +47,12 @@ def render_slowest(
     k: int = 10,
     title: str = "slowest cells",
 ) -> str:
-    """A fixed-width table of the top-``k`` slowest cells."""
+    """A fixed-width table of the top-``k`` slowest executed cells."""
     top = slowest_cells(records, k=k)
     if not top:
         return f"{title}: no executed cells recorded"
     lines = [
-        f"{title} (top {len(top)} of {len(records)}):",
+        f"{title} (top {len(top)} of {len(_ran_cells(records))}):",
         f"  {'seconds':>9}  {'utime':>8}  {'stime':>8}  "
         f"{'rss_kb':>9}  {'stage':<10}  label",
     ]
@@ -70,7 +70,6 @@ def render_slowest(
 
 
 __all__ = [
-    "read_journal",
     "render_slowest",
     "slowest_cells",
 ]

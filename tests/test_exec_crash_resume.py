@@ -1,7 +1,7 @@
 """Crash consistency: SIGKILL a sweep mid-run, resume, lose nothing.
 
 The headline guarantee of the execution engine (DESIGN.md §14): a run
-killed at *any* cell boundary resumes from its checkpoint journal and
+killed at *any* cell boundary resumes from its event log and
 folds to the byte-identical result of an uninterrupted run, with no
 completed cell executed twice.  These tests kill a real process —
 ``python -m tests.engine_cells`` with ``REPRO_ENGINE_KILL_AFTER=N``
@@ -10,9 +10,9 @@ randomized (but seeded) cell boundaries, then resume and verify:
 
 * the folded results pickle is byte-identical to the uninterrupted
   run's;
-* the journal after the kill holds exactly N cells, and the resumed
-  run's event log reports exactly those N as ``resumed`` — zero
-  re-executions of completed work;
+* the event log after the kill holds exactly N ``checkpoint_written``
+  records, and the resumed run reports exactly those N keys as
+  ``resumed`` — zero re-executions of completed work;
 * the combined event log (kill segment + resume segment) passes the
   stream contract validator.
 """
@@ -29,7 +29,6 @@ from pathlib import Path
 import pytest
 
 from repro.exec import read_event_log, validate_events
-from repro.exec.checkpoint import CheckpointJournal
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,9 +74,10 @@ def the_run_dir(run_root: Path) -> Path:
     return runs[0]
 
 
-def journalled_cells(run_root: Path) -> list[dict]:
-    journal = CheckpointJournal(the_run_dir(run_root) / "journal.jsonl")
-    return [r for r in journal.load() if r.get("kind") == "cell"]
+def checkpoints(run_root: Path) -> list[dict]:
+    """The run's ``checkpoint_written`` records: its journal."""
+    records = read_event_log(the_run_dir(run_root) / "events.jsonl")
+    return [r for r in records if r.get("kind") == "checkpoint_written"]
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +104,9 @@ def test_kill_and_resume_is_byte_identical(
         f"{killed.stderr}"
     )
     assert not fold.exists(), "a killed run must not publish a fold"
-    journal = journalled_cells(run_root)
+    journal = checkpoints(run_root)
     assert len(journal) == kill_after, (
-        "journal must hold exactly the cells checkpointed before the "
+        "the log must hold exactly the cells checkpointed before the "
         f"kill: expected {kill_after}, found {len(journal)}"
     )
 
@@ -202,8 +202,8 @@ def test_worker_crash_dumps_a_valid_flight_record(tmp_path):
 
 def test_status_json_consistent_with_journal(tmp_path, uninterrupted):
     """status.json (rewritten on every checkpoint) never claims more
-    progress than the journal holds — after a SIGKILL and again after
-    the clean resume."""
+    progress than the log's checkpoint records hold — after a SIGKILL
+    and again after the clean resume."""
     from repro.ops import read_status
 
     kill_after = KILL_POINTS[0]
@@ -212,21 +212,21 @@ def test_status_json_consistent_with_journal(tmp_path, uninterrupted):
 
     killed = drive(run_root, fold, kill_after=kill_after)
     assert killed.returncode == -signal.SIGKILL, killed.stderr
-    journal_lines = len(journalled_cells(run_root))
+    journal_lines = len(checkpoints(run_root))
     status = read_status(the_run_dir(run_root) / "status.json")
     checkpointed = status["cells"]["checkpointed"]
-    # the status write and the journal fsync are not one atomic step:
-    # the kill can land between them, so allow a one-cell skew — but
-    # status must never run AHEAD of the durable journal
+    # the log fsync and the status write are not one atomic step: the
+    # kill can land between them, so allow a one-cell skew — but
+    # status must never run AHEAD of the durable log
     assert checkpointed <= journal_lines <= checkpointed + 1, (
         f"status.json claims {checkpointed} checkpointed cells but the "
-        f"journal holds {journal_lines}"
+        f"log holds {journal_lines}"
     )
 
     resumed = drive(run_root, fold, kill_after=None)
     assert resumed.returncode == 0, resumed.stderr
     assert fold.read_bytes() == uninterrupted
-    journal_lines = len(journalled_cells(run_root))
+    journal_lines = len(checkpoints(run_root))
     status = read_status(the_run_dir(run_root) / "status.json")
     assert status["cells"]["checkpointed"] == journal_lines == CELLS
     assert status["cells"]["done"] == CELLS
@@ -246,3 +246,67 @@ def test_killed_run_leaves_no_temp_files(tmp_path):
     assert resumed.returncode == 0, resumed.stderr
     stranded = list(run_root.rglob(".tmp-*"))
     assert stranded == []
+
+
+def test_run_dir_resumes_from_its_event_log_alone(tmp_path, uninterrupted):
+    """A run directory holds one log: its ``events.jsonl`` is the
+    checkpoint journal, and with ``status.json`` removed the run still
+    resumes exactly the checkpointed cells."""
+    kill_after = KILL_POINTS[1]
+    run_root = tmp_path / "runs"
+    fold = tmp_path / "fold.pkl"
+    killed = drive(run_root, fold, kill_after=kill_after)
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    run_dir = the_run_dir(run_root)
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "events.jsonl", "manifest.json", "results", "status.json",
+    ]
+    keys = {r["key"] for r in checkpoints(run_root)}
+    assert len(keys) == kill_after
+    (run_dir / "status.json").unlink()
+
+    resumed = drive(run_root, fold, kill_after=None)
+    assert resumed.returncode == 0, resumed.stderr
+    assert fold.read_bytes() == uninterrupted
+    records = read_event_log(run_dir / "events.jsonl")
+    assert {
+        r["key"] for r in records
+        if r.get("kind") == "cell_finished" and r.get("outcome") == "resumed"
+    } == keys
+
+
+def test_torn_log_tail_is_cut_before_a_resume_appends(
+    tmp_path, uninterrupted
+):
+    """A half-written last line (a crash mid-write) is cut when the run
+    directory reopens its log: two resumes later the fold is
+    byte-identical, every line parses, and the validator accepts the
+    log.  Appending onto the torn tail would merge the next record
+    into it, and the second resume's log would no longer parse."""
+    kill_after = KILL_POINTS[0]
+    run_root = tmp_path / "runs"
+    fold = tmp_path / "fold.pkl"
+    killed = drive(run_root, fold, kill_after=kill_after)
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    log = the_run_dir(run_root) / "events.jsonl"
+    intact = log.read_bytes()
+    with open(log, "ab") as handle:
+        handle.write(b'{"kind": "checkpoint_written", "seq": 9')
+
+    for _ in range(2):
+        resumed = drive(run_root, fold, kill_after=None)
+        assert resumed.returncode == 0, resumed.stderr
+        assert fold.read_bytes() == uninterrupted
+    data = log.read_bytes()
+    assert data.startswith(intact + b'{"kind": "phase_started", "seq": 0')
+    lines = data.decode("utf-8").splitlines()
+    assert [json.loads(line)["kind"] for line in lines]  # all parse
+    records = read_event_log(log)
+    assert len(records) == len(lines)
+    assert validate_events(records, partial=True) == []
+    outcomes = [
+        r["outcome"] for r in records if r.get("kind") == "cell_finished"
+    ]
+    # first resume: kill_after replayed, the rest ran; second: all replayed
+    assert outcomes.count("resumed") == kill_after + CELLS
+    assert outcomes.count("ran") == CELLS

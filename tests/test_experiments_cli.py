@@ -104,8 +104,8 @@ class TestCliEngineSummary:
 
 
 class TestCliExitPath:
-    """Every way out of a run closes the engine (journal, --events-out
-    handle) exactly once."""
+    """Every way out of a run closes the engine (run-dir log,
+    --events-out handle) exactly once."""
 
     @pytest.fixture
     def closes(self, monkeypatch):
@@ -140,6 +140,19 @@ class TestCliExitPath:
         monkeypatch.setattr("repro.experiments.__main__.run", interrupted)
         assert main(["fig3", "--fast", "--no-cache", "--quiet"]) == 130
         assert len(closes) == 1
+
+    def test_rejected_jobs_leaves_events_out_untouched(self, tmp_path):
+        """--events-out opens (mode "w") only after the engine accepted
+        the flags: a rejected --jobs exits 2 with the file unchanged."""
+        events = tmp_path / "ev.jsonl"
+        events.write_bytes(b'{"kind": "finished"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fig3", "--fast", "--no-cache", "--jobs", "0",
+                "--events-out", str(events),
+            ])
+        assert exc.value.code == 2
+        assert events.read_bytes() == b'{"kind": "finished"}\n'
 
 
 class TestArtifactFlagsFromRegistry:

@@ -160,11 +160,9 @@ class TestRunStatus:
         status = read_status(engine.run_dir.path / "status.json")
         assert status is not None
         journal = [
-            line
-            for line in (engine.run_dir.path / "journal.jsonl")
-            .read_text()
-            .splitlines()
-            if line.strip()
+            record
+            for record in read_event_log(engine.run_dir.events_path)
+            if record["kind"] == "checkpoint_written"
         ]
         assert status["cells"]["checkpointed"] == len(journal) == 5
         # no stranded temp file from the atomic rewrite
@@ -374,16 +372,20 @@ class TestProfiles:
         engine = Engine(jobs=1, run_root=tmp_path / "runs")
         engine.run(make_cells(4), stage="prof")
         engine.close()
-        from repro.ops import read_journal
-
-        journal = read_journal(engine.run_dir.path / "journal.jsonl")
-        assert len(journal) == 4
-        for record in journal:
+        records = read_event_log(engine.run_dir.events_path)
+        ran = [
+            record
+            for record in records
+            if record["kind"] == "cell_finished"
+            and record["outcome"] == "ran"
+        ]
+        assert len(ran) == 4
+        for record in ran:
             assert "utime_s" in record and "max_rss_kb" in record
-        top = slowest_cells(journal, k=2)
+        top = slowest_cells(records, k=2)
         assert len(top) == 2
         assert top[0]["seconds"] >= top[1]["seconds"]
-        table = render_slowest(journal, k=2, title="slowest")
+        table = render_slowest(records, k=2, title="slowest")
         assert "slowest (top 2 of 4)" in table
         assert "arith:" in table
 
@@ -417,6 +419,7 @@ class TestAttachCli:
     def test_summarises_the_run(self, run_root, capsys):
         assert ops_main(["attach", str(run_root), "--top", "2"]) == 0
         out = capsys.readouterr().out
+        assert "  checkpoints: 5\n" in out
         assert "slowest cells (top 2 of 5)" in out
         assert "record(s), valid" in out
 
