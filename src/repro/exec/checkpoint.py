@@ -13,8 +13,8 @@ Layout, under ``<root>/<run-id>/``::
 
     manifest.json    run id, code salt, first plan fingerprint
     events.jsonl     the engine event stream, appended across resumes;
-                     its checkpoint_written records are the journal
-    status.json      the live status fold, rewritten per checkpoint
+                     its checkpoint_written records are the journal,
+                     and its fold is the run's status (repro.ops attach)
     results/         ResultCache keyed by the same cache hashes
 
 Run ids are content-addressed too: ``run-<plan fingerprint>`` of the

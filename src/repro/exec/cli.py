@@ -11,6 +11,7 @@ already in ``sys.modules``.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,7 +36,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "(implies --partial)",
     )
     args = parser.parse_args(argv)
-    records = read_event_log(args.log)
+    try:
+        records = read_event_log(args.log)
+    except (OSError, ValueError) as exc:  # missing or damaged log
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     problems = validate_events(
         records, partial=args.partial or args.ring, ring=args.ring
     )

@@ -28,8 +28,9 @@ no tallies of its own: :attr:`Engine.status` (a
 and its ``ran``/``hit``/``resumed``/``sweeps_finished`` counts are the
 run's totals, live even mid-sweep.  The run directory's
 ``events.jsonl`` is written at the source too, before any sink: it is
-the checkpoint journal.  A killed run resumes from it with only
-unfinished cells re-executed; because run ids are
+the checkpoint journal and the run's only status record (``python -m
+repro.ops attach`` folds the same ``RunStatus`` over it).  A killed run
+resumes from it with only unfinished cells re-executed; because run ids are
 content-addressed, re-running the same sweep against the same run root
 resumes automatically, and ``--resume <run-id>`` pins a directory
 explicitly.
@@ -168,10 +169,9 @@ class Engine:
         #: cells already checkpointed when the run directory attached
         #: (the resume lineage /status reports)
         self.resumed_at_open = 0
-        # Live status fold for /status, <run-dir>/status.json and the
-        # CLI's engine tallies.  Imported
-        # lazily: repro.exec must keep no import-time dependency on the
-        # ops layer above it.
+        # Live status fold for /status and the CLI's engine tallies.
+        # Imported lazily: repro.exec must keep no import-time
+        # dependency on the ops layer above it.
         from repro.ops.status import RunStatus
 
         self.status = RunStatus(engine=self)
@@ -199,13 +199,13 @@ class Engine:
     def _event(self, cls: Callable[..., Event], **fields: Any) -> Event:
         event = cls(seq=self._seq, **fields)
         self._seq += 1
-        # the status fold and the run directory's log see every event
+        # the run directory's log and the status fold see every event
         # at the source, so both hold even for callers that iterate
         # stream() directly; a checkpoint line is fsynced here, before
-        # any sink (status.json included) can report it
-        self.status.observe(event)
+        # the fold or any sink can report it
         if self.run_dir is not None:
             self.run_dir.append(event)
+        self.status.observe(event)
         return event
 
     # ------------------------------------------------------------------
@@ -224,16 +224,8 @@ class Engine:
         self._checkpointed = self.run_dir.completed_keys()
         self._completed = len(self._checkpointed)
         self.resumed_at_open = len(self._checkpointed)
-        # the run directory keeps a live status.json (one compact JSON
-        # line that `python -m repro.ops attach RUN_DIR` renders), rewritten
-        # atomically on every checkpoint so a detached run stays
-        # inspectable without the HTTP ops plane (lazy import: exec
-        # stays below repro.ops)
-        from repro.ops.status import StatusWriter
-
-        self._sinks.append(
-            StatusWriter(self.run_dir.path / "status.json", self.status)
-        )
+        # the fold starts where the log stands, as attach's fold does
+        self.status.checkpointed = self.resumed_at_open
 
     # ------------------------------------------------------------------
     # the phases, as an event generator

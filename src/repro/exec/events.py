@@ -255,20 +255,30 @@ def read_event_log(path: Union[str, Path]) -> list[dict[str, Any]]:
 
     A run killed mid-write (the crash suite SIGKILLs at arbitrary
     points) can leave a truncated final line; that line is dropped
-    instead of raising.
+    instead of raising.  Any earlier line that is not a JSON object
+    raises a :class:`json.JSONDecodeError` (a ``ValueError``) naming
+    the file and the line.
     """
     records: list[dict[str, Any]] = []
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+        text = handle.read()
+    lines = text.splitlines(keepends=True)
+    offset = 0
     for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if lineno == len(lines) - 1:
-                break
-            raise
+        if line.strip():
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise json.JSONDecodeError("not an object", line, 0)
+            except json.JSONDecodeError as exc:
+                if lineno == len(lines) - 1:
+                    break
+                raise json.JSONDecodeError(
+                    f"{path}: malformed event record", text,
+                    offset + exc.pos,
+                ) from None
+            records.append(record)
+        offset += len(line)
     return records
 
 

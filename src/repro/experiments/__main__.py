@@ -24,9 +24,10 @@ makes the run *durable*: every completed cell is checkpointed in the
 ``events.jsonl`` of a content-addressed run directory, so a killed
 run — Ctrl-C, SIGKILL, OOM — resumes with only unfinished cells
 re-executed (automatically, since the run id derives from the planned
-sweep; ``--resume RUN-ID`` pins a directory explicitly); that log and
-``status.json`` record what a dead run was doing, and a checkpointed
-run ends with a slowest-cells table read from the log.
+sweep; ``--resume RUN-ID`` pins a directory explicitly); that log
+records what a dead run was doing (``python -m repro.ops attach``
+folds its status), and a checkpointed run ends with a slowest-cells
+table read from the log.
 ``--events-out PATH`` additionally streams the engine's typed event
 narration as JSONL.  ``--serve [HOST:]PORT`` (or
 ``REPRO_SERVE``) attaches the read-only ops plane: live ``/metrics``,
@@ -197,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     plane = None
     try:
         # the ops plane exists only to serve; a run directory keeps its own
-        # record (events.jsonl, status.json) without it
+        # record (events.jsonl) without it
         if serve_spec is not None:
             from repro.ops.server import attach_ops
 

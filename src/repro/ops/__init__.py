@@ -14,8 +14,8 @@ steers execution:
   ``http.server``, ``ssl`` or ``email`` modules;
 * :mod:`repro.ops.stream` — the fan-out sink, bounded event ring and
   drop-on-full subscriptions behind ``/events``;
-* :mod:`repro.ops.status` — the live status fold, ``/status`` and
-  ``<run-dir>/status.json`` (written by the engine, plane or not);
+* :mod:`repro.ops.status` — the status fold behind ``/status``, and
+  its replay over a run directory's log;
 * :mod:`repro.ops.metrics` — engine metrics folded into the existing
   telemetry registry and Prometheus exposition;
 * :mod:`repro.ops.profiles` — per-cell resource profiles and the
@@ -23,10 +23,10 @@ steers execution:
 * :mod:`repro.ops.cli` — ``python -m repro.ops attach RUN_DIR``.
 
 A dead run's record is its run directory: the engine's own
-``events.jsonl`` (ending in ``interrupted`` when it saw the failure)
-and ``status.json``.  The HTTP plane attaches only to serve, and is an
-observer: with or without ``--serve``, a sweep folds to byte-identical
-results
+``events.jsonl`` (ending in ``interrupted`` when it saw the failure),
+whose fold is the run's status.  The HTTP plane attaches only to
+serve, and is an observer: with or without ``--serve``, a sweep folds
+to byte-identical results
 (``tests/test_ops_plane.py::test_serve_preserves_fold_bytes``).
 """
 
@@ -37,12 +37,7 @@ from typing import Optional
 
 from repro.ops.metrics import EngineMetricsSink
 from repro.ops.profiles import render_slowest, slowest_cells
-from repro.ops.status import (
-    STATUS_SCHEMA,
-    RunStatus,
-    StatusWriter,
-    read_status,
-)
+from repro.ops.status import STATUS_SCHEMA, RunStatus
 from repro.ops.stream import EventRing, FanOutSink, Subscription
 
 ENV_SERVE = "REPRO_SERVE"
@@ -92,10 +87,8 @@ __all__ = [
     "FanOutSink",
     "RunStatus",
     "STATUS_SCHEMA",
-    "StatusWriter",
     "Subscription",
     "parse_serve_spec",
-    "read_status",
     "render_slowest",
     "resolve_serve_spec",
     "slowest_cells",

@@ -1,25 +1,27 @@
 """``python -m repro.ops attach RUN_DIR`` — inspect a run from disk.
 
 The offline counterpart of the live HTTP endpoints: given a run
-directory (or a run root holding exactly one run), print its manifest,
-the last written ``status.json``, and from its ``events.jsonl`` the
-checkpoint count, the slowest-cells table and the log's validity.  A
-dead run's record is that log (ending in ``interrupted`` when the
-engine saw the failure) and ``status.json``.  Everything read here is
-an artifact another component already wrote — this tool never mutates
-a run directory.
+directory (or a run root holding exactly one run), print its manifest
+and, from its ``events.jsonl``, the status of the last engine that
+appended to it (:func:`repro.ops.status.fold_log`, the same fold
+``/status`` serves live), the checkpoint count, the slowest-cells
+table and the log's validity.  A dead run's record is that log
+(ending in ``interrupted`` when the engine saw the failure).  A
+damaged log is reported as an error (exit 1).  This tool never
+mutates a run directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.exec.events import read_event_log, validate_events
 from repro.ops.profiles import render_slowest
-from repro.ops.status import read_status
+from repro.ops.status import fold_log
 
 
 def resolve_run_dir(path: Path) -> Optional[Path]:
@@ -47,33 +49,21 @@ def _describe(run_dir: Path, top: int) -> list[str]:
         f"  salt {manifest.get('salt')}  plan {manifest.get('plan')}"
     )
 
-    status = read_status(run_dir / "status.json")
-    if status is not None:
-        cells = status.get("cells", {})
-        lines.append(
-            "  status: phase={phase} done={done}/{expected} "
-            "ran={ran} hit={hit} resumed={resumed} "
-            "checkpointed={checkpointed}".format(
-                phase=status.get("phase") or "?",
-                done=cells.get("done", 0),
-                expected=cells.get("expected", 0),
-                ran=cells.get("ran", 0),
-                hit=cells.get("hit", 0),
-                resumed=cells.get("resumed", 0),
-                checkpointed=cells.get("checkpointed", 0),
-            )
-        )
-        if status.get("interrupted"):
-            lines.append(f"  interrupted: {status['interrupted']}")
-    else:
-        lines.append("  status: no status.json")
-
     events_path = run_dir / "events.jsonl"
     if events_path.exists():
         records = read_event_log(events_path)
-        checkpoints = sum(
-            record.get("kind") == "checkpoint_written" for record in records
+        status = fold_log(records).document()
+        cells = status["cells"]
+        lines.append(
+            "  status: phase={phase} done={done}/{expected} "
+            "ran={ran} hit={hit} resumed={resumed} "
+            "fold_lag={fold_lag}".format(
+                phase=status["phase"] or "?", **cells
+            )
         )
+        if status["interrupted"]:
+            lines.append(f"  interrupted: {status['interrupted']}")
+        checkpoints = cells["checkpointed"]
         lines.append(f"  checkpoints: {checkpoints}")
         if checkpoints:
             lines.append("")
@@ -115,7 +105,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{args.run_dir} is not a run directory (no "
             "manifest.json, and not a root with exactly one run)"
         )
-    for line in _describe(run_dir, top=args.top):
+    try:
+        lines = _describe(run_dir, top=args.top)
+    except (OSError, ValueError) as exc:  # a damaged run directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for line in lines:
         print(line)
     return 0
 

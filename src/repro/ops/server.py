@@ -8,7 +8,8 @@ thread next to the run:
 * ``GET /metrics`` — Prometheus text 0.0.4 from the
   :class:`~repro.ops.metrics.EngineMetricsSink` fold;
 * ``GET /status`` — the :class:`~repro.ops.status.RunStatus` JSON
-  document (same content as ``<run-dir>/status.json``);
+  document (``python -m repro.ops attach`` folds the same document,
+  live-only fields aside, from a run directory's log);
 * ``GET /events`` — a live chunked JSONL tail: ring replay first,
   then events as they happen (``?replay=N`` bounds the replay,
   ``?limit=N`` closes the stream after N lines);
@@ -185,7 +186,7 @@ class OpsPlane:
     the engine, feeding the metrics fold and the ring ``/events``
     replays, and starts the listener on a daemon thread (``port=0``
     picks a free port).  The engine's run directory keeps its own
-    record (``events.jsonl``, ``status.json``) with or without a plane.
+    record (``events.jsonl``) with or without a plane.
     """
 
     def __init__(self, engine: "Engine", host: str, port: int) -> None:

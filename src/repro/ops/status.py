@@ -1,20 +1,21 @@
-"""Live run status: a thread-safe fold of the engine event stream.
+"""Run status: a thread-safe fold of the engine event stream.
 
-:class:`RunStatus` is the single source of truth behind two surfaces:
+:class:`RunStatus` folds one engine lifetime's events into a
+JSON-ready run summary.  It has two feeds and one rule:
 
-* ``GET /status`` on the ops HTTP server;
-* ``<run-dir>/status.json``, rewritten atomically on every checkpoint
-  by :class:`StatusWriter` so a detached run stays inspectable without
-  the HTTP server — one compact JSON line, which
-  ``python -m repro.ops attach RUN_DIR`` renders.
+* live, ``GET /status`` on the ops HTTP server and the CLI's engine
+  tallies — the engine calls :meth:`RunStatus.observe` inside
+  ``_event()`` before sinks run, so /status is live even for callers
+  that drive ``Engine.stream()`` directly and never install a sink;
+* offline, :func:`fold_log` over a run directory's ``events.jsonl``,
+  which ``python -m repro.ops attach RUN_DIR`` renders.
 
-It observes every event **at the source** — the engine calls
-:meth:`observe` inside ``_event()`` before sinks run — so /status is
-live even for callers that drive ``Engine.stream()`` directly and
-never install a sink.  The fold is observability-only: the engine
-never reads it back, so a wrong count here could mislabel a dashboard
-but cannot change a fold byte (pinned by
-``tests/test_ops_plane.py::test_serve_preserves_fold_bytes``).
+Both start ``checkpointed`` at the cells the run directory already
+held when the engine attached it.  Worker health, the ETA, elapsed
+time and ``updated_unix`` exist only in the live fold.  The fold is
+observability-only: the engine never reads it back, so a wrong count
+here could mislabel a dashboard but cannot change a fold byte (pinned
+by ``tests/test_ops_plane.py::test_serve_preserves_fold_bytes``).
 
 Wall-clock note: ``started_unix``/``updated_unix`` stamp when the host
 observed events — operational provenance, never a simulation input —
@@ -23,12 +24,9 @@ and each read carries a simlint waiver naming its pinning test.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro.exec.events import (
     CellFinished,
@@ -38,6 +36,7 @@ from repro.exec.events import (
     Finished,
     Interrupted,
     PhaseStarted,
+    event_from_json,
 )
 from repro.exec.progress import EtaTracker
 
@@ -53,7 +52,11 @@ def _new_stage() -> dict[str, int]:
 
 
 class RunStatus:
-    """Fold engine events into a JSON-ready run summary."""
+    """Fold engine events into a JSON-ready run summary.
+
+    Without an engine it is a fold of a run directory's log
+    (:func:`fold_log`).
+    """
 
     def __init__(self, engine: Optional["Engine"] = None) -> None:
         self.engine = engine
@@ -77,8 +80,8 @@ class RunStatus:
 
     # ------------------------------------------------------------------
     def observe(self, event: Event) -> None:
-        # Status timestamps are host-side provenance for dashboards and
-        # status.json; no engine result reads them (pinned by
+        # Status timestamps are host-side provenance for dashboards;
+        # no engine result reads them (pinned by
         # tests/test_ops_plane.py::test_serve_preserves_fold_bytes).
         now = time.time()  # simlint: disable=SIM008
         with self._lock:
@@ -120,16 +123,17 @@ class RunStatus:
 
     # ------------------------------------------------------------------
     def document(self) -> dict[str, Any]:
-        """The /status JSON object (also status.json's content)."""
+        """The /status JSON object."""
         with self._lock:
             engine = self.engine
             hint = engine.cells_hint if engine is not None else None
             expected = max(self.planned, hint or 0)
             remaining = max(0, expected - self.done)
             eta = self.eta.estimate(remaining)
-            # fold lag measures journal backlog; without a run
-            # directory nothing journals and the lag is vacuously zero
-            journalling = engine is not None and engine.run_dir is not None
+            # fold lag measures checkpoint backlog; an engine without a
+            # run directory checkpoints nothing and its lag is vacuously
+            # zero, while a log fold always read one
+            journalling = engine is None or engine.run_dir is not None
             fold_lag = (
                 max(0, self.done - self.checkpointed) if journalling else 0
             )
@@ -179,69 +183,38 @@ class RunStatus:
             return doc
 
 
-class StatusWriter:
-    """Sink: rewrite ``status.json`` atomically at run milestones.
+def fold_log(records: Sequence[Mapping[str, Any]]) -> RunStatus:
+    """Fold a run directory's log records as its last engine saw them.
 
-    Writes on every ``CheckpointWritten`` (the durable progress beat)
-    plus phase boundaries and terminal events — not on every cell, so
-    cache-hit storms don't turn into fsync storms.  The write is
-    tmp-then-:func:`os.replace`, so a reader never observes a torn
-    document and a SIGKILL mid-write strands at most one
-    ``status.json.tmp`` (removed on the next attach).  The document is
-    one compact line: indenting would push :func:`json.dumps` off its C
-    encoder, and this rewrite runs once per journalled cell.
+    The fold covers the last engine lifetime (from the last
+    ``phase_started(plan)`` with ``seq`` 0) and starts ``checkpointed``
+    at the distinct keys checkpointed before it, as the engine seeds
+    its resume set from ``RunDir.completed_keys()``.  Raises
+    ``ValueError`` on a record that is not an engine event.
     """
-
-    #: event kinds that trigger a rewrite
-    TRIGGERS = (PhaseStarted, CheckpointWritten, Interrupted, Finished)
-
-    def __init__(
-        self, path: Union[str, Path], status: RunStatus
-    ) -> None:
-        self.path = Path(path)
-        self.status = status
-        self._tmp = self.path.with_name(self.path.name + ".tmp")
-        # a previous crash may have stranded the temp file
-        try:
-            self._tmp.unlink()
-        except OSError:
-            pass
-
-    def __call__(self, event: Event) -> None:
-        if not isinstance(event, self.TRIGGERS):
-            return
-        self.write()
-
-    def write(self) -> None:
-        doc = self.status.document()
-        text = json.dumps(doc, sort_keys=True) + "\n"
-        self._tmp.write_text(text, encoding="utf-8")
-        os.replace(self._tmp, self.path)
-
-    def close(self) -> None:
-        # final rewrite so status.json reflects the terminal state even
-        # when the last event was not a trigger
-        try:
-            self.write()
-        except OSError:  # pragma: no cover - run dir vanished
-            pass
-
-
-def read_status(path: Union[str, Path]) -> Optional[dict[str, Any]]:
-    """Parse a ``status.json`` if present and well-formed."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    return doc if isinstance(doc, dict) else None
+    start = max(
+        (
+            index
+            for index, record in enumerate(records)
+            if record.get("kind") == PhaseStarted.kind
+            and record.get("phase") == "plan"
+            and record.get("seq") == 0
+        ),
+        default=0,
+    )
+    status = RunStatus()
+    status.checkpointed = len({
+        str(record.get("key"))
+        for record in records[:start]
+        if record.get("kind") == CheckpointWritten.kind
+    })
+    for record in records[start:]:
+        status.observe(event_from_json(record))
+    return status
 
 
 __all__ = [
     "STATUS_SCHEMA",
     "RunStatus",
-    "StatusWriter",
-    "read_status",
+    "fold_log",
 ]

@@ -177,9 +177,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         results = engine.run(cells, stage=args.stage)
     except WorkerCrash as exc:
-        # events.jsonl already ends in the Interrupted event and
-        # status.json names the reason; report and exit with a
-        # distinct code the tests assert on
+        # events.jsonl already ends in the Interrupted event, which
+        # names the reason; report and exit with a distinct code the
+        # tests assert on
         print(f"[engine] worker crash: {exc}", file=sys.stderr)
         if plane is not None:
             plane.close()

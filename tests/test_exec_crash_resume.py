@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec import read_event_log, validate_events
+from repro.ops.status import fold_log
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,6 +73,12 @@ def the_run_dir(run_root: Path) -> Path:
     runs = [p for p in run_root.iterdir() if p.is_dir()]
     assert len(runs) == 1, f"expected one run dir, found {runs}"
     return runs[0]
+
+
+def folded(run_root: Path) -> dict:
+    """The run's status as ``attach`` folds it from the log."""
+    records = read_event_log(the_run_dir(run_root) / "events.jsonl")
+    return fold_log(records).document()
 
 
 def checkpoints(run_root: Path) -> list[dict]:
@@ -175,9 +182,7 @@ def test_worker_crash_dumps_a_valid_flight_record(tmp_path):
     """A worker SIGKILLed mid-sweep (pool crash, parent survives) must
     leave the run's flight record in its run directory: an
     ``events.jsonl`` the partial validator accepts, ending in the
-    crash, and a ``status.json`` naming the same reason."""
-    from repro.ops import read_status
-
+    crash, whose fold names the same reason."""
     run_root = tmp_path / "runs"
     fold = tmp_path / "fold.pkl"
     crashed = drive(run_root, fold, extra=["--die-at", "3"])
@@ -195,17 +200,16 @@ def test_worker_crash_dumps_a_valid_flight_record(tmp_path):
     assert records[-1]["kind"] == "interrupted"
     assert records[-1]["reason"] == "worker-crash"
 
-    # status.json was rewritten on the Interrupted trigger and agrees
-    status = read_status(run_dir / "status.json")
-    assert status["interrupted"] == "worker-crash"
+    # the status attach folds from the log agrees
+    assert fold_log(records).interrupted == "worker-crash"
 
 
 def test_status_json_consistent_with_journal(tmp_path, uninterrupted):
-    """status.json (rewritten on every checkpoint) never claims more
-    progress than the log's checkpoint records hold — after a SIGKILL
-    and again after the clean resume."""
-    from repro.ops import read_status
-
+    """The status folded from the log claims exactly the progress the
+    log's checkpoint records hold — after a SIGKILL and again after the
+    clean resume.  (That the live fold never runs ahead of the log is
+    checked at every event, in process, by
+    ``tests/test_ops_plane.py::TestOneFoldTwoFeeds``.)"""
     kill_after = KILL_POINTS[0]
     run_root = tmp_path / "runs"
     fold = tmp_path / "fold.pkl"
@@ -213,21 +217,20 @@ def test_status_json_consistent_with_journal(tmp_path, uninterrupted):
     killed = drive(run_root, fold, kill_after=kill_after)
     assert killed.returncode == -signal.SIGKILL, killed.stderr
     journal_lines = len(checkpoints(run_root))
-    status = read_status(the_run_dir(run_root) / "status.json")
+    status = folded(run_root)
     checkpointed = status["cells"]["checkpointed"]
-    # the log fsync and the status write are not one atomic step: the
-    # kill can land between them, so allow a one-cell skew — but
-    # status must never run AHEAD of the durable log
-    assert checkpointed <= journal_lines <= checkpointed + 1, (
-        f"status.json claims {checkpointed} checkpointed cells but the "
+    assert checkpointed == journal_lines == kill_after, (
+        f"the fold claims {checkpointed} checkpointed cells but the "
         f"log holds {journal_lines}"
     )
+    assert status["cells"]["done"] == kill_after
+    assert status["cells"]["fold_lag"] == 0
 
     resumed = drive(run_root, fold, kill_after=None)
     assert resumed.returncode == 0, resumed.stderr
     assert fold.read_bytes() == uninterrupted
     journal_lines = len(checkpoints(run_root))
-    status = read_status(the_run_dir(run_root) / "status.json")
+    status = folded(run_root)
     assert status["cells"]["checkpointed"] == journal_lines == CELLS
     assert status["cells"]["done"] == CELLS
     assert status["interrupted"] is None
@@ -250,8 +253,8 @@ def test_killed_run_leaves_no_temp_files(tmp_path):
 
 def test_run_dir_resumes_from_its_event_log_alone(tmp_path, uninterrupted):
     """A run directory holds one log: its ``events.jsonl`` is the
-    checkpoint journal, and with ``status.json`` removed the run still
-    resumes exactly the checkpointed cells."""
+    checkpoint journal and its only status record, and the run resumes
+    exactly the checkpointed cells from it."""
     kill_after = KILL_POINTS[1]
     run_root = tmp_path / "runs"
     fold = tmp_path / "fold.pkl"
@@ -259,11 +262,10 @@ def test_run_dir_resumes_from_its_event_log_alone(tmp_path, uninterrupted):
     assert killed.returncode == -signal.SIGKILL, killed.stderr
     run_dir = the_run_dir(run_root)
     assert sorted(p.name for p in run_dir.iterdir()) == [
-        "events.jsonl", "manifest.json", "results", "status.json",
+        "events.jsonl", "manifest.json", "results",
     ]
     keys = {r["key"] for r in checkpoints(run_root)}
     assert len(keys) == kill_after
-    (run_dir / "status.json").unlink()
 
     resumed = drive(run_root, fold, kill_after=None)
     assert resumed.returncode == 0, resumed.stderr

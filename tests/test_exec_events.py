@@ -264,6 +264,22 @@ class TestLogIo:
         out = capsys.readouterr().out
         assert "INVALID" in out
 
+    def test_cli_reports_a_damaged_log(self, tmp_path, capsys):
+        """A malformed line before the last is an error naming the
+        file and line, not a traceback; so is a line that is JSON but
+        not an object."""
+        lines = [_dump(e) for e in _minimal_sweep(2)]
+        for line_no, damage in ((3, "not json"), (2, "[1]")):
+            log = tmp_path / f"damaged-{line_no}.jsonl"
+            damaged = list(lines)
+            damaged[line_no - 1] = damage
+            log.write_text("\n".join(damaged) + "\n", "utf-8")
+            assert events_main([str(log)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {log}: ")
+            assert f": line {line_no} column 1 " in captured.err
+
     def test_module_entry_point_runs_clean(self, tmp_path):
         """``python -m repro.exec`` writes only its summary: no runpy
         warning about a module the package already imported."""

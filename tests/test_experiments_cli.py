@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.exec import Cell
+from repro.exec import Cell, read_event_log
 from repro.experiments.__main__ import main
 from repro.experiments.registry import REGISTRY
 from repro.experiments.ablations import (
@@ -15,6 +15,7 @@ from repro.experiments.ablations import (
     run_boost_ablation,
     run_reuse_ablation,
 )
+from repro.ops.status import fold_log
 from repro.sim.units import MS
 
 
@@ -72,7 +73,8 @@ class TestCliEngineSummary:
         self, monkeypatch, tmp_path
     ):
         """The plane exists only to serve: a durable run keeps its own
-        record (events.jsonl, status.json) without it."""
+        record, its events.jsonl, without it, and that log folds to
+        a finished run."""
         def no_plane(*args, **kwargs):
             raise AssertionError("ops plane attached without --serve")
 
@@ -81,8 +83,15 @@ class TestCliEngineSummary:
         runs = tmp_path / "runs"
         assert main(["fig3", "--no-cache", "--run-dir", str(runs)]) == 0
         [run_dir] = [d for d in runs.iterdir() if d.is_dir()]
-        assert (run_dir / "events.jsonl").exists()
-        assert (run_dir / "status.json").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "events.jsonl", "manifest.json", "results",
+        ]
+        status = fold_log(read_event_log(run_dir / "events.jsonl"))
+        doc = status.document()
+        assert doc["phase"] == "fold" and doc["interrupted"] is None
+        assert doc["sweeps_finished"] >= 1
+        assert doc["cells"]["checkpointed"] >= doc["cells"]["done"] >= 1
+        assert doc["cells"]["fold_lag"] == 0
 
     def test_artifact_flag_error_starts_no_ops_plane(self, tmp_path):
         """A rejected --telemetry-out exits before the ops plane

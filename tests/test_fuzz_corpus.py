@@ -7,11 +7,12 @@ from collections import Counter
 
 import pytest
 
-from repro.exec import SweepRunner
+from repro.exec import SweepRunner, read_event_log
 from repro.exec.queue import fork_available
 from repro.fuzz import CoverageMap, generate_scenario, run_campaign
 from repro.fuzz.cli import main
 from repro.fuzz.corpus import run_fuzz_case
+from repro.ops.status import fold_log
 
 
 @pytest.fixture(scope="module")
@@ -215,8 +216,15 @@ class TestCli:
             "run", "--cases", "1", "--quiet", "--run-dir", str(runs),
         ]) == 0
         [run_dir] = [d for d in runs.iterdir() if d.is_dir()]
-        assert (run_dir / "events.jsonl").exists()
-        assert (run_dir / "status.json").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "events.jsonl", "manifest.json", "results",
+        ]
+        status = fold_log(read_event_log(run_dir / "events.jsonl"))
+        doc = status.document()
+        assert doc["phase"] == "fold" and doc["interrupted"] is None
+        assert doc["sweeps_finished"] >= 1
+        assert doc["cells"]["checkpointed"] >= doc["cells"]["done"] >= 1
+        assert doc["cells"]["fold_lag"] == 0
 
     def test_negative_gen_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

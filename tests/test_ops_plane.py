@@ -1,10 +1,11 @@
 """The ops plane contract: observe everything, steer nothing.
 
 Covers the fan-out sink's back-pressure and ring, the status fold and
-status.json (with the record a crashed run leaves), the HTTP endpoints,
-the offline ``attach`` CLI and — the load-bearing guarantee every
-simlint waiver in ``repro.ops`` cites — that attaching the full plane
-(server included) leaves a sweep's folded bytes identical.
+its replay over a run directory's log (with the record a crashed run
+leaves), the HTTP endpoints, the offline ``attach`` CLI and — the
+load-bearing guarantee every simlint waiver in ``repro.ops`` cites —
+that attaching the full plane (server included) leaves a sweep's
+folded bytes identical.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro.exec import Engine, WorkerCrash
 from repro.exec.events import (
     CellFinished,
+    CheckpointWritten,
     Finished,
     PhaseStarted,
     read_event_log,
@@ -34,7 +36,7 @@ from repro.ops import (
 )
 from repro.ops.cli import main as ops_main
 from repro.ops.server import attach_ops
-from repro.ops.status import read_status
+from repro.ops.status import fold_log
 
 from tests.engine_cells import make_cells, make_suicide_cells
 
@@ -132,7 +134,7 @@ class TestFanOut:
 
 
 # ----------------------------------------------------------------------
-# the status fold + status.json
+# the status fold, live and over the log
 # ----------------------------------------------------------------------
 class TestRunStatus:
     def test_document_tracks_a_run(self, tmp_path):
@@ -157,16 +159,36 @@ class TestRunStatus:
         engine = Engine(jobs=1, run_root=tmp_path / "runs")
         engine.run(make_cells(5), stage="s1")
         engine.close()
-        status = read_status(engine.run_dir.path / "status.json")
-        assert status is not None
+        records = read_event_log(engine.run_dir.events_path)
+        status = fold_log(records).document()
         journal = [
             record
-            for record in read_event_log(engine.run_dir.events_path)
+            for record in records
             if record["kind"] == "checkpoint_written"
         ]
         assert status["cells"]["checkpointed"] == len(journal) == 5
-        # no stranded temp file from the atomic rewrite
-        assert not (engine.run_dir.path / "status.json.tmp").exists()
+        # the log is the run's only status record
+        assert sorted(p.name for p in engine.run_dir.path.iterdir()) == [
+            "events.jsonl", "manifest.json", "results",
+        ]
+
+    def test_resumed_run_counts_every_cell_checkpointed(
+        self, tmp_path, capsys
+    ):
+        """A run whose every cell resumes from the log has nothing
+        pending: the live fold and attach's fold of the log both count
+        every cell checkpointed, with no fold lag."""
+        for _ in range(2):
+            engine = Engine(jobs=1, run_root=tmp_path / "runs")
+            engine.run(make_cells(4), stage="again")
+            engine.close()
+        cells = engine.status.document()["cells"]
+        assert cells["checkpointed"] == cells["done"] == 4
+        assert cells["resumed"] == 4 and cells["fold_lag"] == 0
+        assert ops_main(["attach", str(tmp_path / "runs")]) == 0
+        out = capsys.readouterr().out
+        assert "done=4/4 ran=0 hit=0 resumed=4 fold_lag=0\n" in out
+        assert "  checkpoints: 4\n" in out
 
     def test_expect_cells_widens_the_expected_total(self):
         engine = Engine(jobs=1)
@@ -190,8 +212,103 @@ class TestRunStatus:
         assert validate_events(records, partial=True) == []
         assert records[-1]["kind"] == "interrupted"
         assert records[-1]["reason"] == "worker-crash"
-        status = read_status(engine.run_dir.path / "status.json")
-        assert status["interrupted"] == "worker-crash"
+        assert fold_log(records).interrupted == "worker-crash"
+
+
+# ----------------------------------------------------------------------
+# one fold, two feeds: the live /status and attach's replay of the log
+# ----------------------------------------------------------------------
+#: document fields only a live engine has: worker health, its ETA and
+#: clock, and its identity (jobs, run root, latest plan)
+LIVE_ONLY = ("workers", "eta_seconds", "elapsed_seconds", "updated_unix",
+             "run")
+
+
+class _Killed(Exception):
+    """Stands in for a SIGKILL: the sweep stops between two events."""
+
+
+def _watched_engine(run_root, jobs=1, kill_after=None):
+    """An engine whose live fold is checked against the disk at every
+    event: it never counts a checkpoint the log does not hold yet."""
+    engine = Engine(jobs=jobs, run_root=run_root)
+
+    def never_ahead(event):
+        on_disk = sum(
+            record["kind"] == "checkpoint_written"
+            for record in read_event_log(engine.run_dir.events_path)
+        )
+        assert engine.status.checkpointed <= on_disk, (event, on_disk)
+
+    def kill(event):
+        if isinstance(event, CheckpointWritten) and (
+            event.completed >= kill_after
+        ):
+            raise _Killed
+
+    engine.add_sink(never_ahead)
+    if kill_after is not None:
+        engine.add_sink(kill)
+    return engine
+
+
+def _fresh(run_root):
+    engine = _watched_engine(run_root)
+    engine.run(make_cells(5), stage="fresh")
+    return engine
+
+
+def _two_sweeps(run_root):
+    # the fleet's shape: one engine, one sweep per epoch, a stage each
+    engine = _watched_engine(run_root, jobs=2)
+    engine.run(make_cells(4), stage="epoch-0")
+    engine.run(make_cells(4, knuth=40503), stage="epoch-1")
+    return engine
+
+
+def _killed(run_root):
+    engine = _watched_engine(run_root, kill_after=3)
+    with pytest.raises(_Killed):
+        engine.run(make_cells(6), stage="kill")
+    return engine
+
+
+def _kill_then_resume(run_root):
+    _killed(run_root).close()
+    engine = _watched_engine(run_root)
+    engine.run(make_cells(6), stage="kill")
+    return engine
+
+
+def _all_resumed(run_root):
+    _fresh(run_root).close()
+    return _fresh(run_root)
+
+
+def _worker_crash(run_root):
+    engine = _watched_engine(run_root, jobs=2)
+    with pytest.raises(WorkerCrash):
+        engine.run(make_suicide_cells(6, die_at=3), stage="crash")
+    return engine
+
+
+class TestOneFoldTwoFeeds:
+    @pytest.mark.parametrize("drive", [
+        _fresh, _two_sweeps, _killed, _kill_then_resume, _all_resumed,
+        _worker_crash,
+    ], ids=lambda drive: drive.__name__.strip("_"))
+    def test_attach_fold_equals_live_status(self, tmp_path, drive):
+        engine = drive(tmp_path / "runs")
+        engine.close()
+        live = engine.status.document()
+        folded = fold_log(
+            read_event_log(engine.run_dir.events_path)
+        ).document()
+        for field in LIVE_ONLY:
+            live.pop(field, None)
+            folded.pop(field, None)
+        assert folded == live
+        assert live["cells"]["fold_lag"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +452,7 @@ class TestWorkerHeartbeats:
     def test_every_finished_cell_leaves_its_worker_idle(self, tmp_path):
         """Two beats per cell (pickup, completion), and none lost at the
         end of a sweep: after the last result every worker is idle, in
-        the ledger and in the status.json written at the fold."""
+        the ledger and in the /status document read after the fold."""
         cells = 40
         engine = Engine(jobs=2, run_root=tmp_path / "runs")
         engine.run(make_cells(cells), stage="hb")
@@ -344,8 +461,7 @@ class TestWorkerHeartbeats:
         workers = snapshot["workers"].values()
         assert sum(entry["beats"] for entry in workers) == 2 * cells
         assert all(entry["busy_index"] is None for entry in workers)
-        status = read_status(engine.run_dir.path / "status.json")
-        assert status is not None
+        status = engine.status.document()
         assert all(
             entry["busy_index"] is None
             for entry in status["workers"]["workers"].values()
@@ -422,6 +538,18 @@ class TestAttachCli:
         assert "  checkpoints: 5\n" in out
         assert "slowest cells (top 2 of 5)" in out
         assert "record(s), valid" in out
+
+    def test_damaged_log_is_an_error(self, run_root, capsys):
+        [log] = run_root.glob("run-*/events.jsonl")
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "not json\n"
+        log.write_text("".join(lines), encoding="utf-8")
+        assert ops_main(["attach", str(run_root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {log}: malformed event record: line 3 " in (
+            captured.err
+        )
 
     @pytest.mark.parametrize(
         "target, top, message",
