@@ -31,7 +31,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.events import (
@@ -48,7 +48,8 @@ _RUN_ID_DIGITS = 12
 
 
 class RunDirError(RuntimeError):
-    """A run directory cannot be (re)used: missing, or salt mismatch."""
+    """A run directory cannot be (re)used: missing, damaged, or written
+    by different code."""
 
 
 def resolve_run_root(
@@ -80,12 +81,20 @@ class RunManifest:
         return {"run_id": self.run_id, "salt": self.salt, "plan": self.plan}
 
     @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "RunManifest":
-        return cls(
-            run_id=str(doc["run_id"]),
-            salt=str(doc["salt"]),
-            plan=str(doc["plan"]),
-        )
+    def read(cls, path: Path) -> "RunManifest":
+        """Parse a ``manifest.json``; a damaged one raises a
+        ``ValueError`` that names the file."""
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            return cls(
+                run_id=str(doc["run_id"]),
+                salt=str(doc["salt"]),
+                plan=str(doc["plan"]),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{path}: malformed run manifest: {exc!s}"
+            ) from None
 
 
 class RunDir:
@@ -100,6 +109,8 @@ class RunDir:
         #: in one file; opening it cuts a torn last line left by a
         #: killed run, before anything reads the checkpoints
         self.log = JsonlSink(self.events_path, append=True)
+        #: cache keys the log had checkpointed when the run was opened
+        self.resumed_keys: set[str] = set()
 
     @property
     def run_id(self) -> str:
@@ -132,9 +143,10 @@ class RunDir:
         path = root / run_id
         manifest_path = path / "manifest.json"
         if manifest_path.exists():
-            manifest = RunManifest.from_json(
-                json.loads(manifest_path.read_text(encoding="utf-8"))
-            )
+            try:
+                manifest = RunManifest.read(manifest_path)
+            except ValueError as exc:
+                raise RunDirError(str(exc)) from None
             if manifest.salt != salt:
                 raise RunDirError(
                     f"run {run_id!r} was written by a different code "
@@ -157,6 +169,11 @@ class RunDir:
             )
             os.replace(tmp, manifest_path)
         run = cls(path, manifest)
+        try:
+            run.resumed_keys = run.completed_keys()
+        except ValueError as exc:  # a malformed line before the last
+            run.close()
+            raise RunDirError(str(exc)) from None
         # a previous crash may have stranded atomic-write temp files in
         # the result store; they are unreachable garbage, drop them
         run.results.sweep_temps()

@@ -221,7 +221,7 @@ class Engine:
             plan_fingerprint=plan_fingerprint,
             run_id=self._requested_run_id,
         )
-        self._checkpointed = self.run_dir.completed_keys()
+        self._checkpointed = set(self.run_dir.resumed_keys)
         self._completed = len(self._checkpointed)
         self.resumed_at_open = len(self._checkpointed)
         # the fold starts where the log stands, as attach's fold does

@@ -23,6 +23,7 @@ from repro.exec import Cell, SweepRunner
 from repro.experiments import registry
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
+from repro.sim.units import MS
 
 WINDOWS = (1, 2, 4, 8)
 
@@ -46,27 +47,36 @@ def _window_cell(
 ) -> dict:
     """S5 plus one phase-shifting VM (the type-flapping stressor).
 
-    Returns plain data (perf + churn counters) so the cell can cross a
-    process boundary and live in the result cache.
+    The shifter starts in llco and a churn timeline cycles it through
+    llco -> lolcf -> io every 400 ms for the whole run.  Returns plain
+    data (perf + churn counters) so the cell can cross a process
+    boundary and live in the result cache.
     """
+    from repro.dynamics import (
+        ChurnEngine,
+        ChurnTimeline,
+        PhaseChange,
+        SwitchableWorkload,
+    )
     from repro.experiments.runner import placement_means
     from repro.experiments.scenarios import build_scenario
-    from repro.workloads.phased import BehaviourPhase, PhasedWorkload
 
     built = build_scenario(SCENARIOS["S5"], seed=seed)
     machine = built.machine
     pool = built.ctx.pool
     assert pool is not None
     shifter_vm = machine.new_vm("shifter", 1, pool=pool)
-    shifter = PhasedWorkload(
-        "shifter",
-        phases=[
-            BehaviourPhase("llco", 400_000_000),
-            BehaviourPhase("lolcf", 400_000_000),
-            BehaviourPhase("io", 400_000_000),
-        ],
-    )
+    modes = ("llco", "lolcf", "io")
+    period = 400 * MS
+    shifter = SwitchableWorkload("shifter", mode=modes[0])
     shifter.install(machine, shifter_vm)
+    timeline = ChurnTimeline(tuple(
+        PhaseChange(
+            at_ns, name="shifter", mode=modes[at_ns // period % len(modes)]
+        )
+        for at_ns in range(period, warmup_ns + measure_ns + 1, period)
+    ))
+    ChurnEngine(machine, timeline, {"shifter": shifter}).arm()
     policy.setup(machine, built.ctx)
     machine.run(warmup_ns)
     for workload in built.workloads.values():

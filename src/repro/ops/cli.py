@@ -14,11 +14,11 @@ mutates a run directory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.exec.checkpoint import RunManifest
 from repro.exec.events import read_event_log, validate_events
 from repro.ops.profiles import render_slowest
 from repro.ops.status import fold_log
@@ -41,13 +41,9 @@ def resolve_run_dir(path: Path) -> Optional[Path]:
 
 def _describe(run_dir: Path, top: int) -> list[str]:
     lines: list[str] = []
-    manifest = json.loads(
-        (run_dir / "manifest.json").read_text(encoding="utf-8")
-    )
-    lines.append(f"run {manifest.get('run_id')} at {run_dir}")
-    lines.append(
-        f"  salt {manifest.get('salt')}  plan {manifest.get('plan')}"
-    )
+    manifest = RunManifest.read(run_dir / "manifest.json")
+    lines.append(f"run {manifest.run_id} at {run_dir}")
+    lines.append(f"  salt {manifest.salt}  plan {manifest.plan}")
 
     events_path = run_dir / "events.jsonl"
     if events_path.exists():

@@ -23,7 +23,6 @@ from repro.workloads.base import PerfResult, Workload
 from repro.workloads.blocking import BlockingSyncWorkload
 from repro.workloads.cpu import CpuBurnWorkload
 from repro.workloads.io_workload import IoWorkload
-from repro.workloads.phased import BehaviourPhase, PhasedWorkload
 from repro.workloads.profiles import (
     llcf_profile,
     llco_profile,
@@ -39,8 +38,6 @@ __all__ = [
     "IoWorkload",
     "SpinWorkload",
     "BlockingSyncWorkload",
-    "PhasedWorkload",
-    "BehaviourPhase",
     "llcf_profile",
     "llco_profile",
     "lolcf_profile",

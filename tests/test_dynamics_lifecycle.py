@@ -1,18 +1,29 @@
-"""Teardown edge cases for the machine lifecycle layer.
+"""Edge cases for the machine lifecycle layer.
 
 The nasty corners of churn: a VM dying with IO in flight, a pCPU
 failing while a vCPU is mid-quantum on it, a pool losing its last VM,
 and the recovery paths back.  Each scenario checks the structural
 invariants from the stress suite afterwards, so a leak anywhere in the
-teardown path fails loudly.
+teardown path fails loudly.  Last, a vCPU whose type changes over its
+lifetime (§3.3): phase changes must re-type it in vTRS and re-cluster
+it in AQL_Sched.
 """
 
 import pytest
 
-from repro.dynamics import SwitchableWorkload
+from repro.core.aql import AqlScheduler
+from repro.core.types import VCpuType
+from repro.core.vtrs import VTRS
+from repro.dynamics import (
+    MODES,
+    ChurnEngine,
+    ChurnTimeline,
+    PhaseChange,
+    SwitchableWorkload,
+)
 from repro.hypervisor.machine import Machine
 from repro.hypervisor.vm import VCpuState
-from repro.sim.units import MS
+from repro.sim.units import MS, SEC
 
 from tests.test_stress_invariants import check_machine_invariants
 
@@ -26,8 +37,8 @@ def _machine(pcpus: int = 2, seed: int = 0) -> Machine:
     return Machine(spec, seed=seed)
 
 
-def _add_switchable(machine: Machine, name: str, mode: str):
-    vm = machine.new_vm(name, 1)
+def _add_switchable(machine: Machine, name: str, mode: str, pool=None):
+    vm = machine.new_vm(name, 1, pool=pool)
     workload = SwitchableWorkload(name, mode=mode, clients=4)
     workload.install(machine, vm)
     return vm, workload
@@ -205,3 +216,92 @@ class TestBootAfterStart:
         machine.sync()
         assert workload.completed > 0, "booted IO VM never served a request"
         check_machine_invariants(machine)
+
+
+def _cycle_modes(
+    machine: Machine, workload: SwitchableWorkload, modes: tuple,
+    period_ns: int, until_ns: int,
+) -> None:
+    """Phase-change ``workload`` to the next of ``modes`` every period."""
+    timeline = ChurnTimeline(tuple(
+        PhaseChange(
+            at_ns, name=workload.name,
+            mode=modes[at_ns // period_ns % len(modes)],
+        )
+        for at_ns in range(period_ns, until_ns, period_ns)
+    ))
+    ChurnEngine(machine, timeline, {workload.name: workload}).arm()
+
+
+class TestPhaseChanges:
+    def test_every_mode_accepted(self):
+        for mode in MODES:
+            PhaseChange(0, mode=mode)
+            SwitchableWorkload("w", mode=mode).set_mode(mode)
+
+    def test_unknown_mode_rejected_by_phase_change(self):
+        with pytest.raises(ValueError, match="quantum-leap"):
+            PhaseChange(0, mode="quantum-leap")
+
+    def test_unknown_mode_rejected_by_workload(self):
+        with pytest.raises(ValueError, match="quantum-leap"):
+            SwitchableWorkload("w", mode="quantum-leap")
+
+    def test_unknown_mode_rejected_by_set_mode(self):
+        workload = SwitchableWorkload("w", mode="llcf")
+        with pytest.raises(ValueError, match="quantum-leap"):
+            workload.set_mode("quantum-leap")
+        assert workload.mode == "llcf" and not workload.mode_changes
+
+    def _pooled_machine(self, pcpus: int = 1):
+        machine = Machine(seed=3)
+        pool = machine.create_pool(
+            "p", machine.topology.pcpus[:pcpus], 30 * MS
+        )
+        return machine, pool
+
+    def test_units_complete_across_phase_changes(self):
+        machine, pool = self._pooled_machine()
+        _, workload = _add_switchable(machine, "p", "lolcf", pool=pool)
+        _cycle_modes(machine, workload, ("lolcf", "io"), 50 * MS, 800 * MS)
+        machine.run(200 * MS)
+        workload.begin_measurement()
+        requests = workload.completed
+        machine.run(600 * MS)
+        result = workload.result()
+        assert result.metric == "ns_per_unit"
+        units = dict(result.details)["units"]
+        served = workload.completed - requests
+        # two full lolcf -> io cycles inside the window, and each mode
+        # got work done: requests served and compute chunks finished
+        in_window = [t for t, _ in workload.mode_changes if t > 200 * MS]
+        assert len(in_window) >= 4
+        assert served > 0
+        assert units - served > 0
+
+    def test_vtrs_follows_the_phases(self):
+        machine, pool = self._pooled_machine()
+        vm, workload = _add_switchable(machine, "p", "llco", pool=pool)
+        _cycle_modes(machine, workload, ("llco", "io"), 600 * MS, 2400 * MS)
+        vtrs = VTRS(machine).attach()
+        observed = set()
+        for _ in range(24):
+            machine.run(100 * MS)
+            verdict = vtrs.type_of(vm.vcpus[0])
+            if verdict is not None:
+                observed.add(verdict)
+        assert VCpuType.LLCO in observed
+        assert VCpuType.IOINT in observed
+
+    def test_aql_recluster_on_phase_change(self):
+        """A phase-shifting vCPU forces periodic re-clustering."""
+        machine, pool = self._pooled_machine(pcpus=2)
+        # a steady LLCF companion so there are two distinct clusters
+        _add_switchable(machine, "steady", "llcf", pool=pool)
+        _, workload = _add_switchable(machine, "phased", "io", pool=pool)
+        _cycle_modes(machine, workload, ("io", "llcf"), 500 * MS, 4 * SEC)
+        manager = AqlScheduler(machine, pcpus=pool.pcpus).attach()
+        machine.run(4 * SEC)
+        # the layout must have changed more than once: IO phases pull
+        # the vCPU into a 1 ms pool, compute phases out of it
+        assert manager.reconfigurations >= 3

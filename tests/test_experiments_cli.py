@@ -140,6 +140,32 @@ class TestCliExitPath:
         assert code == 2
         assert len(closes) == 1
 
+    @pytest.mark.parametrize("damage", ["events.jsonl", "manifest.json"])
+    def test_damaged_run_dir_on_resume_exits_2_and_closes_once(
+        self, closes, tmp_path, capsys, damage
+    ):
+        """A resume against a damaged log or manifest ends in one
+        ``[engine]`` line naming the file, not a traceback."""
+        argv = [
+            "fig3", "--fast", "--no-cache", "--quiet",
+            "--run-dir", str(tmp_path / "runs"),
+        ]
+        assert main(argv) == 0
+        [path] = (tmp_path / "runs").glob(f"run-*/{damage}")
+        if damage == "events.jsonl":
+            lines = path.read_text(encoding="utf-8").splitlines(True)
+            lines[1] = "garbage\n"
+            path.write_text("".join(lines), encoding="utf-8")
+        else:
+            path.write_text("{bad", encoding="utf-8")
+        capsys.readouterr()
+        closes.clear()
+        assert main(argv) == 2
+        assert len(closes) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"[engine] {path}: malformed ")
+        assert err.count("\n") == 1
+
     def test_interrupt_exits_130_and_closes_once(
         self, closes, monkeypatch
     ):

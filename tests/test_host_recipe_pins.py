@@ -47,6 +47,8 @@ WARMUP_NS = 100 * MS
 MEASURE_NS = 200 * MS
 #: a four-thread barrier VM completes no round in the short window
 SPIN_MEASURE_NS = 1000 * MS
+#: the window study's shifter first changes phase at 400 ms
+SHIFT_MEASURE_NS = 400 * MS
 CALIBRATION_KINDS = (
     "io_exclusive", "io_hetero", "conspin", "llcf", "lolcf", "llco",
 )
@@ -170,6 +172,10 @@ def _cases() -> dict:
     cases["window:n=2"] = lambda: window_sensitivity._window_cell(
         AqlPolicy(window=2), seed=1, **timing
     )
+    cases["window:n=2:shift"] = lambda: window_sensitivity._window_cell(
+        AqlPolicy(window=2), warmup_ns=WARMUP_NS, measure_ns=SHIFT_MEASURE_NS,
+        seed=1,
+    )
     return cases
 
 
@@ -255,6 +261,7 @@ PINS = {
     'sync:spin': '41023436f927f461',
     'table3:dedup': 'f2f99cfb8f0026f1',
     'window:n=2': '62ae09e2c24d60e1',
+    'window:n=2:shift': '75a1a35c41d2a8cc',
 }
 
 

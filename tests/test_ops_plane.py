@@ -551,6 +551,16 @@ class TestAttachCli:
             captured.err
         )
 
+    def test_damaged_manifest_is_an_error(self, run_root, capsys):
+        [manifest] = run_root.glob("run-*/manifest.json")
+        manifest.write_text("{bad", encoding="utf-8")
+        assert ops_main(["attach", str(run_root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {manifest}: malformed run manifest: "
+        )
+
     @pytest.mark.parametrize(
         "target, top, message",
         [
