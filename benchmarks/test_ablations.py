@@ -9,18 +9,15 @@ from repro.experiments.ablations import (
     render_boost_ablation,
     render_lock_handoff_ablation,
     render_reuse_ablation,
-    run_boost_ablation,
-    run_lock_handoff_ablation,
-    run_reuse_ablation,
 )
-from repro.experiments.registry import REGISTRY
+from repro.experiments.registry import REGISTRY, run
 
-ABLATIONS = REGISTRY["ablations"].full
+ABLATIONS = REGISTRY["ablations"]
 
 
 def test_boost_ablation(once, sweep_runner):
     result = once(
-        lambda: run_boost_ablation(runner=sweep_runner, **ABLATIONS)
+        lambda: run(ABLATIONS, {"parts": ("boost",)}, sweep_runner).boost
     )
     print()
     print(render_boost_ablation(result))
@@ -35,7 +32,7 @@ def test_boost_ablation(once, sweep_runner):
 
 def test_lock_handoff_ablation(once, sweep_runner):
     result = once(
-        lambda: run_lock_handoff_ablation(runner=sweep_runner, **ABLATIONS)
+        lambda: run(ABLATIONS, {"parts": ("lock",)}, sweep_runner).lock
     )
     print()
     print(render_lock_handoff_ablation(result))
@@ -58,12 +55,9 @@ def test_lock_handoff_ablation(once, sweep_runner):
 
 
 def test_sync_primitives_ablation(once):
-    from repro.experiments.sync_primitives import (
-        render_sync_primitives,
-        run_sync_primitives,
-    )
+    from repro.experiments.sync_primitives import render_sync_primitives
 
-    result = once(lambda: run_sync_primitives(**REGISTRY["sync"].full))
+    result = once(lambda: run(REGISTRY["sync"]))
     print()
     print(render_sync_primitives(result))
     # §3.2: spinning degrades with the quantum, blocking barely does
@@ -73,7 +67,7 @@ def test_sync_primitives_ablation(once):
 
 
 def test_reuse_ablation(once):
-    result = once(lambda: run_reuse_ablation(**ABLATIONS))
+    result = once(lambda: run(ABLATIONS, {"parts": ("reuse",)}).reuse)
     print()
     print(render_reuse_ablation(result))
     # long quanta help LLCF under every reuse curve...

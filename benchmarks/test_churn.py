@@ -11,8 +11,8 @@ The quantitative claims behind the dynamics subsystem:
   scheduler-side metrics are all None).
 """
 
-from repro.experiments.churn import make_stories, render_churn, run_churn
-from repro.experiments.registry import REGISTRY
+from repro.experiments.churn import make_stories, render_churn
+from repro.experiments.registry import REGISTRY, run
 
 FULL = REGISTRY["churn"].full
 
@@ -26,7 +26,7 @@ MIGRATION_BOUND = 8
 
 
 def test_churn_adaptation(once, sweep_runner):
-    result = once(lambda: run_churn(runner=sweep_runner, **FULL))
+    result = once(lambda: run(REGISTRY["churn"], runner=sweep_runner))
     print()
     print(render_churn(result))
 

@@ -6,14 +6,12 @@ lock-duration inset, and the derived best quantum per type.
 """
 
 from repro.core.calibration import PAPER_BEST_QUANTA
-from repro.experiments.fig2_calibration import render_fig2, run_fig2
-from repro.experiments.registry import REGISTRY
+from repro.experiments.fig2_calibration import render_fig2
+from repro.experiments.registry import REGISTRY, run
 
 
 def test_fig2_calibration(once, sweep_runner):
-    result = once(lambda: run_fig2(
-        runner=sweep_runner, **REGISTRY["fig2"].full
-    ))
+    result = once(lambda: run(REGISTRY["fig2"], runner=sweep_runner))
     print()
     print(render_fig2(result))
 

@@ -1,11 +1,11 @@
 """Bench: Fig. 3 — the two-level clustering worked example."""
 
-from repro.experiments.fig3_clustering import render_fig3, run_fig3
-from repro.experiments.registry import REGISTRY
+from repro.experiments.fig3_clustering import render_fig3
+from repro.experiments.registry import REGISTRY, run
 
 
 def test_fig3_clustering(once):
-    result = once(lambda: run_fig3(**REGISTRY["fig3"].full))
+    result = once(lambda: run(REGISTRY["fig3"]))
     print()
     print(render_fig3(result))
 

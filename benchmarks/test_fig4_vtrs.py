@@ -1,12 +1,12 @@
 """Bench: Fig. 4 — the online vTRS over 50 monitoring periods."""
 
-from repro.experiments.fig4_vtrs import REPRESENTATIVES, render_fig4, run_fig4
-from repro.experiments.registry import REGISTRY
+from repro.experiments.fig4_vtrs import REPRESENTATIVES, render_fig4
+from repro.experiments.registry import REGISTRY, run
 from repro.workloads.suites import APP_CATALOG
 
 
 def test_fig4_vtrs(once):
-    result = once(lambda: run_fig4(**REGISTRY["fig4"].full))
+    result = once(lambda: run(REGISTRY["fig4"]))
     print()
     print(render_fig4(result))
 

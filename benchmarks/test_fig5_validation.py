@@ -4,18 +4,12 @@
 should reach its best performance at its type's calibrated quantum.
 """
 
-from repro.experiments.fig5_validation import (
-    FIG5_APPS,
-    render_fig5,
-    run_fig5,
-)
-from repro.experiments.registry import REGISTRY
+from repro.experiments.fig5_validation import FIG5_APPS, render_fig5
+from repro.experiments.registry import REGISTRY, run
 
 
 def test_fig5_validation(once):
-    result = once(
-        lambda: run_fig5(**REGISTRY["fig5"].full)
-    )
+    result = once(lambda: run(REGISTRY["fig5"]))
     print()
     print(render_fig5(result))
 

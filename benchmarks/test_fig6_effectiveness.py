@@ -5,22 +5,24 @@ machine.  Right: the Fig. 3 population on the 4-socket machine.
 """
 
 from repro.experiments.fig6_effectiveness import (
+    SINGLE_SOCKET,
     Fig6Result,
     render_fig6,
-    run_fig6_multi,
-    run_fig6_single,
 )
-from repro.experiments.registry import REGISTRY
+from repro.experiments.registry import REGISTRY, run
+from repro.experiments.scenarios import FIG3_POPULATION
 from repro.workloads.suites import APP_CATALOG
 
-RUN = REGISTRY["fig6"].full
+FIG6 = REGISTRY["fig6"]
 
 #: which placements are quantum-sensitive (must not regress under AQL)
 SENSITIVE = {"IOInt", "ConSpin"}
 
 
 def test_fig6_single_socket(once, sweep_runner):
-    single = once(lambda: run_fig6_single(runner=sweep_runner, **RUN))
+    single = once(lambda: run(
+        FIG6, {"scenarios": SINGLE_SOCKET}, sweep_runner
+    ).single_socket)
     print()
     print(render_fig6(Fig6Result(single_socket=single)))
 
@@ -36,7 +38,9 @@ def test_fig6_single_socket(once, sweep_runner):
 
 
 def test_fig6_multi_socket(once, sweep_runner):
-    multi = once(lambda: run_fig6_multi(runner=sweep_runner, **RUN))
+    multi = once(lambda: run(
+        FIG6, {"scenarios": (FIG3_POPULATION,)}, sweep_runner
+    ).multi_socket)
     print()
     print(render_fig6(Fig6Result(single_socket={}, multi_socket=multi)))
 

@@ -5,14 +5,12 @@ large quantum.  Values are normalised over full AQL: above 1.0 means
 customisation helped that class.
 """
 
-from repro.experiments.fig7_customization import render_fig7, run_fig7
-from repro.experiments.registry import REGISTRY
+from repro.experiments.fig7_customization import render_fig7
+from repro.experiments.registry import REGISTRY, run
 
 
 def test_fig7_customization(once, sweep_runner):
-    result = once(
-        lambda: run_fig7(runner=sweep_runner, **REGISTRY["fig7"].full)
-    )
+    result = once(lambda: run(REGISTRY["fig7"], runner=sweep_runner))
     print()
     print(render_fig7(result))
 

@@ -4,14 +4,12 @@ The paper's conclusion: no comparator wins everywhere; AQL_Sched
 matches the best comparator on every application type.
 """
 
-from repro.experiments.fig8_comparison import render_fig8, run_fig8
-from repro.experiments.registry import REGISTRY
+from repro.experiments.fig8_comparison import render_fig8
+from repro.experiments.registry import REGISTRY, run
 
 
 def test_fig8_comparison(once, sweep_runner):
-    result = once(
-        lambda: run_fig8(runner=sweep_runner, **REGISTRY["fig8"].full)
-    )
+    result = once(lambda: run(REGISTRY["fig8"], runner=sweep_runner))
     print()
     print(render_fig8(result))
 

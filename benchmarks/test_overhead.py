@@ -1,17 +1,11 @@
 """Bench: §4.3 — AQL_Sched overhead + Table 6 feature matrix."""
 
-from repro.experiments.overhead import (
-    render_overhead,
-    render_table6,
-    run_overhead,
-)
-from repro.experiments.registry import REGISTRY
+from repro.experiments.overhead import render_overhead, render_table6
+from repro.experiments.registry import REGISTRY, run
 
 
 def test_overhead(once):
-    result = once(
-        lambda: run_overhead(**REGISTRY["overhead"].full)
-    )
+    result = once(lambda: run(REGISTRY["overhead"]))
     print()
     print(render_overhead(result))
     print()

@@ -1,17 +1,12 @@
 """Bench: generalisation — AQL_Sched on random colocation mixes."""
 
 from repro.core.types import VCpuType
-from repro.experiments.random_mixes import (
-    render_random_mixes,
-    run_random_mixes,
-)
-from repro.experiments.registry import REGISTRY
+from repro.experiments.random_mixes import render_random_mixes
+from repro.experiments.registry import REGISTRY, run
 
 
 def test_random_mixes(once, sweep_runner):
-    result = once(lambda: run_random_mixes(
-        runner=sweep_runner, **REGISTRY["random"].full
-    ))
+    result = once(lambda: run(REGISTRY["random"], runner=sweep_runner))
     print()
     print(render_random_mixes(result))
 

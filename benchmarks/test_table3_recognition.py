@@ -1,11 +1,11 @@
 """Bench: Table 3 — vTRS type recognition across the full catalog."""
 
-from repro.experiments.registry import REGISTRY
-from repro.experiments.table3_recognition import render_table3, run_table3
+from repro.experiments.registry import REGISTRY, run
+from repro.experiments.table3_recognition import render_table3
 
 
 def test_table3_recognition(once):
-    result = once(lambda: run_table3(**REGISTRY["table3"].full))
+    result = once(lambda: run(REGISTRY["table3"]))
     print()
     print(render_table3(result))
     # the paper's Table 3 has every program correctly classified;

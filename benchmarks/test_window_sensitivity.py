@@ -1,16 +1,11 @@
 """Bench: §3.3.1 — vTRS window-size sensitivity on scenario S5."""
 
-from repro.experiments.window_sensitivity import (
-    render_window_sensitivity,
-    run_window_sensitivity,
-)
-from repro.experiments.registry import REGISTRY
+from repro.experiments.registry import REGISTRY, run
+from repro.experiments.window_sensitivity import render_window_sensitivity
 
 
 def test_window_sensitivity(once, sweep_runner):
-    result = once(lambda: run_window_sensitivity(
-        runner=sweep_runner, **REGISTRY["window"].full
-    ))
+    result = once(lambda: run(REGISTRY["window"], runner=sweep_runner))
     print()
     print(render_window_sensitivity(result))
 

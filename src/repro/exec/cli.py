@@ -6,6 +6,10 @@ smoke jobs and ``make resume-demo`` run it over a run directory's
 It lives apart from :mod:`repro.exec.events`, which the package
 imports, so running it as ``__main__`` never re-executes a module
 already in ``sys.modules``.
+
+:func:`report_stopped_run` is the other shell face: how every CLI that
+drives an engine (``python -m repro.experiments``, ``python -m
+repro.fuzz run``) reports a run it could not finish.
 """
 
 from __future__ import annotations
@@ -13,9 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.exec.checkpoint import RunDirError
 from repro.exec.events import read_event_log, validate_events
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.engine import Engine
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -55,4 +63,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 1 if problems else 0
 
 
-__all__ = ["main"]
+def report_stopped_run(
+    engine: "Engine", exc: "KeyboardInterrupt | RunDirError"
+) -> int:
+    """One stderr report for a run that ended early; its exit code.
+
+    Ctrl-C exits 130 with how to pick the run back up (the engine
+    already fsynced its log and swept temp files); a run directory
+    that cannot be reused (missing, damaged, other code) exits 2 with
+    one ``[engine]`` line naming the file.
+    """
+    if isinstance(exc, RunDirError):
+        print(f"[engine] {exc}", file=sys.stderr)
+        return 2
+    if engine.run_dir is not None:
+        print(
+            f"\n[engine] interrupted after {engine.status.ran} cell(s); "
+            f"resume with --run-dir {engine.run_root} (run "
+            f"{engine.run_dir.run_id})",
+            file=sys.stderr,
+        )
+    else:
+        print(
+            "\n[engine] interrupted (no --run-dir: nothing was "
+            "checkpointed)",
+            file=sys.stderr,
+        )
+    return 130
+
+
+__all__ = ["main", "report_stopped_run"]

@@ -6,11 +6,16 @@
   collect per-app results;
 * :mod:`repro.experiments.registry` — one record per family (its
   parameters, cell planner, fold and renderer); the figure, table and
-  ablation modules hold those functions and a one-call ``run_*``.
+  ablation modules hold those functions.
 
 Run any of them from the command line::
 
     python -m repro.experiments list
+
+or from Python, through the family's record::
+
+    from repro.experiments.registry import REGISTRY, run
+    result = run(REGISTRY["fig5"], {"seed": 2}, runner)
 
 See DESIGN.md's per-experiment index for the mapping to paper figures.
 """

@@ -56,6 +56,7 @@ from repro.exec import (
     SweepRunner,
     read_event_log,
 )
+from repro.exec.cli import report_stopped_run
 from repro.experiments.registry import REGISTRY, run
 
 
@@ -235,27 +236,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"[profile] wrote {args.profile}", file=sys.stderr)
             else:
                 run_experiments()
-        except KeyboardInterrupt:
-            # the engine already fsynced its log and swept temp files;
-            # tell the user how to pick the run back up
-            engine = runner.engine
-            if engine.run_dir is not None:
-                print(
-                    f"\n[engine] interrupted after {engine.status.ran} "
-                    f"cell(s); resume with --run-dir {engine.run_root} "
-                    f"--resume {engine.run_dir.run_id}",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    "\n[engine] interrupted (no --run-dir: nothing was "
-                    "checkpointed)",
-                    file=sys.stderr,
-                )
-            return 130
-        except RunDirError as exc:
-            print(f"[engine] {exc}", file=sys.stderr)
-            return 2
+        except (KeyboardInterrupt, RunDirError) as exc:
+            return report_stopped_run(runner.engine, exc)
         if args.telemetry_out is not None:
             from repro.telemetry import write_jsonl
 

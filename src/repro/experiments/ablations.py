@@ -1,17 +1,19 @@
 """Ablations of the design choices DESIGN.md calls out.
 
-Three studies beyond the paper's own ablation (Fig. 7):
+Three studies beyond the paper's own ablation (Fig. 7), the
+``ablations`` registry family; ``parts=("boost",)`` (or ``"lock"``,
+``"reuse"``) plans one study alone:
 
-* **BOOST** (:func:`run_boost_ablation`) — Credit's BOOST fast-path is
+* **BOOST** (``boost``) — Credit's BOOST fast-path is
   the reason exclusive IO is quantum-agnostic (Fig. 2a); with BOOST
   disabled, exclusive-IO latency becomes quantum-bound.  This isolates
   the paper's §3.4 claim that BOOST works *only* for workloads that
   block before exhausting their quantum.
-* **Lock handoff** (:func:`run_lock_handoff_ablation`) — strict ticket
+* **Lock handoff** (``lock``) — strict ticket
   (FIFO) handoff vs test-and-set barging under consolidation.  FIFO
   reproduces the lock-waiter-preemption convoys of [39]; the study
   shows how much worse ticket locks make large quanta.
-* **Cache reuse curve** (:func:`run_reuse_ablation`) — the concave
+* **Cache reuse curve** (``reuse``) — the concave
   hit-probability exponent governs how fast an LLC-friendly working
   set re-warms.  Uniform access (exponent 1.0) exaggerates the quantum
   effect; strong hot-subset reuse (0.3) dampens it.  The study reports
@@ -24,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.calibration import _build_calibration_machine
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.hardware.specs import MachineSpec, i7_3770
 from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable
@@ -277,38 +278,10 @@ def render_ablations(result: Ablations) -> str:
     )
 
 
-def _run_part(part: str, runner: Optional[SweepRunner], params: dict) -> Any:
-    """One study alone; ``params`` override the ``ablations`` record's."""
-    params = {**params, "parts": (part,)}
-    result = registry.run(registry.REGISTRY["ablations"], params, runner)
-    return getattr(result, part)
-
-
-def run_boost_ablation(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> BoostAblation:
-    return _run_part("boost", runner, params)
-
-
-def run_lock_handoff_ablation(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> LockHandoffAblation:
-    return _run_part("lock", runner, params)
-
-
-def run_reuse_ablation(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> ReuseAblation:
-    return _run_part("reuse", runner, params)
-
-
 __all__ = [
     "BoostAblation",
     "LockHandoffAblation",
     "ReuseAblation",
-    "run_boost_ablation",
-    "run_lock_handoff_ablation",
-    "run_reuse_ablation",
     "render_boost_ablation",
     "render_lock_handoff_ablation",
     "render_reuse_ablation",

@@ -38,8 +38,7 @@ from repro.dynamics import (
     random_timeline,
 )
 from repro.dynamics.host import build_churn_host, run_timeline, warm_up
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.hypervisor.hostspec import HostSpec
 from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable
@@ -229,12 +228,6 @@ def fold_churn(
     }
 
 
-def run_churn(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> dict[str, dict[str, ChurnRun]]:
-    return registry.run(registry.REGISTRY["churn"], params, runner)
-
-
 def _opt(value, fmt: str = "{:.1f}") -> str:
     if value is None:
         return "-"
@@ -331,7 +324,7 @@ def export_churn_trace(
     )
     tracer = telemetry.tracer
     tracer.close_all(machine.sim.now)
-    count = write_chrome_trace(path, tracer, machine.sim.now, telemetry=True)
+    count = write_chrome_trace(path, tracer, machine.sim.now)
     return count, tracer.dropped
 
 
@@ -343,6 +336,5 @@ __all__ = [
     "export_churn_trace",
     "make_stories",
     "render_churn",
-    "run_churn",
     "run_churn_cell",
 ]

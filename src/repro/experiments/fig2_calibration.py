@@ -12,7 +12,7 @@ duration monotonically increasing with the quantum.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.calibration import (
     CALIBRATION_QUANTA_MS,
@@ -20,8 +20,7 @@ from repro.core.calibration import (
     fold_calibration,
     plan_calibration,
 )
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.hardware.specs import MachineSpec
 from repro.metrics.tables import ResultTable, format_quantum
 
@@ -45,10 +44,6 @@ def plan_fig2(
 
 
 fold_fig2 = fold_calibration
-
-
-def run_fig2(runner: Optional[SweepRunner] = None, **params: Any) -> CalibrationResult:
-    return registry.run(registry.REGISTRY["fig2"], params, runner)
 
 
 def render_fig2(result: CalibrationResult) -> str:
@@ -88,4 +83,4 @@ def render_fig2(result: CalibrationResult) -> str:
     return "\n\n".join(sections)
 
 
-__all__ = ["run_fig2", "render_fig2", "PANELS"]
+__all__ = ["render_fig2", "PANELS"]

@@ -16,13 +16,12 @@ algorithm is deterministic), which is exactly the paper's Fig. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.calibration import PAPER_BEST_QUANTA
 from repro.core.clustering import TypedVCpu, build_pool_plan
 from repro.core.types import VCpuType
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.scenarios import FIG3_POPULATION, build_scenario
 from repro.metrics.tables import ResultTable
 from repro.sim.units import MS
@@ -78,10 +77,6 @@ def fold_fig3(results: list, **_params: Any) -> Fig3Result:
     return Fig3Result(clusters=results[0])
 
 
-def run_fig3(runner: Optional[SweepRunner] = None, **params: Any) -> Fig3Result:
-    return registry.run(registry.REGISTRY["fig3"], params, runner)
-
-
 def render_fig3(result: Fig3Result) -> str:
     table = ResultTable(
         "Fig. 3 — 2-level clustering of 48 vCPUs on 3 usable sockets",
@@ -93,4 +88,4 @@ def render_fig3(result: Fig3Result) -> str:
     return table.render()
 
 
-__all__ = ["Fig3Result", "run_fig3", "render_fig3"]
+__all__ = ["Fig3Result", "render_fig3"]

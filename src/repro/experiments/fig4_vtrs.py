@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.types import VCpuType
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.table3_recognition import observe_app
 from repro.hardware.specs import MachineSpec, i7_3770
 from repro.metrics.tables import ResultTable
@@ -90,10 +89,6 @@ def fold_fig4(results: list, periods: int, **_params: Any) -> Fig4Result:
     return result
 
 
-def run_fig4(runner: Optional[SweepRunner] = None, **params: Any) -> Fig4Result:
-    return registry.run(registry.REGISTRY["fig4"], params, runner)
-
-
 def render_fig4(result: Fig4Result) -> str:
     table = ResultTable(
         f"Fig. 4 — online vTRS over {result.periods} monitoring periods",
@@ -111,4 +106,4 @@ def render_fig4(result: Fig4Result) -> str:
     return table.render()
 
 
-__all__ = ["Fig4Result", "run_fig4", "render_fig4", "REPRESENTATIVES"]
+__all__ = ["Fig4Result", "render_fig4", "REPRESENTATIVES"]

@@ -14,8 +14,7 @@ from typing import Any, Optional, Sequence
 
 from repro.core.calibration import PAPER_BEST_QUANTA
 from repro.core.types import VCpuType
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.hardware.specs import MachineSpec, i7_3770
 from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable, format_quantum
@@ -141,10 +140,6 @@ def fold_fig5(
     return result
 
 
-def run_fig5(runner: Optional[SweepRunner] = None, **params: Any) -> Fig5Result:
-    return registry.run(registry.REGISTRY["fig5"], params, runner)
-
-
 def render_fig5(result: Fig5Result) -> str:
     table = ResultTable(
         "Fig. 5 — normalised perf per app x quantum (30ms = 1.0);"
@@ -167,4 +162,4 @@ def render_fig5(result: Fig5Result) -> str:
     return table.render()
 
 
-__all__ = ["Fig5Result", "run_fig5", "render_fig5", "FIG5_APPS", "QUANTA_MS"]
+__all__ = ["Fig5Result", "render_fig5", "FIG5_APPS", "QUANTA_MS"]

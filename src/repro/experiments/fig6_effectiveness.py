@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.baselines import AqlPolicy, XenCredit
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.runner import (
     ScenarioRun,
     _placement_key,
@@ -99,32 +98,6 @@ def fold_fig6(
     return Fig6Result(single_socket=comparisons, multi_socket=multi)
 
 
-def run_fig6(runner: Optional[SweepRunner] = None, **params: Any) -> Fig6Result:
-    return registry.run(registry.REGISTRY["fig6"], params, runner)
-
-
-def compare_scenario(
-    scenario: Scenario, runner: Optional[SweepRunner] = None, **params: Any
-) -> ScenarioComparison:
-    result = run_fig6(runner, scenarios=(scenario,), **params)
-    if scenario.name == FIG3_POPULATION.name:
-        assert result.multi_socket is not None
-        return result.multi_socket
-    return result.single_socket[scenario.name]
-
-
-def run_fig6_single(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> dict[str, ScenarioComparison]:
-    return run_fig6(runner, scenarios=SINGLE_SOCKET, **params).single_socket
-
-
-def run_fig6_multi(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> ScenarioComparison:
-    return compare_scenario(FIG3_POPULATION, runner, **params)
-
-
 def render_fig6(result: Fig6Result) -> str:
     sections = []
     table = ResultTable(
@@ -171,9 +144,5 @@ def render_fig6(result: Fig6Result) -> str:
 __all__ = [
     "ScenarioComparison",
     "Fig6Result",
-    "compare_scenario",
-    "run_fig6",
-    "run_fig6_single",
-    "run_fig6_multi",
     "render_fig6",
 ]

@@ -12,11 +12,10 @@ comes close except for LLCF).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.baselines import AqlPolicy
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.runner import ScenarioRun, run_scenario
 from repro.experiments.scenarios import FIG3_POPULATION
 from repro.metrics.tables import ResultTable
@@ -56,10 +55,6 @@ def fold_fig7(results: list[ScenarioRun], **_params: Any) -> Fig7Result:
     return result
 
 
-def run_fig7(runner: Optional[SweepRunner] = None, **params: Any) -> Fig7Result:
-    return registry.run(registry.REGISTRY["fig7"], params, runner)
-
-
 def render_fig7(result: Fig7Result) -> str:
     placements = sorted(
         {key for values in result.normalized.values() for key in values}
@@ -80,4 +75,4 @@ def render_fig7(result: Fig7Result) -> str:
     return table.render()
 
 
-__all__ = ["Fig7Result", "run_fig7", "render_fig7", "UNIFORM_QUANTA_MS"]
+__all__ = ["Fig7Result", "render_fig7", "UNIFORM_QUANTA_MS"]

@@ -9,11 +9,10 @@ comparator on every application type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.baselines import AqlPolicy, Microsliced, VSlicer, VTurbo, XenCredit
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.runner import ScenarioRun, run_scenario
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
@@ -50,10 +49,6 @@ def fold_fig8(results: list[ScenarioRun], **_params: Any) -> Fig8Result:
     return result
 
 
-def run_fig8(runner: Optional[SweepRunner] = None, **params: Any) -> Fig8Result:
-    return registry.run(registry.REGISTRY["fig8"], params, runner)
-
-
 def render_fig8(result: Fig8Result) -> str:
     policies = list(result.normalized)
     placements = sorted(
@@ -71,4 +66,4 @@ def render_fig8(result: Fig8Result) -> str:
     return table.render()
 
 
-__all__ = ["Fig8Result", "run_fig8", "render_fig8"]
+__all__ = ["Fig8Result", "render_fig8"]

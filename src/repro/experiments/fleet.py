@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
 from repro.fleet import (
     STORIES,
     FleetRun,
@@ -124,10 +123,6 @@ def steer_fleet(runner: SweepRunner, fast: bool, seed: int = 0) -> FleetReport:
     )
 
 
-def run_fleet(runner: Optional[SweepRunner] = None, **params: Any) -> FleetReport:
-    return registry.run(registry.REGISTRY["fleet"], params, runner)
-
-
 def render_fleet(report: FleetReport) -> str:
     """Per-story epoch tables plus the placement comparison summary."""
     sections: list[str] = []
@@ -201,5 +196,4 @@ __all__ = [
     "FleetReport",
     "fleet_spec",
     "render_fleet",
-    "run_fleet",
 ]

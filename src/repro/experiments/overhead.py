@@ -15,11 +15,10 @@ Table 6's qualitative feature matrix is rendered verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.baselines import AqlPolicy
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
@@ -80,10 +79,6 @@ def fold_overhead(results: list[dict], **_params: Any) -> OverheadResult:
         reconfigurations=online["reconfigurations"],
         total_migrations=online["migrations"],
     )
-
-
-def run_overhead(runner: Optional[SweepRunner] = None, **params: Any) -> OverheadResult:
-    return registry.run(registry.REGISTRY["overhead"], params, runner)
 
 
 def render_overhead(result: OverheadResult) -> str:
@@ -150,7 +145,6 @@ def render_overhead_and_table6(result: OverheadResult) -> str:
 
 __all__ = [
     "OverheadResult",
-    "run_overhead",
     "render_overhead",
     "render_table6",
     "TABLE6_FEATURES",

@@ -12,12 +12,11 @@ latency/spin classes win wherever they appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.baselines import AqlPolicy, XenCredit
 from repro.core.types import VCpuType
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.runner import ScenarioRun, run_scenario
 from repro.experiments.scenarios import AppPlacement, Scenario
 from repro.metrics.tables import ResultTable
@@ -124,12 +123,6 @@ def fold_random(
     return result
 
 
-def run_random_mixes(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> RandomMixResult:
-    return registry.run(registry.REGISTRY["random"], params, runner)
-
-
 def render_random_mixes(result: RandomMixResult) -> str:
     table = ResultTable(
         f"Random colocation mixes ({len(result.per_mix)} draws) — AQL vs"
@@ -154,6 +147,5 @@ def render_random_mixes(result: RandomMixResult) -> str:
 __all__ = [
     "RandomMixResult",
     "draw_mix",
-    "run_random_mixes",
     "render_random_mixes",
 ]

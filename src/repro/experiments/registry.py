@@ -3,8 +3,10 @@
 The CLI, the benchmarks and EXPERIMENTS.md all read a family's
 parameters from its :class:`Experiment` in :data:`REGISTRY`, and
 :func:`run` is every family's one execution path (an engine sweep:
-parallel, cached, resumable).  Family modules are imported on first
-use, so listing, planning and flag validation load no family code.
+parallel, cached, resumable): ``run(REGISTRY["fig5"], params,
+runner)``.  Family modules have no entry point of their own and never
+import this module back; they are imported on first use, so listing,
+planning and flag validation load no family code.
 See DESIGN.md §17.
 """
 
@@ -59,7 +61,7 @@ class TracedRun:
         assert run.built is not None
         machine = run.built.machine
         tracer = machine.telemetry.tracer
-        count = write_chrome_trace(path, tracer, machine.sim.now, telemetry=True)
+        count = write_chrome_trace(path, tracer, machine.sim.now)
         return count, tracer.dropped
 
 
@@ -70,7 +72,7 @@ class Experiment:
     name: str
     description: str
     fast: Mapping[str, Any]  # same keys as ``full``
-    full: Mapping[str, Any]  # benchmark scale, CLI and ``run_*`` default
+    full: Mapping[str, Any]  # benchmark scale, CLI and ``run`` default
     plan: Callable[..., list["Cell"]]  # plan(**params) -> cells
     fold: Optional[Callable[..., Any]]  # fold(results, **params) -> result
     render: Callable[[Any], str]  # render(result) -> tables

@@ -12,10 +12,9 @@ comparatively flat (its waiters never spin and BOOST covers wake-ups).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.hardware.specs import i7_3770
 from repro.hypervisor.machine import Machine
 from repro.metrics.tables import ResultTable
@@ -107,12 +106,6 @@ def fold_sync(
     return result
 
 
-def run_sync_primitives(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> SyncPrimitiveResult:
-    return registry.run(registry.REGISTRY["sync"], params, runner)
-
-
 def render_sync_primitives(result: SyncPrimitiveResult) -> str:
     quanta = sorted({q for _, q in result.ns_per_job})
     table = ResultTable(
@@ -133,6 +126,5 @@ def render_sync_primitives(result: SyncPrimitiveResult) -> str:
 
 __all__ = [
     "SyncPrimitiveResult",
-    "run_sync_primitives",
     "render_sync_primitives",
 ]

@@ -13,8 +13,7 @@ from typing import Any, Optional, Sequence
 
 from repro.core.types import VCpuType
 from repro.core.vtrs import VTRS
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.hardware.specs import MachineSpec, i7_3770
 from repro.hypervisor.machine import Machine
 from repro.hypervisor.vm import VM
@@ -106,10 +105,6 @@ def fold_table3(
     return result
 
 
-def run_table3(runner: Optional[SweepRunner] = None, **params: Any) -> Table3Result:
-    return registry.run(registry.REGISTRY["table3"], params, runner)
-
-
 def render_table3(result: Table3Result) -> str:
     table = ResultTable(
         f"Table 3 — vTRS type recognition"
@@ -128,4 +123,4 @@ def render_table3(result: Table3Result) -> str:
     return table.render()
 
 
-__all__ = ["Table3Result", "recognize_app", "run_table3", "render_table3"]
+__all__ = ["Table3Result", "recognize_app", "render_table3"]

@@ -21,11 +21,10 @@ pCPU timeline and the span tracks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.baselines import AqlPolicy
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
@@ -93,12 +92,6 @@ def plan_telemetry(
 
 def fold_telemetry(results: list[TelemetryReport], **_: Any) -> TelemetryReport:
     return results[0]
-
-
-def run_telemetry_report(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> TelemetryReport:
-    return registry.run(registry.REGISTRY["telemetry"], params, runner)
 
 
 def _type_census(input_types) -> str:
@@ -254,5 +247,4 @@ __all__ = [
     "TelemetryReport",
     "render_telemetry_report",
     "report_jsonable",
-    "run_telemetry_report",
 ]

@@ -16,11 +16,10 @@ at least as well as n = 1 while migrating far less.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.baselines import AqlPolicy, Policy, XenCredit
-from repro.exec import Cell, SweepRunner
-from repro.experiments import registry
+from repro.exec import Cell
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.tables import ResultTable
 from repro.sim.units import MS
@@ -127,12 +126,6 @@ def fold_window(
     return result
 
 
-def run_window_sensitivity(
-    runner: Optional[SweepRunner] = None, **params: Any
-) -> WindowSensitivityResult:
-    return registry.run(registry.REGISTRY["window"], params, runner)
-
-
 def render_window_sensitivity(result: WindowSensitivityResult) -> str:
     placements = sorted(next(iter(result.normalized.values())))
     table = ResultTable(
@@ -154,6 +147,5 @@ def render_window_sensitivity(result: WindowSensitivityResult) -> str:
 __all__ = [
     "WINDOWS",
     "WindowSensitivityResult",
-    "run_window_sensitivity",
     "render_window_sensitivity",
 ]

@@ -23,7 +23,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.exec import SweepRunner
+from repro.exec import RunDirError, SweepRunner
+from repro.exec.cli import report_stopped_run
 from repro.fuzz.corpus import run_campaign
 from repro.fuzz.generator import generate_scenario
 from repro.fuzz.inject import INJECTIONS
@@ -126,6 +127,8 @@ def _cmd_run(
             log=None if args.quiet else sys.stderr,
             runner=runner,
         )
+    except (KeyboardInterrupt, RunDirError) as exc:
+        return report_stopped_run(runner.engine, exc)
     finally:
         if plane is not None:
             plane.close()

@@ -9,7 +9,7 @@ faults and every churn event — as global instant ("i") events, so
 adaptation lag is literally visible as the gap between the instant
 marker and the layout change on the tracks.
 
-With ``telemetry=True`` every span also renders in a second process:
+Every span also renders in a second process (pid 1, "telemetry"):
 one tid per span track (``pcpu0..N``, ``aql``, ``engine``,
 ``machine``, ``churn``), begin/end spans as complete ("X") slices
 and zero-duration markers as thread-scoped instants, so quantum
@@ -153,25 +153,20 @@ def span_trace_events(tracer: "SpanTracer") -> list[dict]:
     return events
 
 
-def to_chrome_trace(
-    tracer: "SpanTracer", end_time: int, telemetry: bool = False
-) -> dict:
-    """The document; ``telemetry`` adds every span as process 1."""
-    events = chrome_trace_events(tracer, end_time)
-    if telemetry:
-        events.extend(span_trace_events(tracer))
+def to_chrome_trace(tracer: "SpanTracer", end_time: int) -> dict:
+    """The document: the machine timeline, then every span as pid 1."""
     return {
-        "traceEvents": events,
+        "traceEvents": (
+            chrome_trace_events(tracer, end_time) + span_trace_events(tracer)
+        ),
         "displayTimeUnit": "ms",
         "otherData": {"spans_dropped": tracer.dropped},
     }
 
 
-def write_chrome_trace(
-    path: str, tracer: "SpanTracer", end_time: int, telemetry: bool = False
-) -> int:
+def write_chrome_trace(path: str, tracer: "SpanTracer", end_time: int) -> int:
     """Write the JSON document; returns the number of trace events."""
-    doc = to_chrome_trace(tracer, end_time, telemetry=telemetry)
+    doc = to_chrome_trace(tracer, end_time)
     with open(path, "w") as fh:
         json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")

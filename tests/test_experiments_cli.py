@@ -8,12 +8,10 @@ import pytest
 
 from repro.exec import Cell, read_event_log
 from repro.experiments.__main__ import main
-from repro.experiments.registry import REGISTRY
+from repro.experiments.registry import REGISTRY, run
 from repro.experiments.ablations import (
     render_boost_ablation,
     render_reuse_ablation,
-    run_boost_ablation,
-    run_reuse_ablation,
 )
 from repro.ops.status import fold_log
 from repro.sim.units import MS
@@ -252,11 +250,12 @@ class TestPlanSubcommand:
 
 class TestAblationModules:
     def test_boost_ablation_small(self):
-        result = run_boost_ablation(
+        result = run(REGISTRY["ablations"], dict(
+            parts=("boost",),
             quanta_ms=(1, 30),
             warmup_ns=200 * MS,
             measure_ns=500 * MS,
-        )
+        )).boost
         # BOOST keeps exclusive IO fast at the default quantum; without
         # it the latency is at least an order of magnitude higher
         assert (
@@ -266,11 +265,12 @@ class TestAblationModules:
         assert "BOOST" in text
 
     def test_reuse_ablation_small(self):
-        result = run_reuse_ablation(
+        result = run(REGISTRY["ablations"], dict(
+            parts=("reuse",),
             exponents=(0.5, 1.0),
             warmup_ns=200 * MS,
             measure_ns=500 * MS,
-        )
+        )).reuse
         assert result.quantum_sensitivity[1.0] > 1.0
         text = render_reuse_ablation(result)
         assert "exponent" in text

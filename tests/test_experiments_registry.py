@@ -87,6 +87,14 @@ def test_registry_imports_no_family_module():
     assert not loaded & set(FAMILY_MODULES)
 
 
+def test_no_family_module_imports_the_registry():
+    """The registry imports families lazily and no family imports it
+    back: ``registry.run`` is the one entry, so there is no cycle."""
+    loaded = _loaded_after("; ".join(f"import {m}" for m in FAMILY_MODULES))
+    assert set(FAMILY_MODULES) <= loaded
+    assert "repro.experiments.registry" not in loaded
+
+
 def test_scenario_runner_imports_neither_registry_nor_families():
     loaded = _loaded_after("import repro.experiments.runner")
     assert "repro.experiments.registry" not in loaded

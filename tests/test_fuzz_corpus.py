@@ -274,3 +274,63 @@ class TestCli:
         assert case.exists()
         assert main(["replay", str(case)]) == 0
         assert "replayed seed 100" in capsys.readouterr().out
+
+
+class TestCliExitPath:
+    """``fuzz run`` ends a run it cannot finish the way ``python -m
+    repro.experiments`` does: one stderr line, exit 2 or 130, and the
+    engine closed exactly once."""
+
+    @pytest.fixture
+    def closes(self, monkeypatch):
+        from repro.exec.engine import Engine
+
+        calls = []
+        real_close = Engine.close
+
+        def counting_close(engine):
+            calls.append(engine)
+            real_close(engine)
+
+        monkeypatch.setattr(Engine, "close", counting_close)
+        return calls
+
+    @pytest.mark.parametrize("damage", ["events.jsonl", "manifest.json"])
+    def test_damaged_run_dir_exits_2_and_closes_once(
+        self, closes, tmp_path, capsys, damage
+    ):
+        argv = [
+            "run", "--cases", "1", "--seed", "100", "--quiet",
+            "--no-shrink", "--run-dir", str(tmp_path / "runs"),
+        ]
+        assert main(argv) == 0
+        [path] = (tmp_path / "runs").glob(f"run-*/{damage}")
+        if damage == "events.jsonl":
+            # not the last line: a torn tail is a kill, not damage
+            lines = path.read_text(encoding="utf-8").splitlines(True)
+            lines[1] = "garbage\n"
+            path.write_text("".join(lines), encoding="utf-8")
+        else:
+            path.write_text("{bad", encoding="utf-8")
+        capsys.readouterr()
+        closes.clear()
+        assert main(argv) == 2
+        assert len(closes) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"[engine] {path}: malformed ")
+        assert err.count("\n") == 1
+
+    def test_interrupt_exits_130_and_closes_once(
+        self, closes, monkeypatch, capsys
+    ):
+        def interrupted(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.fuzz.cli.run_campaign", interrupted)
+        try:
+            code = main(["run", "--cases", "1", "--quiet"])
+        except KeyboardInterrupt:  # escaped the CLI: a traceback
+            code = None
+        assert code == 130
+        assert len(closes) == 1
+        assert "[engine] interrupted" in capsys.readouterr().err

@@ -142,13 +142,13 @@ class TestBlockingSyncWorkload:
 
 class TestSyncPrimitiveAblation:
     def test_blocking_less_quantum_sensitive_than_spinning(self):
-        from repro.experiments.sync_primitives import run_sync_primitives
+        from repro.experiments.registry import REGISTRY, run
 
-        result = run_sync_primitives(
+        result = run(REGISTRY["sync"], dict(
             quanta_ms=(1, 90),
             warmup_ns=300 * MS,
             measure_ns=1 * SEC,
-        )
+        ))
         spin_degradation = result.degradation("spin")
         blocking_degradation = result.degradation("semaphore")
         assert spin_degradation > blocking_degradation

@@ -157,7 +157,7 @@ class TestTruncatedExport:
         tracer = machine.telemetry.tracer
         assert tracer.dropped > 0
         path = tmp_path / "trace.json"
-        write_chrome_trace(path, tracer, machine.sim.now, telemetry=True)
+        write_chrome_trace(path, tracer, machine.sim.now)
         doc = json.loads(path.read_text())
         assert doc["otherData"] == {"spans_dropped": tracer.dropped}
 

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import AqlPolicy
+from repro.experiments.registry import REGISTRY, run
 from repro.experiments.scenarios import SCENARIOS, build_scenario
 from repro.experiments.telemetry_report import (
     render_telemetry_report,
     report_jsonable,
-    run_telemetry_report,
 )
 from repro.fuzz.invariants import rederive_flip
 from repro.sim.units import MS
@@ -34,7 +34,9 @@ MEASURE_NS = 600 * MS
 
 @pytest.fixture(scope="module")
 def report():
-    return run_telemetry_report(warmup_ns=WARMUP_NS, measure_ns=MEASURE_NS)
+    return run(REGISTRY["telemetry"], dict(
+        warmup_ns=WARMUP_NS, measure_ns=MEASURE_NS
+    ))
 
 
 class TestFlipReproducibility:

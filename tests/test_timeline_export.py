@@ -109,14 +109,16 @@ class TestChromeTrace:
         machine.run(200 * MS)
         doc = to_chrome_trace(machine.telemetry.tracer, machine.sim.now)
         events = doc["traceEvents"]
-        slices = [e for e in events if e["ph"] == "X"]
+        # the machine process; pid 1 holds the raw spans
+        machine_events = [e for e in events if e["pid"] == 0]
+        slices = [e for e in machine_events if e["ph"] == "X"]
         assert slices, "a busy machine must produce occupancy slices"
         names = {e["name"] for e in slices}
         assert {"vm0/v0", "vm1/v0"} <= names
         # ts/dur are microseconds: total busy time ~ 200 ms on 1 pCPU
         busy_us = sum(e["dur"] for e in slices if e["tid"] == 0)
         assert busy_us == pytest.approx(200_000, rel=0.02)
-        metas = [e for e in events if e["ph"] == "M"]
+        metas = [e for e in machine_events if e["ph"] == "M"]
         assert any(e["args"].get("name") == "pCPU0" for e in metas)
         path = tmp_path / "trace.json"
         count = write_chrome_trace(path, machine.telemetry.tracer, machine.sim.now)
@@ -151,7 +153,9 @@ class TestChromeTrace:
         engine.arm()
         machine.run(200 * MS)
         doc = to_chrome_trace(machine.telemetry.tracer, machine.sim.now)
-        instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
+        instants = [
+            e for e in doc["traceEvents"] if e["ph"] == "i" and e["pid"] == 0
+        ]
         by_name = {e["name"] for e in instants}
         assert "phase a -> io" in by_name
         assert "shutdown b" in by_name
