@@ -12,12 +12,16 @@ hypervisor machine interprets them:
 
 Phases carry mutable progress state (e.g. remaining instructions) so a
 phase can span many scheduling segments.
+
+The concrete phases are final: the machine dispatches on the exact type
+(``type(phase) is Compute``, not ``isinstance``), so an instance of a
+subclass is rejected as an unknown phase.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, final
 
 from repro.hardware.cache import MemoryProfile
 
@@ -27,11 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Phase:
-    """Base class; only the concrete subclasses below are instantiated."""
+    """Base class; only the concrete subclasses below are instantiated.
+
+    They are final (see the module docstring): subclass none of them.
+    """
 
     __slots__ = ()
 
 
+@final
 class Compute(Phase):
     """Retire ``instructions`` under ``profile`` (thread default if None)."""
 
@@ -52,6 +60,7 @@ class Compute(Phase):
         return f"Compute({self.remaining:.0f}/{self.instructions:.0f})"
 
 
+@final
 class Acquire(Phase):
     """Take a spin lock, spinning (burning CPU) while contended."""
 
@@ -66,6 +75,7 @@ class Acquire(Phase):
         return f"Acquire({self.lock.name})"
 
 
+@final
 class Release(Phase):
     """Release a spin lock (instantaneous)."""
 
@@ -78,6 +88,7 @@ class Release(Phase):
         return f"Release({self.lock.name})"
 
 
+@final
 class SemAcquire(Phase):
     """Take a blocking semaphore; the thread sleeps while contended."""
 
@@ -92,6 +103,7 @@ class SemAcquire(Phase):
         return f"SemAcquire({self.semaphore.name})"
 
 
+@final
 class SemRelease(Phase):
     """Release a blocking semaphore (instantaneous)."""
 
@@ -104,6 +116,7 @@ class SemRelease(Phase):
         return f"SemRelease({self.semaphore.name})"
 
 
+@final
 class BarrierWait(Phase):
     """Spin at a barrier until all parties of this round have arrived.
 
@@ -123,6 +136,7 @@ class BarrierWait(Phase):
         return f"BarrierWait({self.barrier.name}, gen={self.generation})"
 
 
+@final
 class WaitEvent(Phase):
     """Block until the port has a pending event, then consume one."""
 
@@ -136,6 +150,7 @@ class WaitEvent(Phase):
         return f"WaitEvent({self.port.name})"
 
 
+@final
 class Sleep(Phase):
     """Block for a fixed amount of virtual time.
 
@@ -153,7 +168,14 @@ class Sleep(Phase):
             )
         if duration_ns < 0:
             raise ValueError("sleep duration cannot be negative")
-        self.duration_ns = int(duration_ns)
+        whole = int(duration_ns)
+        if whole != duration_ns:
+            # truncating would sleep less than asked; the clock is
+            # integer nanoseconds
+            raise ValueError(
+                f"Sleep: duration must be whole nanoseconds, got {duration_ns!r}"
+            )
+        self.duration_ns = whole
         self.started = False
         self.expired = False
 
@@ -161,6 +183,7 @@ class Sleep(Phase):
         return f"Sleep({self.duration_ns}ns)"
 
 
+@final
 class Exit(Phase):
     """Terminate the thread."""
 

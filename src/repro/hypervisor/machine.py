@@ -42,7 +42,7 @@ from repro.hypervisor.credit import CreditParams, CreditScheduler, RunQueue
 from repro.hypervisor.event_channel import EventPort
 from repro.hypervisor.pools import CpuPool, PoolPlan
 from repro.hypervisor.vm import VM, Priority, VCpu, VCpuState
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, whole_ns
 from repro.sim.rng import RngFactory
 from repro.sim.units import MS
 from repro.telemetry import PoolChange, Telemetry
@@ -260,10 +260,16 @@ class Machine:
                 self.wake_vcpu(vcpu)
 
     def run(self, duration_ns: int) -> None:
-        """Advance virtual time by ``duration_ns``."""
+        """Advance virtual time by ``duration_ns``.
+
+        The duration follows the clock's rule (:meth:`Simulator.at`):
+        integral floats are accepted, anything else raises
+        ``SimulationError`` before the machine starts.
+        """
+        whole = whole_ns(duration_ns, "duration", "Machine.run")
         if not self._started:
             self.start()
-        self.sim.run_until(self.sim.now + int(duration_ns))
+        self.sim.run_until(self.sim.now + whole)
 
     def sync(self) -> None:
         """Integrate every running vCPU up to 'now'.
@@ -369,9 +375,10 @@ class Machine:
         vcpu.exhausted_last_quantum = False
         ctx.current = vcpu
         quantum = vcpu.quantum_override or ctx.pool.quantum_ns
-        vcpu.quantum_event = self.sim.after(
-            quantum, partial(self._on_quantum_expire, ctx, vcpu), "quantum"
-        )
+        expire = vcpu.expiry_fn
+        if expire is None:
+            expire = vcpu.expiry_fn = partial(self._on_quantum_expire, vcpu)
+        vcpu.quantum_event = self.sim.after(quantum, expire, "quantum")
         vcpu.segment_start = self.sim.now
         if self.telemetry.enabled:
             self.telemetry.registry.counter("dispatches", vcpu=vcpu.name).inc()
@@ -388,7 +395,13 @@ class Machine:
                 vcpu.woke_ns = None
         self._start_segment(vcpu)
 
-    def _on_quantum_expire(self, ctx: PCpuContext, vcpu: VCpu) -> None:
+    def _on_quantum_expire(self, vcpu: VCpu) -> None:
+        # every deschedule cancels the expiry, so a live one finds its
+        # vCPU on the pCPU it was dispatched on
+        pcpu = vcpu.pcpu
+        if pcpu is None:  # stale event
+            return
+        ctx = self.contexts[pcpu]
         if ctx.current is not vcpu:  # stale event
             return
         vcpu.exhausted_last_quantum = True
@@ -466,9 +479,13 @@ class Machine:
                 self._block_vcpu(vcpu)
                 return
             vcpu.current_thread = thread
-            phase = thread.current_phase()
+            phase = thread.phase
+            if phase is None:
+                phase = thread.current_phase()
 
-            if isinstance(phase, Compute):
+            # exact types, not isinstance: the concrete phases are final
+            # (guest/phases.py), and Compute is by far the most frequent
+            if type(phase) is Compute:
                 if thread.started_at is None:
                     thread.started_at = now
                 thread.state = _THREAD_RUNNING
@@ -483,7 +500,7 @@ class Machine:
                 self._arm_completion(vcpu, thread, phase)
                 return
 
-            if isinstance(phase, Acquire):
+            if type(phase) is Acquire:
                 if phase.requested_at is None:
                     phase.requested_at = now
                 if phase.lock.try_acquire(thread, now):
@@ -493,14 +510,14 @@ class Machine:
                 self._enter_spin(vcpu, thread)
                 return
 
-            if isinstance(phase, Release):
+            if type(phase) is Release:
                 beneficiary = phase.lock.release(thread, now)
                 thread.advance_phase()
                 if beneficiary is not None:
                     self._poke_spinner(beneficiary)
                 continue
 
-            if isinstance(phase, SemAcquire):
+            if type(phase) is SemAcquire:
                 if phase.granted:
                     # a releaser handed us the unit while we slept
                     phase.semaphore.grant_to(thread, now)
@@ -513,7 +530,7 @@ class Machine:
                 guest.thread_blocked(thread)
                 continue  # blocked: try another thread on this vCPU
 
-            if isinstance(phase, SemRelease):
+            if type(phase) is SemRelease:
                 waiter = phase.semaphore.release(thread, now)
                 thread.advance_phase()
                 if waiter is not None:
@@ -530,7 +547,7 @@ class Machine:
                     )
                 continue
 
-            if isinstance(phase, BarrierWait):
+            if type(phase) is BarrierWait:
                 barrier = phase.barrier
                 if phase.generation is None:
                     released = barrier.arrive(thread)
@@ -550,7 +567,7 @@ class Machine:
                 self._enter_spin(vcpu, thread)  # still waiting
                 return
 
-            if isinstance(phase, WaitEvent):
+            if type(phase) is WaitEvent:
                 ok, payload = phase.port.try_consume()
                 if ok:
                     phase.payload = payload
@@ -569,7 +586,7 @@ class Machine:
                 guest.thread_blocked(thread)
                 continue  # try another thread on this vCPU
 
-            if isinstance(phase, Sleep):
+            if type(phase) is Sleep:
                 if phase.expired:
                     thread.advance_phase()
                     continue
@@ -585,7 +602,7 @@ class Machine:
                     guest.thread_blocked(thread)
                 continue
 
-            if isinstance(phase, Exit):
+            if type(phase) is Exit:
                 thread.finished_at = now
                 guest.thread_exited(thread)
                 continue
@@ -617,12 +634,21 @@ class Machine:
         estimate is never computed.  A profile with ``llc_ref_rate ==
         0.0`` makes the LLC term ``0.0 * finite``, so the estimate is
         ``lower`` exactly and is not computed either.
+
+        The event's callback is the vCPU's one ``completion_fn``; the
+        ``(thread, phase)`` it ends are recorded on the vCPU, which is
+        sound because a vCPU has at most one live completion: any
+        earlier one is cancelled here first (DESIGN §9).
         """
         completion = vcpu.completion_event
         if completion is not None:
             completion.cancel()
             vcpu.completion_event = None
-        profile = thread.effective_profile()
+        # GuestThread.effective_profile, inlined: ``phase`` is the
+        # thread's current phase
+        profile = phase.profile
+        if profile is None:
+            profile = thread.profile
         remaining = phase.remaining
         sim = self.sim
         expiry = vcpu.quantum_event
@@ -649,14 +675,22 @@ class Machine:
             delay = _MIN_COMPLETION_DELAY_NS
         if expiry is not None and sim.now + delay >= expiry.time:
             return
-        vcpu.completion_event = sim.after(
-            delay,
-            partial(self._on_phase_complete, vcpu, thread, phase),
-            "compute-done",
-        )
+        complete = vcpu.completion_fn
+        if complete is None:
+            complete = vcpu.completion_fn = partial(self._on_phase_complete, vcpu)
+        vcpu.armed_thread = thread
+        vcpu.armed_phase = phase
+        vcpu.completion_event = sim.after(delay, complete, "compute-done")
 
-    def _on_phase_complete(self, vcpu: VCpu, thread: GuestThread, phase: Compute) -> None:
-        if vcpu.current_thread is not thread or thread.phase is not phase:
+    def _on_phase_complete(self, vcpu: VCpu) -> None:
+        thread = vcpu.armed_thread
+        phase = vcpu.armed_phase
+        if (
+            thread is None
+            or phase is None
+            or vcpu.current_thread is not thread
+            or thread.phase is not phase
+        ):
             return  # stale event
         if vcpu.state != _VCPU_RUNNING:
             return
@@ -744,21 +778,30 @@ class Machine:
         run_ns = float(elapsed)
 
         if kind == "compute":
+            # GuestThread.effective_profile, inlined
+            phase = thread.phase
+            profile = phase.profile if type(phase) is Compute else None
+            if profile is None:
+                profile = thread.profile
             segment = integrate_duration(
                 vcpu.pcpu.socket.llc,
                 thread,
-                thread.effective_profile(),
+                profile,
                 run_ns,
                 self._llc_hit_ns,
                 self._llc_miss_ns,
                 self.cache_substeps,
             )
-            vcpu.pmu.add_segment(segment)
-            thread.instructions_retired += segment.instructions
-            phase = thread.phase
-            if isinstance(phase, Compute):
+            instructions = segment.instructions
+            # PmuCounters.add_segment, in place
+            pmu = vcpu.pmu
+            pmu.instructions += instructions
+            pmu.llc_refs += segment.llc_refs
+            pmu.llc_misses += segment.llc_misses
+            thread.instructions_retired += instructions
+            if type(phase) is Compute:
                 # max(0.0, ...) with the same first-winner result
-                remaining = phase.remaining - segment.instructions
+                remaining = phase.remaining - instructions
                 phase.remaining = remaining if remaining > 0.0 else 0.0
         elif kind == "spin":
             # spin time is evidence for the PLE detector, not the PMU: a
@@ -815,9 +858,10 @@ class Machine:
                 vcpu.completion_event = None
             self._start_segment(vcpu)
             return
-        phase = thread.phase if thread is not None else None
-        if isinstance(phase, Compute) and thread is not None:
-            self._arm_completion(vcpu, thread, phase)
+        if thread is not None:
+            phase = thread.phase
+            if type(phase) is Compute:
+                self._arm_completion(vcpu, thread, phase)
 
     def _schedule_accounting(self) -> None:
         self.sim.after(self.params.accounting_ns, self._on_accounting, "accounting")

@@ -9,13 +9,14 @@ counters vTRS reads (PMU, PLE, IO-event count).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.hardware.pmu import PmuCounters
 from repro.hardware.ple import PleDetector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.guest.os import GuestOS
+    from repro.guest.phases import Compute
     from repro.guest.thread import GuestThread
     from repro.hardware.topology import PCpu
     from repro.hypervisor.event_channel import EventPort
@@ -58,6 +59,10 @@ class VCpu:
         "current_thread",
         "completion_event",
         "quantum_event",
+        "completion_fn",
+        "expiry_fn",
+        "armed_thread",
+        "armed_phase",
         "pmu",
         "ple",
         "io_events",
@@ -102,6 +107,14 @@ class VCpu:
         self.current_thread: Optional["GuestThread"] = None
         self.completion_event: Optional["Event"] = None
         self.quantum_event: Optional["Event"] = None
+        #: the completion and quantum-expiry callbacks, built once by the
+        #: machine: arming either event must not allocate a callable
+        self.completion_fn: Optional[Callable[[], None]] = None
+        self.expiry_fn: Optional[Callable[[], None]] = None
+        #: the (thread, phase) the live ``completion_event`` was armed
+        #: for; its callback reads them back for the stale check
+        self.armed_thread: Optional["GuestThread"] = None
+        self.armed_phase: Optional["Compute"] = None
 
         # -- monitoring counters (what vTRS reads) ---------------------
         self.pmu = PmuCounters()

@@ -95,12 +95,7 @@ class Simulator:
         sub-nanosecond drift.  Integral floats (``5.0``) are accepted;
         NaN and infinities are rejected like any other non-integral time.
         """
-        try:
-            itime = int(time)
-        except (ValueError, OverflowError):  # NaN, +-inf
-            raise _non_integral("time", time, label) from None
-        if itime != time:
-            raise _non_integral("time", time, label)
+        itime = whole_ns(time, "time", label)
         if itime < self.now:
             raise SimulationError(
                 f"cannot schedule {label!r} at {itime} < now {self.now}"
@@ -145,8 +140,12 @@ class Simulator:
 
         The clock is left exactly at ``end_time`` even if the queue runs
         dry earlier, so periodic components can be resumed by a later
-        ``run_until`` call.
+        ``run_until`` call.  Like :meth:`at`, ``end_time`` must be
+        integral: an integral float lands on the integer clock, and NaN,
+        infinities and fractions raise instead of leaving a non-integer
+        (or unreachable) clock behind.
         """
+        end_time = whole_ns(end_time, "end time", "run_until")
         if end_time < self.now:
             raise SimulationError(f"run_until({end_time}) is in the past")
         if self._running:
@@ -236,6 +235,22 @@ class Simulator:
         return f"<Simulator now={self.now} pending={self.pending}>"
 
 
+def whole_ns(value: float, what: str, label: str) -> int:
+    """``value`` as an int, or the clock's error if it is not integral.
+
+    Integral floats (``5.0``) are accepted; fractions, NaN and
+    infinities raise :class:`SimulationError` naming ``what`` (the kind
+    of value) and ``label`` (who asked).
+    """
+    try:
+        whole = int(value)
+    except (ValueError, OverflowError):  # NaN, +-inf
+        raise _non_integral(what, value, label) from None
+    if whole != value:
+        raise _non_integral(what, value, label)
+    return whole
+
+
 def _non_integral(what: str, value: object, label: str) -> SimulationError:
     return SimulationError(
         f"non-integral {what} {value!r} for {label!r} "
@@ -247,4 +262,4 @@ def noop() -> None:
     """A callback that does nothing (useful as a pure wake-up marker)."""
 
 
-__all__ = ["Event", "Simulator", "SimulationError", "noop"]
+__all__ = ["Event", "Simulator", "SimulationError", "noop", "whole_ns"]

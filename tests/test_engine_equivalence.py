@@ -252,6 +252,32 @@ def test_at_and_after_reject_non_finite_times(value):
     assert sim.pending == 0 and sim.peek_time() is None
 
 
+def test_run_until_rejects_non_integral_end_times():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="non-integral"):
+        sim.run_until(1.5)
+    assert sim.now == 0
+    # an integral float leaves the clock an int, so later delays stay exact
+    sim.run_until(5.0)
+    assert sim.now == 5 and type(sim.now) is int
+    fired = []
+    sim.after(10, lambda: fired.append(sim.now))
+    sim.run_until(20)
+    assert fired == [15] and type(fired[0]) is int
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_run_until_rejects_non_finite_end_times(value):
+    """No periodic event is armed, so a run to +inf would return (with
+    the clock at inf) instead of looping forever."""
+    sim = Simulator()
+    fired = []
+    sim.at(5, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError, match="non-integral"):
+        sim.run_until(value)
+    assert sim.now == 0 and fired == []
+
+
 # ----------------------------------------------------------------------
 # cancellation edge cases
 # ----------------------------------------------------------------------

@@ -183,3 +183,9 @@ class TestPhaseValidation:
     def test_non_finite_sleep_rejected(self, value):
         with pytest.raises(ValueError, match="Sleep"):
             Sleep(value)
+
+    def test_fractional_sleep_rejected(self):
+        # truncating would sleep 2 ns for 2.7; integral floats are fine
+        with pytest.raises(ValueError, match="Sleep"):
+            Sleep(2.7)
+        assert Sleep(2.0).duration_ns == 2

@@ -8,6 +8,7 @@ from repro.guest.thread import GuestThread
 from repro.hypervisor.machine import Machine
 from repro.hypervisor.pools import PoolPlan
 from repro.hypervisor.vm import VCpuState
+from repro.sim.engine import SimulationError
 from repro.sim.units import MS, SEC
 
 
@@ -345,3 +346,24 @@ class TestDeterminism:
             return [t.instructions_retired for t in totals]
 
         assert run_once() == run_once()
+
+
+class TestRunDuration:
+    """``Machine.run`` follows the clock's integer rule."""
+
+    @pytest.mark.parametrize("value", [2.7, float("nan"), float("inf")])
+    def test_non_integral_duration_rejected(self, value):
+        machine = Machine(seed=0)
+        vm = machine.new_vm("vm", 1)
+        vm.guest.add_thread(GuestThread("t", hog_body))
+        with pytest.raises(SimulationError, match="non-integral duration"):
+            machine.run(value)
+        assert machine.sim.now == 0 and machine.sim.events_fired == 0
+
+    def test_integral_float_duration_accepted(self):
+        machine = Machine(seed=0)
+        machine.run(2.0 * MS)
+        assert machine.sim.now == 2 * MS and type(machine.sim.now) is int
+        with pytest.raises(SimulationError):
+            machine.run(0.5)
+        assert machine.sim.now == 2 * MS

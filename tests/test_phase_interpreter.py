@@ -186,3 +186,22 @@ class TestSleepEdges:
         machine.run(50 * MS)
         assert wake_times["n3"] < wake_times["n0"] < wake_times["n1"]
         assert wake_times["n1"] < wake_times["n2"]
+
+
+class TestExactPhaseTypes:
+    def test_subclass_of_a_concrete_phase_is_unknown(self):
+        """The machine dispatches on the exact phase type: the concrete
+        phases are final, so a subclass is not taken for its base."""
+
+        class TimedCompute(Compute):
+            __slots__ = ()
+
+        machine = Machine(seed=0)
+        vm = machine.new_vm("vm", 1)
+
+        def body(thread):
+            yield TimedCompute(1_000)
+
+        vm.guest.add_thread(GuestThread("t", body))
+        with pytest.raises(TypeError, match="unknown phase"):
+            machine.run(1 * MS)
